@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ConfigError("step counts must be sorted ascending")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.algorithm != "cg":
+            raise ConfigError(f"unknown optimizer algorithm {self.algorithm!r}")
         return self
 
     @classmethod

@@ -169,7 +169,7 @@ def build_parser() -> _Parser:
         p.add_argument("--verify", action="store_true")
         if name == "scenario2":
             p.add_argument("--grad-tol", type=float, default=None)
-            p.add_argument("--algorithm", choices=("gd", "cg"), default=None)
+            p.add_argument("--algorithm", choices=("cg",), default=None)
 
     sub.add_parser("verify", help="run the desk-scale oracle verification suite")
     return parser

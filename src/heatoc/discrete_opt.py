@@ -7,6 +7,12 @@ weights.  Its gradient is assembled by one forward sweep and one backward
 sweep with the exact transpose of the forward scheme's linearization, so it
 is the exact gradient of the discrete objective (finite differences of the
 objective are the defining contract).
+
+The scheme is linear and time-invariant, so the terminal state is affine in
+the control, y_T = y_free + J u.  ``optimize`` builds J once per call from the
+method's own steps and runs conjugate gradients on the m terminal
+multipliers instead of the N s control values; the matrix-free gradient
+above certifies the control it returns.
 """
 
 from __future__ import annotations
@@ -15,11 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heat_mol import ConfigError
+from .heat_mol import ConfigError, MolSystem
 from .exact_oc import OcProblem, objective
 from .integrators import (
-    IrkTableau, MethodSpec, PeerScheme, StageSystemSolver, Trajectory,
-    collocation, integrate_forward, solve_shifted, _forward_scheme,
+    IrkTableau, LinearOde, PeerScheme, StageSystemSolver, Trajectory,
+    collocation, integrate_forward, irk_step, peer_step, solve_shifted,
+    _forward_scheme,
 )
 
 
@@ -49,30 +56,24 @@ class DiscreteControl:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the reduced-gradient solver.
+    """Settings of the discrete optimal-control solver.
 
-    ``algorithm`` selects plain Armijo-backtracking gradient descent ("gd") or
-    a conjugate-gradient accelerator on the same gradient oracle ("cg"); both
-    stop once the max-norm of the gradient, recomputed at the current control,
-    falls below ``grad_tol``.  CG's recursive residual only triggers that
-    check; when the recomputed gradient misses ``grad_tol``, CG restarts from
-    it within the same ``max_iterations``.
+    ``algorithm`` is "cg", conjugate gradients on the terminal multipliers
+    (see ``optimize``); it is the only solver.  The solve stops once the
+    max-norm of the control gradient falls below ``grad_tol`` or after
+    ``max_iterations`` CG steps.  ``initial_control`` starts the multiplier
+    at the terminal residual y_T(u0) - y_hat of the given control.
     """
 
     max_iterations: int = 2000
     grad_tol: float = 1e-10
-    armijo_step: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
     initial_control: np.ndarray | None = None
-    algorithm: str = "gd"
+    algorithm: str = "cg"
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ConfigError("gradient tolerance must be positive")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ConfigError("backtracking factor must lie in (0, 1)")
-        if self.algorithm not in ("gd", "cg"):
+        if self.algorithm != "cg":
             raise ConfigError(f"unknown optimizer algorithm {self.algorithm!r}")
 
 
@@ -186,120 +187,146 @@ def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, N: i
 
 def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np.ndarray:
     """Exact gradient of the discrete objective with respect to all u_ni."""
-    grad, _, _ = _objective_and_gradient(method, prob, values, N)
+    grad, _, _, _ = _objective_and_gradient(method, prob, values, N)
     return grad
 
 
 def _objective_and_gradient(method, prob: OcProblem, values: np.ndarray, N: int):
+    """(gradient, objective, multipliers, forward trajectory with stages) at ``values``."""
     scheme = _forward_scheme(method)
     values = _check_shape(values, N, scheme.s)
     h = prob.T / N
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T,
-                            peer_start="collocation").final
+    state = integrate_forward(scheme, prob.sys, values, N, prob.T,
+                              peer_start="collocation", keep_stages=True)
     w_full = np.broadcast_to(h * control_quadrature_weights(scheme), (N, scheme.s))
-    C = objective(prob, y_T, values, w_full)
+    C = objective(prob, state.final, values, w_full)
     if isinstance(scheme, IrkTableau):
-        grad, duals = _irk_backward(scheme, prob, values, N, y_T)
+        grad, duals = _irk_backward(scheme, prob, values, N, state.final)
     else:
-        grad, duals = _peer_backward(scheme, prob, values, N, y_T)
-    return grad, C, duals
+        grad, duals = _peer_backward(scheme, prob, values, N, state.final)
+    return grad, C, duals, state
+
+
+def _terminal_map(scheme, sys: MolSystem, h: float, N: int) -> np.ndarray:
+    """Linear part J of the terminal map y_T = y_free + J u, returned as J^T.
+
+    J is built by applying the method's own steps to unit vectors, so J u
+    agrees with a forward sweep up to roundoff; the eigenbasis of M is not
+    used.  Row n * s + i of the (N * s, m) result is dy_T / du_ni.
+    """
+    m, s = sys.m, scheme.s
+    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    units, zero_g = np.eye(s), np.zeros(s)
+    Jt = np.empty((N, s, m))
+    if isinstance(scheme, IrkTableau):
+        # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V
+        solver = StageSystemSolver(scheme.A, h, sys.matrix)
+        R = np.column_stack([irk_step(scheme, ode, 0.0, h, e, solver, zero_g)[0]
+                             for e in np.eye(m)])
+        Z = np.column_stack([irk_step(scheme, ode, 0.0, h, np.zeros(m), solver, g)[0]
+                             for g in units])
+        for n in range(N - 1, -1, -1):
+            Jt[n] = Z.T
+            Z = R @ Z
+        return Jt.reshape(N * s, m)
+
+    # Peer: the state is the stage block Y_n (flattened, s * m) with
+    # Y_0 = S psi + W g_0 from the collocation start and, for n >= 1,
+    # Y_n = P Y_{n-1} + G_prev g_{n-1} + G_cur g_n; y_T is the last stage of
+    # Y_{N-1}.  So g_n reaches Y_{n+1} through H = P G_cur + G_prev for
+    # n >= 1 and through H_0 = P W + G_prev for n = 0, and the last control
+    # row only through G_cur.
+    zero_block = np.zeros((s, m))
+
+    def step(block, g_prev, g_cur):
+        return peer_step(scheme, ode, 0.0, h, block, g_prev=g_prev, g_cur=g_cur)[0].ravel()
+
+    start = collocation(scheme.c, name=f"start({scheme.name})")
+    P = np.column_stack([step(e.reshape(s, m), zero_g, zero_g) for e in np.eye(s * m)])
+    G_prev = np.column_stack([step(zero_block, g, zero_g) for g in units])
+    G_cur = np.column_stack([step(zero_block, zero_g, g) for g in units])
+    W = np.column_stack([irk_step(start, ode, 0.0, h, np.zeros(m), g_values=g)[1].ravel()
+                         for g in units])
+    last = slice((s - 1) * m, s * m)
+    Jt[N - 1] = G_cur[last].T
+    Z = np.hstack([P @ G_cur + G_prev, P @ W + G_prev])
+    for n in range(N - 2, 0, -1):
+        Jt[n] = Z[last, :s].T
+        Z = P @ Z
+    Jt[0] = Z[last, s:].T
+    return Jt.reshape(N * s, m)
 
 
 def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
              exact_control=None) -> OptimizationResult:
     """Minimize the discrete objective over all node control values.
 
-    The problem is a strictly convex quadratic in the control (alpha > 0 and
-    positive quadrature weights), so both algorithms converge to the unique
-    minimizer.  ``converged`` is True exactly when the gradient recomputed at
-    the returned control has max-norm <= ``grad_tol``; hitting the iteration
-    cap leaves it False instead of raising.  The "gd" path also stops, flagged
-    non-converged, when no backtracking step achieves sufficient decrease
-    anymore, which happens once objective decrements reach the floating-point
-    noise floor.  "cg" works on gradient residuals and reaches much tighter
-    tolerances; it stops on the recomputed gradient, not on its recursive
-    residual, and restarts from the recomputed gradient when the two disagree.
-    When ``exact_control`` is given, the result records
+    With y_T = y_free + J u (see ``_terminal_map``) and the penalty
+    alpha/2 u^T D u, D = diag(h w_i), stationarity reads u = -(alpha D)^-1 J^T lam
+    for the terminal multiplier lam = y_T - y_hat, which solves the m x m
+    symmetric positive definite system (I + J (alpha D)^-1 J^T) lam = y_free - y_hat.
+    CG runs on that system.  At u(lam) the control gradient is exactly J^T r
+    for the CG residual r, so CG stops once max|J^T r| <= ``grad_tol`` or
+    after ``max_iterations`` steps.  The matrix-free gradient of
+    ``discrete_gradient`` then certifies u: ``converged`` is True exactly
+    when it has max-norm <= ``grad_tol``.  When the certificate fails while
+    the recursive residual passed, CG restarts from the true residual
+    y_T(u) - y_hat - lam; it stops, flagged non-converged, once a restart no
+    longer lowers the certified gradient (the tolerance is below the
+    roundoff floor).  When ``exact_control`` is given, the result records
     max_{n,i} |u(t_ni) - u_h(t_ni)| against it.
     """
     scheme = _forward_scheme(method)
     s = scheme.s
+    h = prob.T / N
     u = np.zeros((N, s)) if cfg.initial_control is None \
-        else _check_shape(cfg.initial_control, N, s).copy()
+        else _check_shape(cfg.initial_control, N, s)
+    y_free = integrate_forward(scheme, prob.sys, None, N, prob.T,
+                               peer_start="collocation").final
+    Jt = _terminal_map(scheme, prob.sys, h, N)
+    alpha_D = prob.alpha * h * np.tile(control_quadrature_weights(scheme), N)
+
+    def K(v):
+        return v + ((Jt @ v) / alpha_D) @ Jt
+
+    b = y_free - prob.y_hat
+    lam = b + u.ravel() @ Jt
+    r = b - K(lam)
+    p = r.copy()
+    rs = float(r @ r)
     history: list[float] = []
     objective_history: list[float] = []
     iterations = 0
-
-    if cfg.algorithm == "gd":
-        grad, C, duals = _objective_and_gradient(method, prob, u, N)
+    restart_norm = np.inf
+    while True:
+        gnorm = float(np.abs(Jt @ r).max())
+        history.append(gnorm)
+        if gnorm > cfg.grad_tol and iterations < cfg.max_iterations:
+            Kp = K(p)
+            curvature = float(p @ Kp)
+            if rs > 0 and curvature > 0:       # both underflow once r is tiny
+                a = rs / curvature
+                lam = lam + a * p
+                r = r - a * Kp
+                rs_new = float(r @ r)
+                p = r + (rs_new / rs) * p
+                rs = rs_new
+                iterations += 1
+                continue
+        u = (-(Jt @ lam) / alpha_D).reshape(N, s)
+        grad, C, duals, state = _objective_and_gradient(method, prob, u, N)
         objective_history.append(C)
-        for iterations in range(1, cfg.max_iterations + 1):
-            gnorm = float(np.abs(grad).max())
-            history.append(gnorm)
-            if gnorm <= cfg.grad_tol:
-                break
-            slope = float(np.sum(grad * grad))
-            step = cfg.armijo_step
-            accepted = False
-            for _ in range(60):
-                trial = u - step * grad
-                C_trial = discrete_objective(method, prob, trial, N)
-                if C_trial <= C - cfg.armijo_slope * step * slope:
-                    accepted = True
-                    break
-                step *= cfg.armijo_shrink
-            if not accepted:
-                break
-            u = trial
-            grad, C, duals = _objective_and_gradient(method, prob, u, N)
-            objective_history.append(C)
-        else:
-            iterations = cfg.max_iterations
-    else:
-        # conjugate gradient on the quadratic: grad(u) = H u + g0 with
-        # g0 = grad(0); Hessian products come from gradient linearity.  The
-        # recursive residual r drifts from the true gradient, so once r meets
-        # grad_tol the gradient is recomputed at u; CG stops if that one
-        # meets grad_tol too and otherwise restarts from it.
-        g0, _, _ = _objective_and_gradient(method, prob, np.zeros((N, s)), N)
-        grad, C, duals = _objective_and_gradient(method, prob, u, N)
-        stale = False                      # grad, C, duals lag behind u
-        r = -grad
+        final_norm = float(np.abs(grad).max())
+        if final_norm <= cfg.grad_tol or final_norm >= restart_norm \
+                or iterations == cfg.max_iterations:
+            break
+        restart_norm = final_norm
+        r = state.final - prob.y_hat - lam
         p = r.copy()
-        rs = float(np.sum(r * r))
-        for iterations in range(1, cfg.max_iterations + 1):
-            gnorm = float(np.abs(r).max())
-            if gnorm <= cfg.grad_tol and stale:
-                grad, C, duals = _objective_and_gradient(method, prob, u, N)
-                stale = False
-                r = -grad
-                p = r.copy()
-                rs = float(np.sum(r * r))
-                gnorm = float(np.abs(r).max())
-            history.append(gnorm)
-            if gnorm <= cfg.grad_tol:
-                break
-            gp, _, _ = _objective_and_gradient(method, prob, p, N)
-            Hp = gp - g0
-            curvature = float(np.sum(p * Hp))
-            if curvature <= 0:
-                break
-            a = rs / curvature
-            u = u + a * p
-            stale = True
-            r = r - a * Hp
-            rs_new = float(np.sum(r * r))
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        if stale:
-            grad, C, duals = _objective_and_gradient(method, prob, u, N)
+        rs = float(r @ r)
 
-    final_norm = float(np.abs(grad).max())
     history.append(final_norm)
     converged = final_norm <= cfg.grad_tol
-    h = prob.T / N
-    state = integrate_forward(scheme, prob.sys, u, N, prob.T,
-                              peer_start="collocation", keep_stages=True)
     control = DiscreteControl(values=u, h=h, c=np.asarray(scheme.c))
     err = None
     if exact_control is not None:

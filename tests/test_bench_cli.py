@@ -257,6 +257,21 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert "gauss2" not in out.replace("# ", "")
 
 
+def test_cli_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, capsys):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("heatoc.bench.optimize", no_cell)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "m_values": [4], "N_values": [8], "methods": ["gauss2"],
+        "scenario": 2, "algorithm": "gd"}))
+    assert main(["scenario2", "--config", str(cfg_path)]) == 1
+    assert "'gd'" in capsys.readouterr().err
+    assert main(["scenario2", "--m", "4", "--N", "8", "--methods", "gauss2",
+                 "--algorithm", "gd"]) == 1
+
+
 def test_cli_scenario2_smoke(capsys):
     code = main(["scenario2", "--m", "4", "--N", "8,16", "--methods", "gauss2",
                  "--grad-tol", "1e-8"])

@@ -8,6 +8,7 @@ from heatoc import (
     discrete_gradient, discrete_objective, exact_objective, from_modal, gauss2,
     get_method, integrate_forward, optimize, peer_toy2,
 )
+from heatoc.discrete_opt import _terminal_map
 from heatoc.oracles import fd_gradient_check
 from conftest import make_instance
 
@@ -112,27 +113,6 @@ def test_stationary_start_converges_immediately():
     assert np.abs(result.control.values).max() == 0.0
 
 
-def test_gd_descends_and_converges():
-    # penalty-dominated instance: well conditioned, so plain descent converges;
-    # the tolerance stays above the floating-point floor of objective decrements
-    prob, _ = make_instance(4, alpha=100.0)
-    cfg = OptimizerConfig(algorithm="gd", grad_tol=1e-8, max_iterations=300)
-    result = optimize(gauss2(), prob, cfg, 8)
-    assert result.converged
-    obj = result.objective_history
-    assert all(b < a for a, b in zip(obj, obj[1:]))
-    assert result.gradient_norm_history[-1] <= 1e-8
-
-
-def test_cg_matches_gd_minimizer():
-    prob, _ = make_instance(4, alpha=100.0)
-    r_gd = optimize(gauss2(), prob, OptimizerConfig(algorithm="gd", grad_tol=1e-8,
-                                                    max_iterations=300), 8)
-    r_cg = optimize(gauss2(), prob, OptimizerConfig(algorithm="cg", grad_tol=1e-11), 8)
-    assert r_gd.converged and r_cg.converged
-    assert np.abs(r_gd.control.values - r_cg.control.values).max() < 1e-8
-
-
 def test_unique_minimizer_from_different_starts(rng):
     # large alpha keeps the Hessian well conditioned, so the gradient bound
     # transfers to the control values
@@ -169,7 +149,7 @@ def test_optimum_matches_brute_force_normal_equations():
 
 def test_iteration_cap_marks_nonconverged():
     prob, _ = make_instance(6)
-    cfg = OptimizerConfig(algorithm="gd", grad_tol=1e-14, max_iterations=2)
+    cfg = OptimizerConfig(algorithm="cg", grad_tol=1e-14, max_iterations=2)
     result = optimize(gauss2(), prob, cfg, 8)
     assert not result.converged
     assert result.iterations == 2
@@ -207,14 +187,14 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(grad_tol=0.0)
     with pytest.raises(ConfigError):
-        OptimizerConfig(armijo_shrink=1.5)
-    with pytest.raises(ConfigError):
         OptimizerConfig(algorithm="newton")
+    with pytest.raises(ConfigError):
+        OptimizerConfig(algorithm="gd")
 
 
 def test_cg_converged_flag_reports_true_gradient():
-    # on this cell CG's recursive residual meets grad_tol while the
-    # recomputed gradient does not; the flag must follow the true gradient
+    # the flag follows the gradient recomputed matrix-free at the returned
+    # control, not CG's recursive residual
     prob, _ = make_instance(250)
     method = get_method("lobatto3")
     N = 32
@@ -240,6 +220,41 @@ def test_cg_iteration_cap_reports_true_gradient():
     assert result.iterations == 5
     assert not result.converged
     assert result.gradient_norm_history[-1] == true_norm
+
+
+@pytest.mark.parametrize("grad_tol", [1e-18, 1e-300])
+def test_cg_stops_when_restarts_stagnate(grad_tol):
+    # grad_tol below the roundoff floor: the recursive residual keeps meeting
+    # it (at 1e-300 only by underflowing) while the recomputed gradient
+    # cannot, so restarts stop once they no longer lower the recomputed
+    # gradient instead of using up max_iterations
+    prob, _ = make_instance(8)
+    method = get_method("gauss2")
+    N = 8
+    cfg = OptimizerConfig(algorithm="cg", grad_tol=grad_tol, max_iterations=5000)
+    result = optimize(method, prob, cfg, N)
+    true_norm = float(np.abs(discrete_gradient(method, prob, result.control.values,
+                                               N)).max())
+    assert not result.converged
+    assert result.iterations < cfg.max_iterations // 10
+    assert result.gradient_norm_history[-1] == true_norm
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("N", [2, 3, 16])
+def test_terminal_map_matches_forward_sweep(name, N, rng):
+    # y_T = y_free + J u, with J built once from unit steps, reproduces the
+    # sweep; for Peer this covers the start step feeding u_0 and the last
+    # control row, which enters y_T through one stage solve only
+    prob, _ = make_instance(8)
+    scheme = get_method(name).forward
+    u = rng.standard_normal((N, scheme.s))
+    Jt = _terminal_map(scheme, prob.sys, prob.T / N, N)
+    y_free = integrate_forward(scheme, prob.sys, None, N, prob.T,
+                               peer_start="collocation").final
+    y_T = integrate_forward(scheme, prob.sys, u, N, prob.T,
+                            peer_start="collocation").final
+    assert np.abs(y_free + u.ravel() @ Jt - y_T).max() <= 1e-12 * np.abs(y_T).max()
 
 
 @pytest.mark.parametrize("name, stage_rate", [("gauss2", 3.0), ("lobatto3", 2.0)])
