@@ -69,8 +69,8 @@ class ExperimentConfig:
             raise ConfigError("step counts must be sorted ascending")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.algorithm != "cg":
-            raise ConfigError(f"unknown optimizer algorithm {self.algorithm!r}")
+        OptimizerConfig(max_iterations=self.max_iterations, grad_tol=self.grad_tol,
+                        algorithm=self.algorithm)
         return self
 
     @classmethod

@@ -25,8 +25,8 @@ from .heat_mol import ConfigError, MolSystem
 from .exact_oc import OcProblem, objective
 from .integrators import (
     IrkTableau, LinearOde, PeerScheme, StageSystemSolver, Trajectory,
-    collocation, integrate_forward, irk_step, peer_step, solve_shifted,
-    _forward_scheme,
+    integrate_forward, irk_step, peer_step, solve_shifted,
+    _forward_scheme, _start_tableau,
 )
 
 
@@ -71,8 +71,11 @@ class OptimizerConfig:
     algorithm: str = "cg"
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ConfigError("gradient tolerance must be positive")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ConfigError(
+                f"gradient tolerance must be finite and positive, got {self.grad_tol}")
+        if self.max_iterations < 0:
+            raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.algorithm != "cg":
             raise ConfigError(f"unknown optimizer algorithm {self.algorithm!r}")
 
@@ -164,20 +167,21 @@ def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, N: i
     for n in range(N - 1, 0, -1):
         # solve (I - h R^T (x) M) W = G stage by stage in reverse order
         W = np.empty_like(G)
+        MW = np.empty_like(G)
         for i in range(s - 1, -1, -1):
             rhs = G[i].copy()
             for j in range(i + 1, s):
-                rhs += h * scheme.R[j, i] * sys.matrix.apply(W[j])
+                rhs += h * scheme.R[j, i] * MW[j]
             W[i] = solve_shifted(h * scheme.R[i, i], sys.matrix, rhs)
+            MW[i] = sys.matrix.apply(W[i])
         duals[n] = W
         wb = W @ bvec
         grad[n] += h * (scheme.R.T @ wb)
         grad[n - 1] += h * (scheme.A.T @ wb)
-        MW = np.stack([sys.matrix.apply(W[i]) for i in range(s)])
         G = scheme.B.T @ W + h * (scheme.A.T @ MW)
 
     # transpose of the collocation starting step
-    tab = collocation(scheme.c, name=f"start({scheme.name})")
+    tab = _start_tableau(scheme)
     solver_t = StageSystemSolver(tab.A.T, h, sys.matrix)
     W0 = solver_t.solve_stacked(G)
     duals[0] = W0
@@ -241,7 +245,7 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int) -> np.ndarray:
     def step(block, g_prev, g_cur):
         return peer_step(scheme, ode, 0.0, h, block, g_prev=g_prev, g_cur=g_cur)[0].ravel()
 
-    start = collocation(scheme.c, name=f"start({scheme.name})")
+    start = _start_tableau(scheme)
     P = np.column_stack([step(e.reshape(s, m), zero_g, zero_g) for e in np.eye(s * m)])
     G_prev = np.column_stack([step(zero_block, g, zero_g) for g in units])
     G_cur = np.column_stack([step(zero_block, zero_g, g) for g in units])

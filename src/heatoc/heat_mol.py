@@ -91,14 +91,18 @@ class TridiagonalMatrix:
         return self.off
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product in O(m) work."""
+        """Product M v in O(m) work per vector.
+
+        ``v`` is a vector of length m or a stack of them, such as an (s, m)
+        stage block; M acts on the last axis.
+        """
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.m,):
-            raise ValueError(f"expected vector of length {self.m}, got shape {v.shape}")
+        if v.shape[-1:] != (self.m,):
+            raise ValueError(f"expected last axis of length {self.m}, got shape {v.shape}")
         r = self.diagonal * v
         if self.m > 1:
-            r[:-1] += self.off * v[1:]
-            r[1:] += self.off * v[:-1]
+            r[..., :-1] += self.off * v[..., 1:]
+            r[..., 1:] += self.off * v[..., :-1]
         return r
 
 

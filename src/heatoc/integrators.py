@@ -2,7 +2,10 @@
 
 Provides the 2-stage Gauss method, the 3-stage Lobatto IIIA / IIIB pair, and
 a coefficient-driven implicit two-step Peer framework, plus forward and
-terminal-value backward integration on uniform grids.
+terminal-value backward integration on uniform grids.  Both sweeps run one
+forward recursion (``_sweep``): the backward sweep is that recursion for
+the method's adjoint scheme on the homogeneous system started at p(T), in
+reversed time.
 
 The coupled implicit stage systems are solved by diagonalizing the small
 stage-coupling matrix over the complex numbers, which reduces each step to a
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from scipy.linalg import solve_banded
 
 from .heat_mol import ConfigError, TridiagonalMatrix, MolSystem, _readonly
 from .exact_oc import ExpSumFunction, solve_ivp_exact
-from .spectrum import SpectralDecomposition, heat_flow
+from .spectrum import SpectralDecomposition
 
 PEER_DIR_ENV = "HEATOC_PEER_DIR"
 ORDER4_TOL = 1e-13
@@ -320,14 +323,12 @@ class LinearOde:
     """Right-hand side M y + g(t) b with a tridiagonal matrix handle.
 
     ``control`` may be an ExpSumFunction, any callable of time, or None for a
-    homogeneous problem.  ``direction`` is metadata distinguishing a plain
-    forward problem from a time-reversed sweep started at the horizon.
+    homogeneous problem.
     """
 
     matrix: TridiagonalMatrix
     forcing_vector: np.ndarray | None = None
     control: object = None
-    direction: str = "forward"
 
     def __post_init__(self):
         if self.forcing_vector is not None:
@@ -443,7 +444,7 @@ def irk_step(tab: IrkTableau, ode: LinearOde, t_n: float, h: float,
     if ode.forcing_vector is not None:
         rhs = rhs + h * np.outer(tab.A @ g, ode.forcing_vector)
     stages = solver.solve_stacked(rhs)
-    F = np.stack([ode.matrix.apply(stages[i]) for i in range(tab.s)])
+    F = ode.matrix.apply(stages)
     if ode.forcing_vector is not None:
         F += np.outer(g, ode.forcing_vector)
     return y_n + h * (tab.b @ F), stages
@@ -468,7 +469,7 @@ def peer_step(scheme: PeerScheme, ode: LinearOde, t_n: float, h: float,
     if g_cur is None:
         g_cur = ode.g(t_n + scheme.c * h)
     if prev_F is None:
-        prev_F = np.stack([ode.matrix.apply(prev_block[j]) for j in range(s)])
+        prev_F = ode.matrix.apply(prev_block)
         if ode.forcing_vector is not None:
             prev_F = prev_F + np.outer(g_prev, ode.forcing_vector)
     block = np.empty((s, m))
@@ -499,7 +500,12 @@ def _adjoint_scheme(method):
     return method.adjoint if isinstance(method, MethodSpec) else method
 
 
-def _node_values(control, N: int, s: int, c: np.ndarray, h: float, t0: float = 0.0):
+def _start_tableau(scheme: PeerScheme) -> IrkTableau:
+    """Collocation tableau on a Peer scheme's nodes; one step of it starts the scheme."""
+    return collocation(scheme.c, name=f"start({scheme.name})")
+
+
+def _node_values(control, N: int, s: int, c: np.ndarray, h: float):
     """Control values at all stage nodes as an (N, s) array."""
     if control is None:
         return np.zeros((N, s))
@@ -507,19 +513,20 @@ def _node_values(control, N: int, s: int, c: np.ndarray, h: float, t0: float = 0
         if control.shape != (N, s):
             raise ValueError(f"node samples must have shape {(N, s)}, got {control.shape}")
         return control
-    times = t0 + (np.arange(N)[:, None] + c[None, :]) * h
+    times = (np.arange(N)[:, None] + c[None, :]) * h
     return np.asarray(control(times.ravel()), dtype=float).reshape(N, s)
 
 
 def peer_start_block(scheme: PeerScheme, sys: MolSystem, control, h: float,
                      dec: SpectralDecomposition | None, mode: str,
-                     g_row0: np.ndarray | None = None) -> np.ndarray:
+                     g_row0: np.ndarray) -> np.ndarray:
     """Starting stage block Y_0 with Y_0i approximating y(c_i h).
 
     mode "exact" evaluates the closed-form solution at the first-window nodes
-    (requires the spectral decomposition and an exponential-sum or zero
-    control); mode "collocation" bootstraps with one collocation step on the
-    scheme's own nodes, which only needs the control values at those nodes.
+    (requires the spectral decomposition and an exponential-sum control, or
+    None for the homogeneous problem); mode "collocation" bootstraps with one
+    collocation step on the scheme's own nodes, which only needs the control
+    values ``g_row0`` at those nodes.  A control of None means no forcing.
     """
     if mode == "exact":
         if dec is None:
@@ -531,13 +538,57 @@ def peer_start_block(scheme: PeerScheme, sys: MolSystem, control, h: float,
         return np.stack([solve_ivp_exact(sys, dec, control, float(ci) * h)
                          for ci in scheme.c])
     if mode == "collocation":
-        tab = collocation(scheme.c, name=f"start({scheme.name})")
-        ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector,
-                        control=control if not isinstance(control, np.ndarray) else None)
-        g0 = g_row0 if g_row0 is not None else ode.g(scheme.c * h)
-        _, stages = irk_step(tab, ode, 0.0, h, sys.psi, g_values=g0)
+        ode = LinearOde(matrix=sys.matrix,
+                        forcing_vector=None if control is None else sys.forcing_vector)
+        _, stages = irk_step(_start_tableau(scheme), ode, 0.0, h, sys.psi, g_values=g_row0)
         return stages
     raise ValueError(f"unknown Peer start mode {mode!r}")
+
+
+def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
+           dec: SpectralDecomposition | None, peer_start: str, keep_stages: bool):
+    """The forward recursion from y_0 = sys.psi over N steps of size h.
+
+    Returns the (N+1, m) states and, with ``keep_stages``, the (N, s, m)
+    stage values (else None).  A control of None means no forcing: the
+    steps skip the g b terms.
+    """
+    if not isinstance(scheme, (IrkTableau, PeerScheme)):
+        raise TypeError(f"unsupported method object {scheme!r}")
+    ode = LinearOde(matrix=sys.matrix,
+                    forcing_vector=None if control is None else sys.forcing_vector)
+    states = np.empty((N + 1, sys.m))
+    states[0] = sys.psi
+    stage_values = np.empty((N, scheme.s, sys.m)) if keep_stages else None
+    g_all = _node_values(control, N, scheme.s, scheme.c, h)
+
+    if isinstance(scheme, IrkTableau):
+        if N < 1:
+            raise ValueError("need at least one step")
+        solver = StageSystemSolver(scheme.A, h, sys.matrix)
+        y = states[0]
+        for n in range(N):
+            y, stages = irk_step(scheme, ode, n * h, h, y, solver=solver,
+                                 g_values=g_all[n])
+            states[n + 1] = y
+            if keep_stages:
+                stage_values[n] = stages
+    else:
+        if N < 2:
+            raise ValueError("Peer methods need at least N = 2 steps")
+        block = peer_start_block(scheme, sys, control, h, dec, peer_start,
+                                 g_row0=g_all[0])
+        F = None                  # the first step forms F(Y_0) from g_all[0]
+        states[1] = block[-1]
+        if keep_stages:
+            stage_values[0] = block
+        for n in range(1, N):
+            block, F = peer_step(scheme, ode, n * h, h, block, prev_F=F,
+                                 g_prev=g_all[n - 1], g_cur=g_all[n])
+            states[n + 1] = block[-1]
+            if keep_stages:
+                stage_values[n] = block
+    return states, stage_values
 
 
 def integrate_forward(method, sys: MolSystem, control, N: int, T: float,
@@ -554,46 +605,8 @@ def integrate_forward(method, sys: MolSystem, control, N: int, T: float,
     """
     scheme = _forward_scheme(method)
     h = T / N
+    states, stage_values = _sweep(scheme, sys, control, N, h, dec, peer_start, keep_stages)
     times = np.arange(N + 1) * h
-    states = np.empty((N + 1, sys.m))
-    states[0] = sys.psi
-
-    if isinstance(scheme, IrkTableau):
-        if N < 1:
-            raise ValueError("need at least one step")
-        g_all = _node_values(control, N, scheme.s, scheme.c, h)
-        ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
-        solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        stage_values = np.empty((N, scheme.s, sys.m)) if keep_stages else None
-        y = sys.psi.copy()
-        for n in range(N):
-            y, stages = irk_step(scheme, ode, times[n], h, y, solver=solver,
-                                 g_values=g_all[n])
-            states[n + 1] = y
-            if keep_stages:
-                stage_values[n] = stages
-    elif isinstance(scheme, PeerScheme):
-        if N < 2:
-            raise ValueError("Peer methods need at least N = 2 steps")
-        g_all = _node_values(control, N, scheme.s, scheme.c, h)
-        ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
-        block = peer_start_block(scheme, sys, control, h, dec, peer_start,
-                                 g_row0=g_all[0])
-        F = np.stack([sys.matrix.apply(block[j]) for j in range(scheme.s)])
-        F += np.outer(g_all[0], sys.forcing_vector)
-        stage_values = np.empty((N, scheme.s, sys.m)) if keep_stages else None
-        if keep_stages:
-            stage_values[0] = block
-        states[1] = block[-1]
-        for n in range(1, N):
-            block, F = peer_step(scheme, ode, times[n], h, block, prev_F=F,
-                                 g_prev=g_all[n - 1], g_cur=g_all[n])
-            states[n + 1] = block[-1]
-            if keep_stages:
-                stage_values[n] = block
-    else:
-        raise TypeError(f"unsupported method object {scheme!r}")
-
     stage_times = (times[:N, None] + scheme.c[None, :] * h) if keep_stages else None
     return Trajectory(times=times, states=states, stage_times=stage_times,
                       stage_values=stage_values)
@@ -604,44 +617,17 @@ def integrate_adjoint(method, sys: MolSystem, p_T: np.ndarray, N: int, T: float,
                       peer_start: str = "exact") -> Trajectory:
     """Integrate the multiplier equation p' = -M p backward from p(T) = p_T.
 
-    Implemented as a forward sweep in reversed time: q(s) = p(T - s) solves
-    the homogeneous system q' = M q from q(0) = p_T, using the method's
-    adjoint-sweep scheme (IIIB for the Lobatto pair, the same scheme for the
-    self-adjoint Gauss method and for Peer schemes).  The returned trajectory
-    is indexed by the original times, so states[0] approximates p(0).
+    In reversed time q(s) = p(T - s) solves q' = M q from q(0) = p_T, so this
+    is the forward recursion of ``integrate_forward``, Peer start included,
+    with no control, started at p_T and run with the method's adjoint-sweep
+    scheme (IIIB for the Lobatto pair, the same scheme for the self-adjoint
+    Gauss method and for Peer schemes).  The returned trajectory is indexed
+    by the original times, so states[0] approximates p(0).
     """
     scheme = _adjoint_scheme(method)
-    p_T = np.asarray(p_T, dtype=float)
+    p_T = np.array(p_T, dtype=float)      # a copy: MolSystem makes psi read-only in place
     if p_T.shape != (sys.m,):
         raise ValueError("terminal multiplier dimension mismatch")
     h = T / N
-    times = np.arange(N + 1) * h
-    reversed_states = np.empty((N + 1, sys.m))
-    reversed_states[0] = p_T
-    ode = LinearOde(matrix=sys.matrix, direction="backward-from-T")
-
-    if isinstance(scheme, IrkTableau):
-        solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        q = p_T.copy()
-        for k in range(N):
-            q, _ = irk_step(scheme, ode, times[k], h, q, solver=solver)
-            reversed_states[k + 1] = q
-    elif isinstance(scheme, PeerScheme):
-        if N < 2:
-            raise ValueError("Peer methods need at least N = 2 steps")
-        if peer_start == "exact":
-            if dec is None:
-                raise ValueError("exact Peer start requires the spectral decomposition")
-            block = np.stack([heat_flow(dec, p_T, float(ci) * h) for ci in scheme.c])
-        else:
-            tab = collocation(scheme.c, name=f"start({scheme.name})")
-            _, block = irk_step(tab, ode, 0.0, h, p_T)
-        F = np.stack([sys.matrix.apply(block[j]) for j in range(scheme.s)])
-        reversed_states[1] = block[-1]
-        for k in range(1, N):
-            block, F = peer_step(scheme, ode, times[k], h, block, prev_F=F)
-            reversed_states[k + 1] = block[-1]
-    else:
-        raise TypeError(f"unsupported method object {scheme!r}")
-
-    return Trajectory(times=times, states=reversed_states[::-1].copy())
+    states, _ = _sweep(scheme, replace(sys, psi=p_T), None, N, h, dec, peer_start, False)
+    return Trajectory(times=np.arange(N + 1) * h, states=states[::-1].copy())

@@ -23,7 +23,7 @@ from .exact_oc import (
     solve_ivp_exact, solve_terminal,
 )
 from .discrete_opt import discrete_objective, discrete_gradient
-from .integrators import get_method
+from .integrators import _forward_scheme, get_method
 
 
 def dense_matrix(sys: MolSystem) -> np.ndarray:
@@ -202,13 +202,9 @@ def run_verification(rng_seed: int = 2024) -> list[CheckResult]:
     # discrete gradients vs central finite differences
     for name in ("gauss2", "lobatto3", "peer_toy2"):
         method = get_method(name)
-        values = rng.standard_normal((16, _stage_count(method))) * 0.3
+        values = rng.standard_normal((16, _forward_scheme(method).s)) * 0.3
         rel = fd_gradient_check(method, prob, values, 16, rng=rng)
         record(f"discrete gradient vs finite differences [{name}]", rel, 1e-5)
 
     return results
 
-
-def _stage_count(method) -> int:
-    scheme = method.forward if hasattr(method, "forward") else method
-    return scheme.s

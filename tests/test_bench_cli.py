@@ -272,6 +272,28 @@ def test_cli_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, ca
                  "--algorithm", "gd"]) == 1
 
 
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_cli_rejects_bad_optimizer_settings_before_any_work(tmp_path, monkeypatch,
+                                                            capsys, verify):
+    import heatoc.bench as bench
+    import heatoc.cli as cli
+    calls = []
+    instance = bench.benchmark_instance
+    monkeypatch.setattr(bench, "benchmark_instance",
+                        lambda *a: calls.append("instance") or instance(*a))
+    monkeypatch.setattr(cli, "run_verification", lambda: calls.append("verify") or [])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "m_values": [4], "N_values": [8], "methods": ["gauss2"],
+        "scenario": 2, "max_iterations": -1}))
+    assert main(["scenario2", "--config", str(cfg_path), *verify]) == 1
+    assert "max_iterations" in capsys.readouterr().err
+    for tol in ("0", "nan"):
+        assert main(["scenario2", "--m", "4", "--N", "8", "--methods", "gauss2",
+                     "--grad-tol", tol, *verify]) == 1
+    assert calls == []
+
+
 def test_cli_scenario2_smoke(capsys):
     code = main(["scenario2", "--m", "4", "--N", "8,16", "--methods", "gauss2",
                  "--grad-tol", "1e-8"])

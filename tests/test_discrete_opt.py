@@ -184,8 +184,12 @@ def test_bad_initial_control_shape():
 
 
 def test_config_validation():
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            OptimizerConfig(grad_tol=tol)
     with pytest.raises(ConfigError):
-        OptimizerConfig(grad_tol=0.0)
+        OptimizerConfig(max_iterations=-1)
+    assert OptimizerConfig(max_iterations=0).max_iterations == 0
     with pytest.raises(ConfigError):
         OptimizerConfig(algorithm="newton")
     with pytest.raises(ConfigError):

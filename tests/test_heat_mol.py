@@ -79,12 +79,17 @@ def test_apply_matrix_matches_dense(rng):
     sys = build_system(RobinBC(2.0, 0.5), 8, ones_profile)
     v = rng.standard_normal(8)
     assert np.allclose(apply_matrix(sys, v), dense(sys) @ v, atol=1e-13)
+    block = rng.standard_normal((3, 8))          # an (s, m) stage block
+    assert np.allclose(apply_matrix(sys, block), block @ dense(sys).T, atol=1e-13)
+    assert np.array_equal(apply_matrix(sys, block)[1], apply_matrix(sys, block[1]))
 
 
 def test_apply_matrix_dimension_mismatch():
     sys = build_system(RobinBC.dirichlet(), 4, ones_profile)
     with pytest.raises(ValueError):
         apply_matrix(sys, np.zeros(5))
+    with pytest.raises(ValueError):
+        apply_matrix(sys, np.zeros((4, 5)))
 
 
 bc_strategy = st.sampled_from([

@@ -364,6 +364,25 @@ def test_adjoint_converges_to_exact_flow(name, rng):
     assert order >= (3.5 if method.order == 4 else 1.6)
 
 
+@pytest.mark.parametrize("N", [2, 3, 16])
+@pytest.mark.parametrize("name,peer_start", [
+    ("gauss2", "exact"), ("lobatto3", "exact"),
+    ("peer_toy2", "exact"), ("peer_toy2", "collocation"),
+])
+def test_adjoint_is_reversed_homogeneous_forward_sweep(name, peer_start, N, rng):
+    sys = build_system(RobinBC(2.0, 0.5), 8, ones_profile)
+    dec = decompose(sys)
+    p_T = rng.standard_normal(8)
+    method = get_method(name)
+    traj = integrate_adjoint(method, sys, p_T, N, 1.0, dec=dec, peer_start=peer_start)
+    assert p_T.flags.writeable
+    fwd = integrate_forward(method.adjoint, build_system(sys.bc, 8, p_T), None, N, 1.0,
+                            dec=dec, peer_start=peer_start)
+    assert np.array_equal(traj.times, fwd.times)
+    ref = fwd.states[::-1]
+    assert np.abs(traj.states - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_lobatto_pair_uses_iiib_for_adjoint():
     method = get_method("lobatto3")
     assert method.forward.name == "lobatto_iiia"
