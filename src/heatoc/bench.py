@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .heat_mol import ConfigError, RobinBC, build_system, ones_profile
 from .spectrum import decompose, from_modal
-from .exact_oc import OcProblem, adjoint_exact, sparse_target
+from .exact_oc import OcProblem, adjoint_exact, check_target, sparse_target
 from .discrete_opt import OptimizerConfig, optimize
 from .integrators import get_method, integrate_forward, integrate_adjoint
 
@@ -69,22 +69,28 @@ class ExperimentConfig:
             raise ConfigError("step counts must be sorted ascending")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        RobinBC(self.beta0, self.beta1)
+        for m in self.m_values:
+            check_target(m, self.T, self.alpha, self.deltas)
         OptimizerConfig(max_iterations=self.max_iterations, grad_tol=self.grad_tol,
                         algorithm=self.algorithm)
         return self
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
-        doc = json.loads(Path(source).read_text()) if not isinstance(source, dict) else source
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name in doc:
-                value = doc[f.name]
-                if f.name in ("m_values", "N_values", "methods"):
-                    value = tuple(value)
-                elif f.name == "deltas":
-                    value = tuple((int(i), float(v)) for i, v in value)
-                kwargs[f.name] = value
+        try:
+            doc = json.loads(Path(source).read_text()) if not isinstance(source, dict) else source
+            kwargs = {}
+            for f in dataclasses.fields(cls):
+                if f.name in doc:
+                    value = doc[f.name]
+                    if f.name in ("m_values", "N_values", "methods"):
+                        value = tuple(value)
+                    elif f.name == "deltas":
+                        value = tuple((int(i), float(v)) for i, v in value)
+                    kwargs[f.name] = value
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed experiment config: {exc}") from exc
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .heat_mol import ConfigError, RobinBC, build_system, ones_profile
 from .spectrum import decompose
-from .exact_oc import OcProblem, adjoint_exact, sparse_target
+from .exact_oc import OcProblem, adjoint_exact, check_target, sparse_target
 from .bench import (
     ExperimentConfig, emit_report, render_csv, run_scenario1, run_scenario2,
 )
@@ -28,18 +28,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _parse_list(text: str, convert, what: str) -> tuple:
+    try:
+        return tuple(convert(x) for x in text.split(",") if x)
+    except ValueError as exc:
+        raise ConfigError(f"expected a comma list of {what}, got {text!r}") from exc
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x)
+    return _parse_list(text, int, "integers")
 
 
 def _parse_deltas(text: str) -> tuple[tuple[int, float], ...]:
-    pairs = []
-    for item in text.split(","):
-        if not item:
-            continue
+    def pair(item):
         idx, _, val = item.partition(":")
-        pairs.append((int(idx), float(val)))
-    return tuple(pairs)
+        return int(idx), float(val)
+    return _parse_list(text, pair, "index:value pairs")
 
 
 def _write_or_print(text: str, out: str | None):
@@ -74,17 +78,20 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    sys_ = build_system(RobinBC(args.beta0, args.beta1), args.m, ones_profile)
+    deltas = _parse_deltas(args.deltas)
+    check_target(sys_.m, args.T, args.alpha, deltas)
+    times = (np.array(_parse_list(args.times, float, "numbers"))
+             if args.times else np.linspace(0.0, args.T, 11))
+    if not np.isfinite(times).all():
+        raise ConfigError("control sample times must be finite")
     if args.verify:
         code = _run_verify_gate()
         if code:
             return code
-    sys_ = build_system(RobinBC(args.beta0, args.beta1), args.m, ones_profile)
     dec = decompose(sys_)
-    y_hat, sol = sparse_target(sys_, dec, T=args.T, alpha=args.alpha,
-                               deltas=_parse_deltas(args.deltas))
+    y_hat, sol = sparse_target(sys_, dec, T=args.T, alpha=args.alpha, deltas=deltas)
     prob = OcProblem(sys=sys_, dec=dec, T=args.T, alpha=args.alpha, y_hat=y_hat)
-    times = (np.array([float(x) for x in args.times.split(",") if x])
-             if args.times else np.linspace(0.0, args.T, 11))
     y_T = prob.dec.vectors @ sol.eta_T
     p_0 = adjoint_exact(dec, sol.p_T, 0.0, args.T)
     lines = ["quantity,key,value"]

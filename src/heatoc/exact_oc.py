@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .heat_mol import MolSystem, _readonly
+from .heat_mol import ConfigError, MolSystem, _readonly
 from .spectrum import SpectralDecomposition, from_modal, to_modal
 
 PHI1_SERIES_THRESHOLD = 1e-4
@@ -223,6 +223,25 @@ def solve_terminal(prob: OcProblem) -> ExactOcSolution:
                            cond_terminal_system=float(eigs[-1] / eigs[0]))
 
 
+def check_target(m: int, T: float, alpha: float, deltas) -> tuple[list[int], np.ndarray]:
+    """Validated (mode indices, coefficients) of a sparse-target instance.
+
+    Raises ConfigError unless T and alpha are finite and positive and the
+    deltas are finite coefficients on distinct mode indices in 1..m.
+    """
+    if not (0 < T < np.inf and 0 < alpha < np.inf):
+        raise ConfigError("horizon and penalty weight must be finite and positive")
+    indices = [int(i) for i, _ in deltas]
+    values = np.array([float(v) for _, v in deltas])
+    if len(set(indices)) != len(indices):
+        raise ConfigError("mode indices must be distinct")
+    if any(not 1 <= i <= m for i in indices):
+        raise ConfigError(f"mode indices must lie in 1..{m}")
+    if not np.isfinite(values).all():
+        raise ConfigError("delta coefficients must be finite")
+    return indices, values
+
+
 def sparse_target(sys: MolSystem, dec: SpectralDecomposition, T: float,
                   alpha: float, deltas) -> tuple[np.ndarray, ExactOcSolution]:
     """Construct a target profile whose optimal multiplier is modally sparse.
@@ -231,16 +250,10 @@ def sparse_target(sys: MolSystem, dec: SpectralDecomposition, T: float,
     distinct indices.  The multiplier ansatz
     p(t) = sum_l delta_l exp(lambda_l (T - t)) v_l fixes the optimal control
     and the terminal state in closed form, and the matching target is
-    y_hat = y(T) - sum_l delta_l v_l.
+    y_hat = y(T) - sum_l delta_l v_l.  Invalid inputs raise ConfigError
+    (``check_target``).
     """
-    if T <= 0 or alpha <= 0:
-        raise ValueError("horizon and penalty weight must be positive")
-    indices = [int(i) for i, _ in deltas]
-    values = np.array([float(v) for _, v in deltas])
-    if len(set(indices)) != len(indices):
-        raise ValueError("mode indices must be distinct")
-    if any(not 1 <= i <= sys.m for i in indices):
-        raise ValueError(f"mode indices must lie in 1..{sys.m}")
+    indices, values = check_target(sys.m, T, alpha, deltas)
     delta_vec = np.zeros(sys.m)
     for i, v in zip(indices, values):
         delta_vec[i - 1] = v

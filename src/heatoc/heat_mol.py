@@ -15,10 +15,14 @@ encodes the Robin condition beta0 * Y + beta1 * Y_x = u at x = 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, zgtsv, zgttrf, zgttrs
+
+# Shifts whose factors one matrix keeps; a sweep uses at most a handful.
+SHIFT_CACHE_SIZE = 8
 
 
 class ConfigError(ValueError):
@@ -65,12 +69,35 @@ class RobinBC:
         return self.beta0 == 0.0
 
 
+def _solve_unfactored(d: np.ndarray, off: np.ndarray, rhs: np.ndarray,
+                      complex_: bool) -> np.ndarray:
+    """Tridiagonal solve for m < 3, which scipy's ?gttrf wrapper rejects.
+
+    One ?gtsv, or a division for m = 1, as in ``scipy.linalg.solve_banded``.
+    """
+    if d.shape[0] == 1:
+        if d[0] == 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return rhs / d[0]
+    *_, x, info = (zgtsv if complex_ else dgtsv)(off, d, off, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix stored as diagonal and off-diagonal bands."""
+    """Symmetric tridiagonal matrix stored as diagonal and off-diagonal bands.
+
+    The bands are read-only, so the LU factors of a shifted matrix I - z M
+    are derived data: ``solve_shift`` keeps those of the last
+    SHIFT_CACHE_SIZE shifts.  They are plain arrays, so the matrix still
+    pickles and copies, and they take no part in == or repr.
+    """
 
     diagonal: np.ndarray
     off: np.ndarray
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diagonal", _readonly(self.diagonal))
@@ -104,6 +131,42 @@ class TridiagonalMatrix:
             r[..., :-1] += self.off * v[..., 1:]
             r[..., 1:] += self.off * v[..., :-1]
         return r
+
+    def solve_shift(self, z, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - z M) x = rhs for a scalar shift z.
+
+        ``rhs`` has m rows (one or more right-hand sides).  Each shift is
+        factored once with LAPACK ?gttrf, complex if z or rhs is; every
+        solve then runs ?gttrs only.  This is the elimination of the ?gtsv
+        behind ``scipy.linalg.solve_banded``, so the result is bitwise the
+        same.  A non-finite shift or right-hand side, or one without m rows,
+        raises ValueError; an exactly singular shift raises LinAlgError and
+        is not cached.
+        """
+        rhs = np.asarray(rhs)
+        if z == 0:
+            return rhs.copy()
+        if rhs.shape[:1] != (self.m,):
+            raise ValueError(f"right-hand side must have {self.m} rows, got shape {rhs.shape}")
+        if not (np.isfinite(z) and np.isfinite(rhs).all()):
+            raise ValueError("shift and right-hand side must not contain infs or NaNs")
+        complex_ = np.iscomplexobj(z) or np.iscomplexobj(rhs)
+        key = (z, complex_)
+        factors = self._factors.get(key)
+        if factors is None:
+            d, off = 1.0 - z * self.diagonal, -z * self.off
+            if not (np.isfinite(d).all() and np.isfinite(off).all()):
+                raise ValueError("shifted matrix must not contain infs or NaNs")
+            if self.m < 3:
+                return _solve_unfactored(d, off, rhs, complex_)
+            *factors, info = (zgttrf if complex_ else dgttrf)(off, d, off)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            if len(self._factors) >= SHIFT_CACHE_SIZE:
+                del self._factors[next(iter(self._factors))]
+            self._factors[key] = factors
+        x, _ = (zgttrs if complex_ else dgttrs)(*factors, rhs)
+        return x
 
 
 @dataclass(frozen=True)

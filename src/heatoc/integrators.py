@@ -9,9 +9,11 @@ reversed time.
 
 The coupled implicit stage systems are solved by diagonalizing the small
 stage-coupling matrix over the complex numbers, which reduces each step to a
-handful of shifted tridiagonal solves (I - h mu M) z = r of O(m) size.  The
-known eigenbasis of M is never used inside a method under test; it only
-supplies exact starting blocks for two-step methods when requested.
+handful of shifted tridiagonal solves (I - h mu M) z = r of O(m) size.  Each
+shift h mu is factored once per matrix (LAPACK ?gttrf, kept on the
+TridiagonalMatrix), so a solve is one ?gttrs.  The known eigenbasis of M is
+never used inside a method under test; it only supplies exact starting
+blocks for two-step methods when requested.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .heat_mol import ConfigError, TridiagonalMatrix, MolSystem, _readonly
 from .exact_oc import ExpSumFunction, solve_ivp_exact
@@ -366,24 +367,13 @@ class Trajectory:
 # shifted tridiagonal stage solvers
 # ---------------------------------------------------------------------------
 
-def _shift_bands(z: complex, tri: TridiagonalMatrix) -> np.ndarray:
-    """Banded storage of I - z M for scipy.linalg.solve_banded."""
-    m = tri.m
-    ab = np.zeros((3, m), dtype=complex if np.iscomplexobj(np.asarray(z)) or isinstance(z, complex) else float)
-    ab[1, :] = 1.0 - z * tri.diagonal
-    if m > 1:
-        ab[0, 1:] = -z * tri.off
-        ab[2, :-1] = -z * tri.off
-    return ab
-
-
 def solve_shifted(z, tri: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - z M) x = rhs for a tridiagonal M and scalar shift z."""
-    if z == 0:
-        return rhs.copy()
-    if tri.m == 1:
-        return rhs / (1.0 - z * tri.diagonal[0])
-    return solve_banded((1, 1), _shift_bands(z, tri), rhs)
+    """Solve (I - z M) x = rhs for a tridiagonal M and scalar shift z.
+
+    The factors of I - z M are kept on ``tri``; see
+    ``TridiagonalMatrix.solve_shift``.
+    """
+    return tri.solve_shift(z, rhs)
 
 
 class StageSystemSolver:
@@ -406,19 +396,13 @@ class StageSystemSolver:
         self.Sinv = np.linalg.inv(S)
         self.tri = tri
         self.h = h
-        self._bands = [None if z == 0 else _shift_bands(h * z, tri) for z in mu]
 
     def solve_stacked(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for stacked real right-hand sides of shape (s, m)."""
         Z = self.Sinv @ rhs.astype(complex)
         X = np.empty_like(Z)
         for i, z in enumerate(self.mu):
-            if z == 0:
-                X[i] = Z[i]
-            elif self.tri.m == 1:
-                X[i] = Z[i] / (1.0 - self.h * z * self.tri.diagonal[0])
-            else:
-                X[i] = solve_banded((1, 1), self._bands[i], Z[i])
+            X[i] = self.tri.solve_shift(self.h * z, Z[i])
         return np.real(self.S @ X)
 
 

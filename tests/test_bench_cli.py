@@ -100,6 +100,10 @@ def test_config_validation_errors():
         small_cfg(m_values=(1,)).validate()
     with pytest.raises(ConfigError):
         small_cfg(scenario=3).validate()
+    for bad in (dict(deltas=((9, 0.1),)), dict(deltas=((1, 0.1), (1, 0.2))),
+                dict(T=float("nan")), dict(alpha=0.0), dict(beta0=-1.0)):
+        with pytest.raises(ConfigError):
+            small_cfg(**bad).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json({"mvalues": [8]})
 
@@ -292,6 +296,34 @@ def test_cli_rejects_bad_optimizer_settings_before_any_work(tmp_path, monkeypatc
         assert main(["scenario2", "--m", "4", "--N", "8", "--methods", "gauss2",
                      "--grad-tol", tol, *verify]) == 1
     assert calls == []
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize("argv", [
+    ["scenario1", "--m", "4", "--N", "16,x", "--methods", "gauss2"],
+    ["scenario2", "--m", "4,y", "--N", "16", "--methods", "gauss2"],
+    ["exact", "--deltas", "1:abc"],
+    ["exact", "--deltas", "0:0.1"],
+    ["exact", "--m", "4", "--deltas", "5:0.1"],
+    ["exact", "--deltas", "1:nan"],
+    ["exact", "--times", "0,nan"],
+    ["exact", "--T", "nan"],
+], ids=lambda a: " ".join(a))
+def test_cli_rejects_malformed_values_before_any_work(monkeypatch, capsys, argv, verify):
+    import heatoc.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "run_verification", lambda: calls.append("verify") or [])
+    assert main([*argv, *verify]) == 1
+    assert "[heatoc] config error:" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ['{"deltas": [[1]]}', '{"m_values": 8}', '{"m_values": [8'])
+def test_cli_rejects_malformed_config_file(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["scenario1", "--config", str(cfg_path)]) == 1
+    assert "[heatoc] config error: malformed experiment config" in capsys.readouterr().err
 
 
 def test_cli_scenario2_smoke(capsys):

@@ -1,7 +1,10 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from heatoc import (
     ConfigError, ExpSumFunction, IrkTableau, LinearOde, MissingPeerCoefficientsError,
@@ -11,7 +14,10 @@ from heatoc import (
     lobatto_iiia, lobatto_iiib, ones_profile, peer_step, peer_toy2,
     solve_ivp_exact, stability_function,
 )
-from heatoc.integrators import StageSystemSolver, interpolatory_weights, solve_shifted
+from heatoc.heat_mol import SHIFT_CACHE_SIZE
+from heatoc.integrators import (
+    StageSystemSolver, _start_tableau, interpolatory_weights, solve_shifted,
+)
 from conftest import make_instance
 
 
@@ -118,6 +124,96 @@ def test_stage_solver_rejects_defective_coupling():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NumericalError):
         StageSystemSolver(jordan, 0.1, tri)
+
+
+def reference_shifted_solve(z, tri, rhs):
+    """(I - z M) x = rhs through scipy.linalg.solve_banded, refactoring every call."""
+    ab = np.zeros((3, tri.m), dtype=complex if np.iscomplexobj(z) else float)
+    ab[1] = 1.0 - z * tri.diagonal
+    ab[0, 1:] = ab[2, :-1] = -z * tri.off
+    return solve_banded((1, 1), ab, rhs)
+
+
+def reference_stacked_solve(solver, rhs):
+    Z = solver.Sinv @ rhs.astype(complex)
+    X = np.array([Zi if mu == 0 else reference_shifted_solve(solver.h * mu, solver.tri, Zi)
+                  for mu, Zi in zip(solver.mu, Z)])
+    return np.real(solver.S @ X)
+
+
+STAGE_COUPLINGS = {
+    "gauss2": gauss2().A, "gauss2^T": gauss2().A.T,
+    "lobatto_iiia": lobatto_iiia().A, "lobatto_iiia^T": lobatto_iiia().A.T,
+    "lobatto_iiib": lobatto_iiib().A, "lobatto_iiib^T": lobatto_iiib().A.T,
+    "peer_start": _start_tableau(peer_toy2()).A,
+    "peer_start^T": _start_tableau(peer_toy2()).A.T,
+}
+
+
+def test_shifted_solves_bitwise_equal_solve_banded(rng):
+    tri = build_system(RobinBC.dirichlet(), 250, ones_profile).matrix
+    h = 1.0 / 512
+    rhs = rng.standard_normal(250)
+    for z in h * np.diag(peer_toy2().R):
+        ref = reference_shifted_solve(z, tri, rhs)
+        for _ in range(2):          # the second solve reuses the factors
+            assert np.array_equal(solve_shifted(z, tri, rhs), ref)
+    for name, K in STAGE_COUPLINGS.items():
+        solver = StageSystemSolver(K, h, tri)
+        assert np.iscomplexobj(solver.mu) or name.startswith("peer_start"), name
+        for z in h * solver.mu[solver.mu != 0]:
+            assert np.array_equal(solve_shifted(z, tri, rhs),
+                                  reference_shifted_solve(z, tri, rhs)), name
+        stacked = rng.standard_normal((len(K), 250))
+        ref = reference_stacked_solve(solver, stacked)
+        for _ in range(2):
+            assert np.array_equal(solver.solve_stacked(stacked), ref), name
+
+
+def test_shift_factors_pickle_copy_and_stay_bounded(rng):
+    sys = build_system(RobinBC.dirichlet(), 16, ones_profile)
+    rhs = rng.standard_normal(16)
+    stacked = rng.standard_normal((2, 16))
+    X = StageSystemSolver(gauss2().A, 0.01, sys.matrix).solve_stacked(stacked)
+    x = solve_shifted(0.37, sys.matrix, rhs)
+    assert 0 < len(sys.matrix._factors) <= SHIFT_CACHE_SIZE
+    assert "_factors" not in repr(sys.matrix)
+    for twin in (pickle.loads(pickle.dumps(sys)), copy.deepcopy(sys)):
+        assert np.array_equal(solve_shifted(0.37, twin.matrix, rhs), x)
+        twin_solver = StageSystemSolver(gauss2().A, 0.01, twin.matrix)
+        assert np.array_equal(twin_solver.solve_stacked(stacked), X)
+    for z in np.linspace(0.01, 1.0, 4 * SHIFT_CACHE_SIZE):
+        solve_shifted(z, sys.matrix, rhs)
+    assert len(sys.matrix._factors) == SHIFT_CACHE_SIZE
+    assert np.array_equal(solve_shifted(0.37, sys.matrix, rhs), x)
+
+
+def test_shifted_solve_error_contract():
+    tri = build_system(RobinBC.dirichlet(), 8, ones_profile).matrix
+    solver = StageSystemSolver(gauss2().A, 0.01, tri)
+    for bad in (np.nan, np.inf):
+        rhs = np.ones(8)
+        rhs[3] = bad
+        with pytest.raises(ValueError):
+            solve_shifted(0.3, tri, rhs)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            solver.solve_stacked(np.vstack([rhs, np.ones(8)]))
+        with pytest.raises(ValueError):
+            solve_shifted(bad, tri, np.ones(8))
+        with pytest.raises(ValueError):
+            solve_shifted(complex(0.3, bad), tri, np.ones(8))
+    with pytest.raises(ValueError):
+        solve_shifted(0.3, tri, np.ones(7))
+    with pytest.raises(ValueError):
+        solver.solve_stacked(np.ones((2, 9)))
+
+    for m in (2, 3):                # m < 3 takes the unfactored path
+        singular = TridiagonalMatrix(np.full(m, -1.0), np.zeros(m - 1))
+        for _ in range(2):          # a failed factorization is not kept
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_shifted(-1.0, singular, np.ones(m))
+        assert singular._factors == {}
+        assert np.array_equal(solve_shifted(0.5, singular, np.ones(m)), np.full(m, 1 / 1.5))
 
 
 # ---------------------------------------------------------------------------
