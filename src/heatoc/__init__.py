@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 
 from .heat_mol import (
     ConfigError, MolSystem, RobinBC, TridiagonalMatrix,
-    apply_matrix, build_system, load_problem, ones_profile, robin_coefficients,
+    build_system, load_problem, ones_profile, robin_coefficients,
 )
 from .spectrum import (
-    FrequencySet, SpectralDecomposition, decompose, from_modal, heat_flow,
-    solve_frequencies, to_modal,
+    SpectralDecomposition, decompose, from_modal, solve_frequencies, to_modal,
 )
 from .exact_oc import (
     ExactOcSolution, ExpSumFunction, OcProblem, adjoint_exact, build_Q,

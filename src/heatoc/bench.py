@@ -159,7 +159,7 @@ def benchmark_instance(m: int, beta0: float, beta1: float, T: float, alpha: floa
     return prob, sol
 
 
-def _scenario1_cell(args) -> tuple[str, int, int, float, float]:
+def _scenario1_cell(args) -> tuple[list[ReportRow], bool]:
     method_name, m, N, beta0, beta1, T, alpha, deltas, peer_dir = args
     prob, sol = benchmark_instance(m, beta0, beta1, T, alpha, deltas)
     method = get_method(method_name, peer_dir)
@@ -170,10 +170,11 @@ def _scenario1_cell(args) -> tuple[str, int, int, float, float]:
     p_T_num = fwd.final - prob.y_hat
     bwd = integrate_adjoint(method, prob.sys, p_T_num, N, T, dec=prob.dec)
     err_p = float(np.abs(bwd.states[0] - p_0_exact).max())
-    return method_name, m, N, err_y, err_p
+    return [ReportRow(method_name, m, N, "yT_err_inf", err_y),
+            ReportRow(method_name, m, N, "p0_err_inf", err_p)], True
 
 
-def _scenario2_cell(args) -> tuple[str, int, int, float, bool, int]:
+def _scenario2_cell(args) -> tuple[list[ReportRow], bool]:
     (method_name, m, N, beta0, beta1, T, alpha, deltas, peer_dir,
      grad_tol, max_iterations, algorithm) = args
     prob, sol = benchmark_instance(m, beta0, beta1, T, alpha, deltas)
@@ -181,7 +182,8 @@ def _scenario2_cell(args) -> tuple[str, int, int, float, bool, int]:
     cfg = OptimizerConfig(max_iterations=max_iterations, grad_tol=grad_tol,
                           algorithm=algorithm)
     result = optimize(method, prob, cfg, N, exact_control=sol.control)
-    return method_name, m, N, result.control_error, result.converged, result.iterations
+    return [ReportRow(method_name, m, N, "u_nodes_err_inf", result.control_error)], \
+        result.converged
 
 
 def _pool_iter(jobs: int, fn, argses: list):
@@ -204,43 +206,22 @@ def _base_metadata(cfg: ExperimentConfig) -> dict[str, str]:
     }
 
 
-def run_scenario1(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
-    """Decoupled study: forward with the exact control, backward from y_h(T) - y_hat."""
+def _run_grid(cfg: ExperimentConfig, cell, extra: tuple, on_partial) -> ConvergenceReport:
+    """Run ``cell`` on every (method, m, N) of the grid; a cell returns (rows,
+    converged).  When a cell raises, ``on_partial`` gets the rows so far."""
     cfg.validate()
     for name in cfg.methods:
         get_method(name, cfg.peer_dir)   # fail fast on missing coefficients
     argses = [(name, m, N, cfg.beta0, cfg.beta1, cfg.T, cfg.alpha, cfg.deltas,
-               cfg.peer_dir)
-              for name in cfg.methods for m in cfg.m_values for N in cfg.N_values]
-    rows: list[ReportRow] = []
-    try:
-        for name, m, N, err_y, err_p in _pool_iter(cfg.jobs, _scenario1_cell, argses):
-            rows.append(ReportRow(name, m, N, "yT_err_inf", err_y))
-            rows.append(ReportRow(name, m, N, "p0_err_inf", err_p))
-    except Exception:
-        if on_partial is not None and rows:
-            partial = ConvergenceReport(rows=attach_orders(rows), metadata=_base_metadata(cfg))
-            partial.metadata["incomplete"] = "true"
-            on_partial(partial)
-        raise
-    return ConvergenceReport(rows=attach_orders(rows), metadata=_base_metadata(cfg))
-
-
-def run_scenario2(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
-    """Fully coupled study: discrete optimization per cell, node-wise control error."""
-    cfg.validate()
-    for name in cfg.methods:
-        get_method(name, cfg.peer_dir)
-    argses = [(name, m, N, cfg.beta0, cfg.beta1, cfg.T, cfg.alpha, cfg.deltas,
-               cfg.peer_dir, cfg.grad_tol, cfg.max_iterations, cfg.algorithm)
+               cfg.peer_dir) + extra
               for name in cfg.methods for m in cfg.m_values for N in cfg.N_values]
     rows: list[ReportRow] = []
     non_converged: set = set()
     try:
-        for name, m, N, err, converged, _iters in _pool_iter(cfg.jobs, _scenario2_cell, argses):
-            rows.append(ReportRow(name, m, N, "u_nodes_err_inf", err))
+        for args, (cell_rows, converged) in zip(argses, _pool_iter(cfg.jobs, cell, argses)):
+            rows.extend(cell_rows)
             if not converged:
-                non_converged.add((name, m, N))
+                non_converged.add(args[:3])
     except Exception:
         if on_partial is not None and rows:
             partial = ConvergenceReport(rows=attach_orders(rows, skip=non_converged),
@@ -254,6 +235,17 @@ def run_scenario2(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
             f"{n}:m={m}:N={N}" for n, m, N in sorted(non_converged))
     return ConvergenceReport(rows=attach_orders(rows, skip=non_converged),
                              metadata=metadata)
+
+
+def run_scenario1(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
+    """Decoupled study: forward with the exact control, backward from y_h(T) - y_hat."""
+    return _run_grid(cfg, _scenario1_cell, (), on_partial)
+
+
+def run_scenario2(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
+    """Fully coupled study: discrete optimization per cell, node-wise control error."""
+    return _run_grid(cfg, _scenario2_cell,
+                     (cfg.grad_tol, cfg.max_iterations, cfg.algorithm), on_partial)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +307,9 @@ def render_gnuplot(report: ConvergenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ConvergenceReport, out_dir, formats=("csv", "table", "plot"),
+def emit_report(report: ConvergenceReport, out_dir,
                 basename: str = "report") -> dict[str, Path]:
-    """Write the report in the requested formats; returns the file paths."""
+    """Write the report as CSV, table and gnuplot script; returns the file paths."""
     if not report.rows:
         raise ConfigError("refusing to emit an empty report")
     out = Path(out_dir)
@@ -325,10 +317,7 @@ def emit_report(report: ConvergenceReport, out_dir, formats=("csv", "table", "pl
     renderers = {"csv": (render_csv, ".csv"), "table": (render_table, ".txt"),
                  "plot": (render_gnuplot, ".gp")}
     paths: dict[str, Path] = {}
-    for fmt in formats:
-        if fmt not in renderers:
-            raise ConfigError(f"unknown report format {fmt!r}")
-        render, suffix = renderers[fmt]
+    for fmt, (render, suffix) in renderers.items():
         path = out / f"{basename}{suffix}"
         path.write_text(render(report))
         paths[fmt] = path

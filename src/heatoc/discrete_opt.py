@@ -17,7 +17,7 @@ above certifies the control it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .integrators import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteControl:
     """Control values on the N x s grid of integrator stage nodes."""
 
@@ -92,7 +92,6 @@ class OptimizationResult:
     state: Trajectory
     adjoint: np.ndarray
     control_error: float | None = None
-    objective_history: list[float] = field(default_factory=list)
 
 
 def control_quadrature_weights(method) -> np.ndarray:
@@ -299,7 +298,6 @@ def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
     p = r.copy()
     rs = float(r @ r)
     history: list[float] = []
-    objective_history: list[float] = []
     iterations = 0
     restart_norm = np.inf
     while True:
@@ -319,7 +317,6 @@ def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
                 continue
         u = (-(Jt @ lam) / alpha_D).reshape(N, s)
         grad, C, duals, state = _objective_and_gradient(method, prob, u, N)
-        objective_history.append(C)
         final_norm = float(np.abs(grad).max())
         if final_norm <= cfg.grad_tol or final_norm >= restart_norm \
                 or iterations == cfg.max_iterations:
@@ -339,5 +336,4 @@ def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
     return OptimizationResult(control=control, objective_value=C,
                               gradient_norm_history=history,
                               iterations=iterations, converged=converged,
-                              state=state, adjoint=duals, control_error=err,
-                              objective_history=objective_history)
+                              state=state, adjoint=duals, control_error=err)

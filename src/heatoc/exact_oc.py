@@ -47,12 +47,12 @@ def phi1(z):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpSumFunction:
     """Scalar function of time t of the form sum_l c_l * exp(mu_l * (T - t)).
 
-    Closed under linear combination; value(T) equals the plain sum of the
-    coefficients.  An empty term list represents the zero function.
+    value(T) equals the plain sum of the coefficients.  An empty term list
+    represents the zero function.
     """
 
     coefficients: np.ndarray
@@ -87,20 +87,6 @@ class ExpSumFunction:
     def __call__(self, t):
         return self.value(t)
 
-    def scaled(self, factor: float) -> "ExpSumFunction":
-        return ExpSumFunction(self.coefficients * factor, self.rates, self.horizon)
-
-    def __add__(self, other: "ExpSumFunction") -> "ExpSumFunction":
-        if not isinstance(other, ExpSumFunction):
-            return NotImplemented
-        if other.horizon != self.horizon:
-            raise ValueError("cannot combine exponential sums with different horizons")
-        return ExpSumFunction(
-            np.concatenate([self.coefficients, other.coefficients]),
-            np.concatenate([self.rates, other.rates]),
-            self.horizon,
-        )
-
     def decay_convolution(self, lams: np.ndarray, t: float) -> np.ndarray:
         """Closed form of integral_0^t exp(lam*(t - tau)) * u(tau) dtau per lam.
 
@@ -122,7 +108,7 @@ class ExpSumFunction:
         return float(np.sum(cross * T * phi1(np.add.outer(self.rates, self.rates) * T)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OcProblem:
     """Optimal-control instance: system, decomposition, horizon, weight, target."""
 
@@ -143,18 +129,17 @@ class OcProblem:
         object.__setattr__(self, "y_hat", _readonly(y_hat))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactOcSolution:
-    """Exact optimum: terminal modal state, terminal multiplier, control, Q."""
+    """Exact optimum: terminal modal state eta(T), terminal multiplier p(T)
+    and the optimal control in exponential-sum form."""
 
     eta_T: np.ndarray
     p_T: np.ndarray
     control: ExpSumFunction
-    Q: np.ndarray
-    cond_terminal_system: float
 
     def __post_init__(self):
-        for name in ("eta_T", "p_T", "Q"):
+        for name in ("eta_T", "p_T"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
@@ -205,9 +190,8 @@ def solve_terminal(prob: OcProblem) -> ExactOcSolution:
     eta0 = to_modal(dec, sys.psi)
     target_modal = to_modal(dec, prob.y_hat)
     rhs = np.exp(dec.lambdas * prob.T) * eta0 + Q @ target_modal
-    system = np.eye(dec.m) + Q
     try:
-        cho = scipy.linalg.cho_factor(system, lower=True)
+        cho = scipy.linalg.cho_factor(np.eye(dec.m) + Q, lower=True)
     except scipy.linalg.LinAlgError as exc:  # cannot happen for alpha > 0
         raise RuntimeError("internal error: terminal system I + Q not positive definite") from exc
     eta_T = scipy.linalg.cho_solve(cho, rhs)
@@ -218,9 +202,7 @@ def solve_terminal(prob: OcProblem) -> ExactOcSolution:
         rates=dec.lambdas,
         horizon=prob.T,
     )
-    eigs = scipy.linalg.eigvalsh(system)
-    return ExactOcSolution(eta_T=eta_T, p_T=p_T, control=control, Q=Q,
-                           cond_terminal_system=float(eigs[-1] / eigs[0]))
+    return ExactOcSolution(eta_T=eta_T, p_T=p_T, control=control)
 
 
 def check_target(m: int, T: float, alpha: float, deltas) -> tuple[list[int], np.ndarray]:
@@ -270,12 +252,7 @@ def sparse_target(sys: MolSystem, dec: SpectralDecomposition, T: float,
         rates=lam,
         horizon=T,
     )
-    prob = OcProblem(sys=sys, dec=dec, T=T, alpha=alpha, y_hat=y_hat)
-    Q = build_Q(prob)
-    eigs = scipy.linalg.eigvalsh(np.eye(dec.m) + Q)
-    sol = ExactOcSolution(eta_T=eta_T, p_T=p_T, control=control, Q=Q,
-                          cond_terminal_system=float(eigs[-1] / eigs[0]))
-    return y_hat, sol
+    return y_hat, ExactOcSolution(eta_T=eta_T, p_T=p_T, control=control)
 
 
 def objective(prob: OcProblem, y_T: np.ndarray, control_values: np.ndarray,

@@ -85,19 +85,20 @@ def _solve_unfactored(d: np.ndarray, off: np.ndarray, rhs: np.ndarray,
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalMatrix:
     """Symmetric tridiagonal matrix stored as diagonal and off-diagonal bands.
 
     The bands are read-only, so the LU factors of a shifted matrix I - z M
     are derived data: ``solve_shift`` keeps those of the last
     SHIFT_CACHE_SIZE shifts.  They are plain arrays, so the matrix still
-    pickles and copies, and they take no part in == or repr.
+    pickles and copies, and they take no part in repr.  Matrices compare by
+    identity.
     """
 
     diagonal: np.ndarray
     off: np.ndarray
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diagonal", _readonly(self.diagonal))
@@ -108,14 +109,6 @@ class TridiagonalMatrix:
     @property
     def m(self) -> int:
         return self.diagonal.shape[0]
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.off
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.off
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Product M v in O(m) work per vector.
@@ -169,7 +162,7 @@ class TridiagonalMatrix:
         return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MolSystem:
     """Semi-discrete heat system y' = M y + gamma * e_m * u(t), y(0) = psi."""
 
@@ -238,11 +231,6 @@ def build_system(bc: RobinBC, m: int, initial_profile) -> MolSystem:
 def ones_profile(x: float) -> float:
     """Constant-one initial profile used in the benchmark instance."""
     return 1.0
-
-
-def apply_matrix(sys: MolSystem, v: np.ndarray) -> np.ndarray:
-    """Return M v in O(m) work."""
-    return sys.matrix.apply(v)
 
 
 def load_problem(source) -> MolSystem:

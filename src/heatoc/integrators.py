@@ -46,7 +46,7 @@ class MissingPeerCoefficientsError(RuntimeError):
 # implicit Runge-Kutta tableaus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrkTableau:
     """Butcher tableau (A, b, c) of an implicit Runge-Kutta method."""
 
@@ -160,7 +160,7 @@ def stability_function(tab: IrkTableau, z: complex) -> complex:
 # implicit two-step Peer schemes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeerScheme:
     """Two-step Peer method in the form Y_n = B Y_{n-1} + h A F_{n-1} + h R F_n.
 
@@ -291,7 +291,6 @@ class MethodSpec:
     """A named integrator: forward scheme, adjoint-sweep scheme, design order."""
 
     name: str
-    kind: str                      # "irk" | "peer"
     forward: object
     adjoint: object
     order: int | None
@@ -306,12 +305,12 @@ def get_method(name: str, peer_dir: str | None = None) -> MethodSpec:
     """
     if name == "gauss2":
         g = gauss2()
-        return MethodSpec(name=name, kind="irk", forward=g, adjoint=g, order=4)
+        return MethodSpec(name=name, forward=g, adjoint=g, order=4)
     if name == "lobatto3":
-        return MethodSpec(name=name, kind="irk", forward=lobatto_iiia(),
+        return MethodSpec(name=name, forward=lobatto_iiia(),
                           adjoint=lobatto_iiib(), order=4)
     scheme = find_peer_scheme(name, peer_dir)
-    return MethodSpec(name=name, kind="peer", forward=scheme, adjoint=scheme,
+    return MethodSpec(name=name, forward=scheme, adjoint=scheme,
                       order=scheme.order)
 
 
@@ -355,10 +354,6 @@ class Trajectory:
     stage_values: np.ndarray | None = None   # (N, s, m)
 
     @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
@@ -399,6 +394,8 @@ class StageSystemSolver:
 
     def solve_stacked(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for stacked real right-hand sides of shape (s, m)."""
+        if not np.isfinite(rhs).all():      # checked before Sinv @ rhs can warn
+            raise ValueError("right-hand side must not contain infs or NaNs")
         Z = self.Sinv @ rhs.astype(complex)
         X = np.empty_like(Z)
         for i, z in enumerate(self.mu):

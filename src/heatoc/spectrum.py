@@ -20,25 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heat_mol import MolSystem, RobinBC, _readonly
+from .heat_mol import MolSystem, _readonly
 
 FREQ_TOL = 1e-14
 MAX_FIXED_POINT_ITERS = 200
 
 
-@dataclass(frozen=True)
-class FrequencySet:
-    """Strictly increasing frequencies omega_1 < ... < omega_m < m*pi."""
-
-    omegas: np.ndarray
-    m: int
-    bc: RobinBC
-
-    def __post_init__(self):
-        object.__setattr__(self, "omegas", _readonly(self.omegas))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenpairs M = V diag(lambdas) V^T with orthonormal columns of V."""
 
@@ -59,11 +47,6 @@ class SpectralDecomposition:
     def boundary_components(self) -> np.ndarray:
         """Last components v_m of all eigenvectors (the boundary coupling row)."""
         return self.vectors[-1, :]
-
-
-def frequency_residual(omega: float, m: int, bc: RobinBC) -> float:
-    """Residual of the frequency equation tan(w) tan(w/(2m)) - beta0/(2m beta1)."""
-    return math.tan(omega) * math.tan(omega / (2 * m)) - bc.beta0 / (2 * m * bc.beta1)
 
 
 def _bisect_frequency(k: int, m: int, rho: float) -> float:
@@ -116,8 +99,11 @@ def _fixed_point_frequency(k: int, m: int, rho: float) -> float:
     return _bisect_frequency(k, m, rho)
 
 
-def solve_frequencies(sys: MolSystem) -> FrequencySet:
-    """Solve the frequency equation for all m frequencies of the system."""
+def solve_frequencies(sys: MolSystem) -> np.ndarray:
+    """Solve the frequency equation for all m frequencies of the system.
+
+    Returns the strictly increasing frequencies omega_1 < ... < omega_m < m*pi.
+    """
     m, bc = sys.m, sys.bc
     k = np.arange(1, m + 1)
     if bc.is_dirichlet:
@@ -127,22 +113,21 @@ def solve_frequencies(sys: MolSystem) -> FrequencySet:
     else:
         rho = bc.beta0 / (2 * m * bc.beta1)
         omegas = np.array([_fixed_point_frequency(int(kk), m, rho) for kk in k])
-    return FrequencySet(omegas=omegas, m=m, bc=bc)
+    return omegas
 
 
-def decompose(sys: MolSystem, freqs: FrequencySet | None = None) -> SpectralDecomposition:
+def decompose(sys: MolSystem) -> SpectralDecomposition:
     """Closed-form eigendecomposition of the system matrix.
 
+    The frequencies omega_k come from ``solve_frequencies``; then
     lambda_k = -4 m^2 sin^2(omega_k/(2m)) and
     v_j[k] = nu_k cos(omega_k (2j-1)/(2m)) with
     nu_k = 2 / sqrt(2m + sin(2 omega_k)/sin(omega_k/m)).  The zero frequency
     (Neumann, k = 1) takes the limit value nu = 1/sqrt(m), making the first
     eigenvector the normalized constant vector.
     """
-    if freqs is None:
-        freqs = solve_frequencies(sys)
     m = sys.m
-    om = freqs.omegas
+    om = solve_frequencies(sys)
     lambdas = -4.0 * m**2 * np.sin(om / (2 * m)) ** 2
     nus = np.empty(m)
     nonzero = om > 0
@@ -167,9 +152,3 @@ def from_modal(dec: SpectralDecomposition, eta: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected vector of length {dec.m}, got shape {eta.shape}")
     return dec.vectors @ eta
 
-
-def heat_flow(dec: SpectralDecomposition, v: np.ndarray, s: float) -> np.ndarray:
-    """Apply the semigroup e^(s M) to a vector through the eigenbasis."""
-    if s < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    return from_modal(dec, np.exp(dec.lambdas * s) * to_modal(dec, v))

@@ -57,8 +57,6 @@ def test_emit_report_files(tmp_path):
     assert "logscale" in paths["plot"].read_text()
     with pytest.raises(ConfigError):
         emit_report(ConvergenceReport(), tmp_path)
-    with pytest.raises(ConfigError):
-        emit_report(report, tmp_path, formats=("html",))
 
 
 def test_gnuplot_contains_inline_data():
@@ -151,10 +149,13 @@ def test_scenario1_parallel_jobs_match_serial():
     assert data_rows(serial) == data_rows(parallel)
 
 
-def test_scenario1_partial_flush_on_failure(monkeypatch):
+@pytest.mark.parametrize("scenario,runner,rows_per_cell", [
+    (1, run_scenario1, 2), (2, run_scenario2, 1)], ids=["scenario1", "scenario2"])
+def test_partial_flush_on_failure(monkeypatch, scenario, runner, rows_per_cell):
     import heatoc.bench as bench
     calls = {"n": 0}
-    orig = bench._scenario1_cell
+    cell_name = f"_scenario{scenario}_cell"
+    orig = getattr(bench, cell_name)
 
     def failing(args):
         calls["n"] += 1
@@ -162,13 +163,13 @@ def test_scenario1_partial_flush_on_failure(monkeypatch):
             raise RuntimeError("synthetic failure")
         return orig(args)
 
-    monkeypatch.setattr(bench, "_scenario1_cell", failing)
+    monkeypatch.setattr(bench, cell_name, failing)
     partials = []
     with pytest.raises(RuntimeError):
-        run_scenario1(small_cfg(), on_partial=partials.append)
+        runner(small_cfg(scenario=scenario), on_partial=partials.append)
     assert len(partials) == 1
     assert partials[0].metadata["incomplete"] == "true"
-    assert len(partials[0].rows) == 4
+    assert len(partials[0].rows) == 2 * rows_per_cell
 
 
 def test_scenario2_small_run_marks_convergence():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heatoc import (
-    ConfigError, RobinBC, TridiagonalMatrix, apply_matrix, build_system,
-    load_problem, ones_profile, robin_coefficients,
+    ConfigError, DiscreteControl, ExpSumFunction, RobinBC, TridiagonalMatrix,
+    build_system, decompose, gauss2, load_problem, ones_profile, peer_toy2,
+    robin_coefficients,
 )
+from conftest import make_instance
 
 
 def dense(sys):
@@ -67,29 +69,29 @@ def test_build_system_rejects_small_m():
 
 def test_apply_matrix_zero_vector():
     sys = build_system(RobinBC.dirichlet(), 5, ones_profile)
-    assert np.array_equal(apply_matrix(sys, np.zeros(5)), np.zeros(5))
+    assert np.array_equal(sys.matrix.apply(np.zeros(5)), np.zeros(5))
 
 
 def test_apply_matrix_dirichlet_m2_explicit():
     sys = build_system(RobinBC.dirichlet(), 2, ones_profile)
-    assert np.allclose(apply_matrix(sys, np.ones(2)), [0.0, -8.0])
+    assert np.allclose(sys.matrix.apply(np.ones(2)), [0.0, -8.0])
 
 
 def test_apply_matrix_matches_dense(rng):
     sys = build_system(RobinBC(2.0, 0.5), 8, ones_profile)
     v = rng.standard_normal(8)
-    assert np.allclose(apply_matrix(sys, v), dense(sys) @ v, atol=1e-13)
+    assert np.allclose(sys.matrix.apply(v), dense(sys) @ v, atol=1e-13)
     block = rng.standard_normal((3, 8))          # an (s, m) stage block
-    assert np.allclose(apply_matrix(sys, block), block @ dense(sys).T, atol=1e-13)
-    assert np.array_equal(apply_matrix(sys, block)[1], apply_matrix(sys, block[1]))
+    assert np.allclose(sys.matrix.apply(block), block @ dense(sys).T, atol=1e-13)
+    assert np.array_equal(sys.matrix.apply(block)[1], sys.matrix.apply(block[1]))
 
 
 def test_apply_matrix_dimension_mismatch():
     sys = build_system(RobinBC.dirichlet(), 4, ones_profile)
     with pytest.raises(ValueError):
-        apply_matrix(sys, np.zeros(5))
+        sys.matrix.apply(np.zeros(5))
     with pytest.raises(ValueError):
-        apply_matrix(sys, np.zeros((4, 5)))
+        sys.matrix.apply(np.zeros((4, 5)))
 
 
 bc_strategy = st.sampled_from([
@@ -104,8 +106,8 @@ def test_matrix_symmetry(m, bc, seed):
     sys = build_system(bc, m, ones_profile)
     gen = np.random.default_rng(seed)
     v, w = gen.standard_normal(m), gen.standard_normal(m)
-    lhs = apply_matrix(sys, v) @ w
-    rhs = v @ apply_matrix(sys, w)
+    lhs = sys.matrix.apply(v) @ w
+    rhs = v @ sys.matrix.apply(w)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
 
 
@@ -115,7 +117,7 @@ def test_matrix_negative_semidefinite(m, bc, seed):
     sys = build_system(bc, m, ones_profile)
     gen = np.random.default_rng(seed)
     v = gen.standard_normal(m)
-    quad = apply_matrix(sys, v) @ v
+    quad = sys.matrix.apply(v) @ v
     assert quad <= 1e-9 * (v @ v) * m**2
     if sys.theta > 1.0 + 1e-12:
         assert quad < 0.0
@@ -123,7 +125,7 @@ def test_matrix_negative_semidefinite(m, bc, seed):
 
 def test_neumann_rowsums_exactly_zero():
     sys = build_system(RobinBC.neumann(), 17, ones_profile)
-    assert np.array_equal(apply_matrix(sys, np.ones(17)), np.zeros(17))
+    assert np.array_equal(sys.matrix.apply(np.ones(17)), np.zeros(17))
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,9 +139,29 @@ def test_theta_invariant_under_joint_scaling(s, beta0, beta1, m):
     assert gamma > 0.0
 
 
-def test_tridiagonal_lower_equals_upper():
-    tri = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25]))
-    assert tri.lower is tri.upper
+@pytest.mark.parametrize("build", [
+    lambda: build_system(RobinBC.dirichlet(), 4, ones_profile),
+    lambda: TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25])),
+    gauss2,
+    peer_toy2,
+    lambda: decompose(build_system(RobinBC.dirichlet(), 4, ones_profile)),
+    lambda: ExpSumFunction(np.array([1.0]), np.array([-2.0]), 1.0),
+    lambda: make_instance(4)[0],
+    lambda: make_instance(4)[1],
+    lambda: DiscreteControl(np.ones((2, 2)), 0.5, np.array([0.25, 0.75])),
+], ids=["MolSystem", "TridiagonalMatrix", "IrkTableau", "PeerScheme",
+        "SpectralDecomposition", "ExpSumFunction", "OcProblem", "ExactOcSolution",
+        "DiscreteControl"])
+def test_array_dataclasses_compare_by_identity(build):
+    # two distinct but equal instances: == must not compare the arrays
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
+def test_robin_bc_keeps_value_equality():
+    assert RobinBC(1.0, 0.0) == RobinBC.dirichlet()
+    assert hash(RobinBC(1.0, 0.0)) == hash(RobinBC.dirichlet())
 
 
 def test_load_problem_ones():

@@ -196,7 +196,7 @@ def test_shifted_solve_error_contract():
         rhs[3] = bad
         with pytest.raises(ValueError):
             solve_shifted(0.3, tri, rhs)
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
             solver.solve_stacked(np.vstack([rhs, np.ones(8)]))
         with pytest.raises(ValueError):
             solve_shifted(bad, tri, np.ones(8))
@@ -415,7 +415,7 @@ def test_peer_dir_environment_lookup(tmp_path, monkeypatch):
     (tmp_path / "env_scheme.json").write_text(json.dumps(doc))
     monkeypatch.setenv("HEATOC_PEER_DIR", str(tmp_path))
     method = get_method("env_scheme")
-    assert method.kind == "peer"
+    assert isinstance(method.forward, PeerScheme)
     assert np.array_equal(method.forward.B, scheme.B)
 
 

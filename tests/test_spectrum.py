@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heatoc import (
-    RobinBC, build_system, decompose, from_modal, heat_flow, ones_profile,
+    RobinBC, adjoint_exact, build_system, decompose, from_modal, ones_profile,
     solve_frequencies, to_modal,
 )
 from heatoc.oracles import dense_eigendecomposition, dense_matrix
@@ -16,30 +16,30 @@ ROBIN11_M2_OMEGA2 = 3.3618414600957357
 
 def test_dirichlet_frequencies_m3():
     sys = build_system(RobinBC.dirichlet(), 3, ones_profile)
-    freqs = solve_frequencies(sys)
-    assert np.array_equal(freqs.omegas, [0.5 * np.pi, 1.5 * np.pi, 2.5 * np.pi])
+    om = solve_frequencies(sys)
+    assert np.array_equal(om, [0.5 * np.pi, 1.5 * np.pi, 2.5 * np.pi])
 
 
 def test_neumann_frequencies_m3():
     sys = build_system(RobinBC.neumann(), 3, ones_profile)
-    freqs = solve_frequencies(sys)
-    assert np.array_equal(freqs.omegas, [0.0, np.pi, 2 * np.pi])
+    om = solve_frequencies(sys)
+    assert np.array_equal(om, [0.0, np.pi, 2 * np.pi])
 
 
 def test_robin_frequencies_m2_pinned():
     sys = build_system(RobinBC(1.0, 1.0), 2, ones_profile)
-    freqs = solve_frequencies(sys)
-    assert freqs.omegas[0] == pytest.approx(ROBIN11_M2_OMEGA1, abs=1e-12)
-    assert freqs.omegas[1] == pytest.approx(ROBIN11_M2_OMEGA2, abs=1e-12)
+    om = solve_frequencies(sys)
+    assert om[0] == pytest.approx(ROBIN11_M2_OMEGA1, abs=1e-12)
+    assert om[1] == pytest.approx(ROBIN11_M2_OMEGA2, abs=1e-12)
 
 
 @pytest.mark.parametrize("beta0,beta1", [(1.0, 1.0), (3.0, 1.0), (0.1, 5.0), (50.0, 1.0)])
 def test_frequency_equation_residual(beta0, beta1):
     for m in (2, 5, 12):
         sys = build_system(RobinBC(beta0, beta1), m, ones_profile)
-        freqs = solve_frequencies(sys)
+        om = solve_frequencies(sys)
         rho = beta0 / (2 * m * beta1)
-        resid = np.tan(freqs.omegas) * np.tan(freqs.omegas / (2 * m)) - rho
+        resid = np.tan(om) * np.tan(om / (2 * m)) - rho
         assert np.abs(resid).max() < 1e-12
 
 
@@ -47,7 +47,7 @@ def test_frequency_equation_residual(beta0, beta1):
 @given(m=st.integers(2, 30), beta0=st.floats(0.01, 50.0), beta1=st.floats(0.01, 50.0))
 def test_frequency_interlacing(m, beta0, beta1):
     sys = build_system(RobinBC(beta0, beta1), m, ones_profile)
-    om = solve_frequencies(sys).omegas
+    om = solve_frequencies(sys)
     k = np.arange(1, m + 1)
     assert np.all(om > (k - 1) * np.pi)
     assert np.all(om < (k - 0.5) * np.pi)   # right endpoint only for beta1 = 0
@@ -142,7 +142,7 @@ def test_heat_flow_matches_mode_decay():
     sys = build_system(RobinBC.dirichlet(), 6, ones_profile)
     dec = decompose(sys)
     v = dec.vectors[:, 2]
-    out = heat_flow(dec, v, 0.3)
+    out = adjoint_exact(dec, v, 0.0, 0.3)
     assert np.abs(out - np.exp(dec.lambdas[2] * 0.3) * v).max() < 1e-14
     with pytest.raises(ValueError):
-        heat_flow(dec, v, -0.1)
+        adjoint_exact(dec, v, 0.0, -0.1)
