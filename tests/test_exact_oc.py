@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -100,6 +101,84 @@ def test_ivp_against_expm_quadrature_oracle():
     u = ExpSumFunction(np.array([1.0]), np.array([-1.0]), 1.0)  # u(t) = e^{-(T-t)}
     y = solve_ivp_exact(sys, dec, u, 1.0)
     assert np.abs(y - expm_state(sys, u, 1.0)).max() < 1e-10
+
+
+IVP_TIMES = (1e-4, 1 / 2048, 1 / 64, 0.5, 1.0)
+IVP_BCS = (RobinBC.neumann(), RobinBC(1.0, 1.0), RobinBC.dirichlet())
+
+
+def ivp_phi1_reference(sys, dec, control, t):
+    """The state in the phi1 form, one matrix entry per (mode, term)."""
+    eta = np.exp(dec.lambdas * t) * (dec.vectors.T @ sys.psi)
+    if t > 0:
+        weights = control.coefficients * t * np.exp(control.rates * (control.horizon - t))
+        eta += sys.gamma * dec.boundary_components * (
+            phi1(np.add.outer(dec.lambdas, control.rates) * t) @ weights)
+    return dec.vectors @ eta
+
+
+def ivp_controls(sys, dec, rng):
+    """An exact-solution control, random decaying rates, and positive rates
+    within 1e-9 of -lambda_k (for Neumann, lambda_1 = 0 gives the rate -1e-9).
+    The resonant terms are scaled to |u| <= |c| on [0, T], so that no term
+    outgrows the error of another."""
+    _, sol = sparse_target(sys, dec, 1.0, 1.0, [(1, 0.2), (3, -0.1)])
+    decaying = ExpSumFunction(rng.standard_normal(6), -rng.uniform(0.0, 50.0, 6), 1.0)
+    near = -dec.lambdas[:3] + np.array([-1e-9, 5e-10, -3e-10])
+    resonant = ExpSumFunction(rng.standard_normal(3) * np.exp(-np.maximum(near, 0.0)),
+                              near, 1.0)
+    return {"exact": sol.control, "decaying": decaying, "resonant": resonant}
+
+
+def scaled_error(got, want):
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("bc", IVP_BCS, ids=("neumann", "robin", "dirichlet"))
+def test_ivp_cauchy_form_matches_phi1_form(bc, rng):
+    sys = build_system(bc, 64, ones_profile)
+    dec = decompose(sys)
+    for name, u in ivp_controls(sys, dec, rng).items():
+        for t in IVP_TIMES:
+            err = scaled_error(solve_ivp_exact(sys, dec, u, t),
+                               ivp_phi1_reference(sys, dec, u, t))
+            assert err <= 1e-13, (name, t, err)
+
+
+@pytest.mark.parametrize("bc", IVP_BCS, ids=("neumann", "robin", "dirichlet"))
+def test_ivp_cauchy_form_against_expm_oracle(bc, rng):
+    sys = build_system(bc, 8, ones_profile)
+    dec = decompose(sys)
+    for name, u in ivp_controls(sys, dec, rng).items():
+        for t in IVP_TIMES:
+            err = scaled_error(solve_ivp_exact(sys, dec, u, t), expm_state(sys, u, t))
+            assert err <= 1e-10, (name, t, err)
+
+
+def test_ivp_plans_are_kept_per_system_and_decomposition(rng):
+    sys_a = build_system(RobinBC.dirichlet(), 16, ones_profile)
+    sys_b = dataclasses.replace(sys_a, psi=rng.standard_normal(16))
+    sys_r = build_system(RobinBC(1.0, 1.0), 16, ones_profile)
+    dec_a, dec_r = decompose(sys_a), decompose(sys_r)
+    u = ExpSumFunction(rng.standard_normal(4), -rng.uniform(0.0, 20.0, 4), 1.0)
+    pairs = [(sys_a, dec_a), (sys_b, dec_a), (sys_r, dec_r), (sys_a, dec_a)]
+    for t in (0.3, 0.7):
+        for sys, dec in pairs:
+            err = scaled_error(solve_ivp_exact(sys, dec, u, t),
+                               ivp_phi1_reference(sys, dec, u, t))
+            assert err <= 1e-13
+
+
+def test_ivp_repeat_call_needs_no_square_memory():
+    prob, sol = make_instance(1000, bc=RobinBC(1.0, 1.0))
+    solve_ivp_exact(prob.sys, prob.dec, sol.control, 0.5)
+    tracemalloc.start()
+    try:
+        solve_ivp_exact(prob.sys, prob.dec, sol.control, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20   # one 1000 x 1000 array is 8 MB
 
 
 def test_ivp_rejects_time_outside_horizon():
