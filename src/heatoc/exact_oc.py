@@ -42,6 +42,8 @@ PHI1_SERIES_THRESHOLD = 1e-4
 # Shifts lambda_k + mu_l closer to zero than this stay on the phi1 form in
 # solve_ivp_exact: the Cauchy form divides by the shift.
 CAUCHY_GUARD_SHIFT = 1.0
+# Rows of Q that build_Q evaluates at once.
+BUILD_Q_ROWS = 128
 
 
 def phi1(z):
@@ -238,11 +240,17 @@ def build_Q(prob: OcProblem) -> np.ndarray:
     """Positive semi-definite coupling matrix of the terminal linear system.
 
     q_kl = (gamma^2 T / alpha) v_m[k] phi1((lambda_k + lambda_l) T) v_m[l].
-    Exactly symmetric by construction.
+    Exactly symmetric by construction.  Built BUILD_Q_ROWS rows at a time,
+    so the phi1 temporaries stay a fraction of the m x m result.
     """
-    vm = prob.dec.boundary_components
-    z = np.add.outer(prob.dec.lambdas, prob.dec.lambdas) * prob.T
-    return (prob.sys.gamma**2 * prob.T / prob.alpha) * np.outer(vm, vm) * phi1(z)
+    vm, lam = prob.dec.boundary_components, prob.dec.lambdas
+    scale = prob.sys.gamma**2 * prob.T / prob.alpha
+    Q = np.empty((lam.shape[0],) * 2)
+    for start in range(0, lam.shape[0], BUILD_Q_ROWS):
+        rows = slice(start, start + BUILD_Q_ROWS)
+        z = np.add.outer(lam[rows], lam) * prob.T
+        Q[rows] = scale * np.outer(vm[rows], vm) * phi1(z)
+    return Q
 
 
 def solve_terminal(prob: OcProblem) -> ExactOcSolution:
@@ -258,8 +266,12 @@ def solve_terminal(prob: OcProblem) -> ExactOcSolution:
     eta0 = to_modal(dec, sys.psi)
     target_modal = to_modal(dec, prob.y_hat)
     rhs = np.exp(dec.lambdas * prob.T) * eta0 + Q @ target_modal
+    system = np.eye(dec.m)
+    system += Q
     try:
-        cho = scipy.linalg.cho_factor(np.eye(dec.m) + Q, lower=True)
+        # I + Q is exactly symmetric, so its transpose is the same matrix in
+        # the column order LAPACK factors in place.
+        cho = scipy.linalg.cho_factor(system.T, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # cannot happen for alpha > 0
         raise RuntimeError("internal error: terminal system I + Q not positive definite") from exc
     eta_T = scipy.linalg.cho_solve(cho, rhs)

@@ -141,25 +141,45 @@ class TridiagonalMatrix:
             return rhs.copy()
         if rhs.shape[:1] != (self.m,):
             raise ValueError(f"right-hand side must have {self.m} rows, got shape {rhs.shape}")
-        if not (np.isfinite(z) and np.isfinite(rhs).all()):
-            raise ValueError("shift and right-hand side must not contain infs or NaNs")
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
         complex_ = np.iscomplexobj(z) or np.iscomplexobj(rhs)
+        factors = self._shift_factors(z, complex_)
+        if factors is None:
+            return _solve_unfactored(*self._shifted_bands(z), rhs, complex_)
+        x, _ = (zgttrs if complex_ else dgttrs)(*factors, rhs)
+        return x
+
+    def _shifted_bands(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of I - z M, checked for finiteness."""
+        if not np.isfinite(z):
+            raise ValueError("shift must not be inf or NaN")
+        d, off = 1.0 - z * self.diagonal, -z * self.off
+        if not (np.isfinite(d).all() and np.isfinite(off).all()):
+            raise ValueError("shifted matrix must not contain infs or NaNs")
+        return d, off
+
+    def _shift_factors(self, z, complex_: bool):
+        """The ?gttrf factors of I - z M for a nonzero shift, or None if m < 3.
+
+        Fetched from the kept factors, or factored and kept on a miss; a
+        kept shift is known to be finite, so only a miss checks it.  The
+        factors feed ?gttrs (``zgttrs`` if ``complex_``).  m < 3 stays
+        unfactored: scipy's ?gttrf wrapper rejects it.
+        """
+        if self.m < 3:
+            return None
         key = (z, complex_)
         factors = self._factors.get(key)
         if factors is None:
-            d, off = 1.0 - z * self.diagonal, -z * self.off
-            if not (np.isfinite(d).all() and np.isfinite(off).all()):
-                raise ValueError("shifted matrix must not contain infs or NaNs")
-            if self.m < 3:
-                return _solve_unfactored(d, off, rhs, complex_)
+            d, off = self._shifted_bands(z)
             *factors, info = (zgttrf if complex_ else dgttrf)(off, d, off)
             if info > 0:
                 raise np.linalg.LinAlgError("singular matrix")
             if len(self._factors) >= SHIFT_CACHE_SIZE:
                 del self._factors[next(iter(self._factors))]
             self._factors[key] = factors
-        x, _ = (zgttrs if complex_ else dgttrs)(*factors, rhs)
-        return x
+        return factors
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.lapack import zgttrs
 
 from .heat_mol import ConfigError, TridiagonalMatrix, MolSystem, _readonly
 from .exact_oc import ExpSumFunction, solve_ivp_exact
@@ -375,8 +376,10 @@ class StageSystemSolver:
     """Solver for the coupled stage system (I - h K (x) M) X = RHS.
 
     Diagonalizes the s x s coupling matrix K over the complex numbers once,
-    then each solve costs s shifted tridiagonal solves.  A zero eigenvalue
-    (explicit stage) degenerates to an identity solve.
+    then each solve costs s shifted tridiagonal solves.  The factors of the
+    s shifts are bound at the first solve, so later solves run one ?gttrs
+    per shift in place.  A zero eigenvalue (explicit stage) degenerates to
+    an identity solve.
     """
 
     def __init__(self, K: np.ndarray, h: float, tri: TridiagonalMatrix):
@@ -391,16 +394,23 @@ class StageSystemSolver:
         self.Sinv = np.linalg.inv(S)
         self.tri = tri
         self.h = h
+        self._shifts = None      # (stage, shift, factors) per nonzero shift, bound lazily
 
     def solve_stacked(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for stacked real right-hand sides of shape (s, m)."""
         if not np.isfinite(rhs).all():      # checked before Sinv @ rhs can warn
             raise ValueError("right-hand side must not contain infs or NaNs")
+        if self._shifts is None:
+            shifts = [self.h * mu for mu in self.mu]
+            self._shifts = [(i, z, self.tri._shift_factors(z, True))
+                            for i, z in enumerate(shifts) if z != 0]
         Z = self.Sinv @ rhs.astype(complex)
-        X = np.empty_like(Z)
-        for i, z in enumerate(self.mu):
-            X[i] = self.tri.solve_shift(self.h * z, Z[i])
-        return np.real(self.S @ X)
+        for i, z, factors in self._shifts:
+            if factors is None:
+                Z[i] = self.tri.solve_shift(z, Z[i])
+            else:           # Z[i] is a contiguous complex row: solved in place
+                zgttrs(*factors, Z[i], overwrite_b=1)
+        return np.real(self.S @ Z)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +431,12 @@ def irk_step(tab: IrkTableau, ode: LinearOde, t_n: float, h: float,
     if solver is None:
         solver = StageSystemSolver(tab.A, h, ode.matrix)
     g = ode.g(t_n + tab.c * h) if g_values is None else np.asarray(g_values, dtype=float)
-    rhs = np.tile(y_n, (tab.s, 1))
     if ode.forcing_vector is not None:
-        rhs = rhs + h * np.outer(tab.A @ g, ode.forcing_vector)
+        rhs = h * np.outer(tab.A @ g, ode.forcing_vector)
+        rhs += y_n
+    else:
+        rhs = np.empty((tab.s, ode.matrix.m))
+        rhs[:] = y_n
     stages = solver.solve_stacked(rhs)
     F = ode.matrix.apply(stages)
     if ode.forcing_vector is not None:
@@ -453,16 +466,16 @@ def peer_step(scheme: PeerScheme, ode: LinearOde, t_n: float, h: float,
         prev_F = ode.matrix.apply(prev_block)
         if ode.forcing_vector is not None:
             prev_F = prev_F + np.outer(g_prev, ode.forcing_vector)
-    block = np.empty((s, m))
+    hR = h * scheme.R
+    block = scheme.B @ prev_block + h * (scheme.A @ prev_F)   # solved in place, row by row
     F = np.empty((s, m))
-    base = scheme.B @ prev_block + h * (scheme.A @ prev_F)
     for i in range(s):
-        rhs = base[i].copy()
+        rhs = block[i]
         for j in range(i):
-            rhs += h * scheme.R[i, j] * F[j]
+            rhs += hR[i, j] * F[j]
         if ode.forcing_vector is not None:
-            rhs += h * scheme.R[i, i] * g_cur[i] * ode.forcing_vector
-        block[i] = solve_shifted(h * scheme.R[i, i], ode.matrix, rhs)
+            rhs += hR[i, i] * g_cur[i] * ode.forcing_vector
+        block[i] = solve_shifted(hR[i, i], ode.matrix, rhs)
         F[i] = ode.matrix.apply(block[i])
         if ode.forcing_vector is not None:
             F[i] += g_cur[i] * ode.forcing_vector
@@ -532,7 +545,8 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
 
     Returns the (N+1, m) states and, with ``keep_stages``, the (N, s, m)
     stage values (else None).  A control of None means no forcing: the
-    steps skip the g b terms.
+    steps skip the g b terms.  Non-finite control samples raise ValueError
+    before the first step.
     """
     if not isinstance(scheme, (IrkTableau, PeerScheme)):
         raise TypeError(f"unsupported method object {scheme!r}")
@@ -542,6 +556,8 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
     states[0] = sys.psi
     stage_values = np.empty((N, scheme.s, sys.m)) if keep_stages else None
     g_all = _node_values(control, N, scheme.s, scheme.c, h)
+    if not np.isfinite(g_all).all():
+        raise ValueError("control samples must not contain infs or NaNs")
 
     if isinstance(scheme, IrkTableau):
         if N < 1:

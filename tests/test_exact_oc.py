@@ -13,6 +13,7 @@ from heatoc import (
     build_system, decompose, exact_objective, from_modal, objective,
     ones_profile, phi1, solve_ivp_exact, solve_terminal, sparse_target,
 )
+from heatoc import exact_oc
 from heatoc.oracles import (
     expm_adjoint, expm_state, q_quadratic_form, shooting_terminal,
 )
@@ -254,6 +255,29 @@ def test_Q_positive_semidefinite_sampled(instance8, rng):
     for _ in range(100):
         w = rng.standard_normal(prob.sys.m)
         assert w @ Q @ w >= -1e-12 * (w @ w)
+
+
+def test_Q_row_blocks_equal_the_whole_matrix_form(monkeypatch):
+    prob, _ = make_instance(8, bc=RobinBC(1.0, 1.0))
+    vm, lam = prob.dec.boundary_components, prob.dec.lambdas
+    whole = (prob.sys.gamma**2 * prob.T / prob.alpha) * np.outer(vm, vm) \
+        * phi1(np.add.outer(lam, lam) * prob.T)
+    monkeypatch.setattr(exact_oc, "BUILD_Q_ROWS", 3)      # a ragged last block
+    assert np.array_equal(build_Q(prob), whole)
+
+
+def test_build_Q_temporaries_stay_below_the_result():
+    # Robin(1,1), m=1000: Q is one 8 MB array; the whole-matrix phi1 form
+    # peaks near 6x that
+    sys = build_system(RobinBC(1.0, 1.0), 1000, ones_profile)
+    prob = OcProblem(sys=sys, dec=decompose(sys), T=1.0, alpha=1.0, y_hat=np.zeros(1000))
+    tracemalloc.start()
+    try:
+        Q = build_Q(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * Q.nbytes
 
 
 def test_solve_terminal_uncontrolled_limit():

@@ -291,6 +291,67 @@ def test_forward_rejects_bad_sample_shape():
         integrate_forward(gauss2(), sys, np.zeros((4, 3)), 4, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["gauss2", "lobatto3", "peer_toy2"])
+def test_forward_rejects_non_finite_control_samples(name, bad):
+    # rejected before the first step, so no step can warn on inf * 0
+    sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
+    method = get_method(name)
+    samples = np.ones((16, method.forward.s))
+    samples[5, -1] = bad
+    with pytest.raises(ValueError, match="control samples"):
+        integrate_forward(method, sys, samples, 16, 1.0, peer_start="collocation")
+
+
+def stepped_states(scheme, sys, control, N, h):
+    """States of N public irk_step / peer_step calls, each IRK step with its own solver."""
+    ode = LinearOde(matrix=sys.matrix,
+                    forcing_vector=None if control is None else sys.forcing_vector)
+    if control is None:
+        g = np.zeros((N, scheme.s))
+    elif isinstance(control, np.ndarray):
+        g = control
+    else:
+        times = (np.arange(N)[:, None] + scheme.c[None, :]) * h
+        g = control(times.ravel()).reshape(N, scheme.s)
+    states = [sys.psi]
+    if isinstance(scheme, IrkTableau):
+        for n in range(N):
+            states.append(irk_step(scheme, ode, n * h, h, states[-1], g_values=g[n])[0])
+        return np.array(states)
+    _, block = irk_step(collocation(scheme.c), ode, 0.0, h, sys.psi, g_values=g[0])
+    states.append(block[-1])
+    F = None
+    for n in range(1, N):
+        block, F = peer_step(scheme, ode, n * h, h, block, prev_F=F,
+                             g_prev=g[n - 1], g_cur=g[n])
+        states.append(block[-1])
+    return np.array(states)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])              # m = 2 stays unfactored
+@pytest.mark.parametrize("name", ["gauss2", "lobatto3", "peer_toy2"])
+def test_sweeps_equal_a_loop_of_public_steps_bitwise(name, m, rng):
+    method = get_method(name)
+    N, T = 6, 1.0
+    h = T / N
+    controls = {
+        "expsum": ExpSumFunction(np.array([0.7, -0.2]), np.array([-3.0, 0.5]), T),
+        "nodes": rng.standard_normal((N, method.forward.s)),
+        "none": None,
+    }
+    for label, control in controls.items():
+        sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
+        traj = integrate_forward(method, sys, control, N, T, peer_start="collocation")
+        fresh = build_system(RobinBC(2.0, 0.5), m, ones_profile)    # no kept factors
+        assert np.array_equal(traj.states, stepped_states(method.forward, fresh, control, N, h)), label
+    p_T = rng.standard_normal(m)
+    adj = integrate_adjoint(method, build_system(RobinBC(2.0, 0.5), m, ones_profile),
+                            p_T, N, T, peer_start="collocation")
+    ref = stepped_states(method.adjoint, build_system(RobinBC(2.0, 0.5), m, p_T), None, N, h)
+    assert np.array_equal(adj.states, ref[::-1])
+
+
 def test_trajectory_stage_storage():
     sys = build_system(RobinBC.dirichlet(), 5, ones_profile)
     traj = integrate_forward(gauss2(), sys, None, 4, 1.0, keep_stages=True)
