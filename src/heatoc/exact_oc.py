@@ -30,6 +30,7 @@ always exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ PHI1_SERIES_THRESHOLD = 1e-4
 CAUCHY_GUARD_SHIFT = 1.0
 # Rows of Q that build_Q evaluates at once.
 BUILD_Q_ROWS = 128
+# Times that ExpSumFunction.value evaluates at once.
+EXP_SUM_ROWS = 128
 
 
 def phi1(z):
@@ -92,12 +95,34 @@ class ExpSumFunction:
         return self.coefficients.shape[0]
 
     def value(self, t):
-        """Evaluate at a scalar or an array of times."""
+        """Evaluate at a scalar or an array of times.
+
+        Along the last axis of ``t`` the times are taken EXP_SUM_ROWS at a
+        time: each block fills the rows of E_il = exp(mu_l (T - t_i)) and
+        returns ``E @ coefficients``.  Only the columns with a nonzero
+        coefficient are computed.  The others stay exact zeros, which give
+        the same signed zero as their coefficient times the exponential, and
+        the product still runs over all columns, so the result is bitwise
+        that of the whole exponential matrix, while memory stays
+        O(EXP_SUM_ROWS n) beside the result.  (A block must not regroup the
+        rows of the BLAS matrix-vector kernel, so EXP_SUM_ROWS stays a
+        multiple of its row unrolling, as 128 is.)  A zero coefficient never
+        meets an exponential, even one that overflows.
+        """
         tt = np.asarray(t, dtype=float)
-        if self.n_terms == 0:
-            out = np.zeros(tt.shape)
-        else:
-            out = np.exp(np.multiply.outer(self.horizon - tt, self.rates)) @ self.coefficients
+        n = tt.shape[-1] if tt.ndim else 1
+        tails = (self.horizon - tt).reshape(math.prod(tt.shape[:-1]), n)
+        out = np.empty(tails.shape)
+        support = np.flatnonzero(self.coefficients)
+        rates = self.rates[support]
+        E = np.zeros((min(EXP_SUM_ROWS, n), self.n_terms))
+        for tail, res in zip(tails, out):     # one row per matmul of the whole form
+            for start in range(0, n, EXP_SUM_ROWS):
+                rows = slice(start, start + EXP_SUM_ROWS)
+                block = E[:tail[rows].shape[0]]
+                block[:, support] = np.exp(np.multiply.outer(tail[rows], rates))
+                res[rows] = block @ self.coefficients
+        out = out.reshape(tt.shape)
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, t):

@@ -15,6 +15,7 @@ encodes the Robin condition beta0 * Y + beta1 * Y_x = u at x = 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +24,9 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, zgtsv, zgttrf, zgttrs
 
 # Shifts whose factors one matrix keeps; a sweep uses at most a handful.
 SHIFT_CACHE_SIZE = 8
+# Vectors of a stack that ``TridiagonalMatrix.apply`` multiplies as one flat
+# vector; each matrix keeps its bands tiled to up to this many rows.
+APPLY_ROWS = 4
 
 
 class ConfigError(ValueError):
@@ -91,7 +95,8 @@ class TridiagonalMatrix:
 
     The bands are read-only, so the LU factors of a shifted matrix I - z M
     are derived data: ``solve_shift`` keeps those of the last
-    SHIFT_CACHE_SIZE shifts.  They are plain arrays, so the matrix still
+    SHIFT_CACHE_SIZE shifts, and so are the bands tiled to 0..APPLY_ROWS
+    rows that ``apply`` uses.  Both are plain arrays, so the matrix still
     pickles and copies, and they take no part in repr.  Matrices compare by
     identity.
     """
@@ -99,12 +104,20 @@ class TridiagonalMatrix:
     diagonal: np.ndarray
     off: np.ndarray
     _factors: dict = field(default_factory=dict, init=False, repr=False)
+    _tiled: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diagonal", _readonly(self.diagonal))
         object.__setattr__(self, "off", _readonly(self.off))
         if self.off.shape != (max(self.m - 1, 0),):
             raise ValueError("off-diagonal band must have length m - 1")
+        # Bands tiled to k = 0..APPLY_ROWS rows.  The entry that couples two
+        # rows is 1.0: its products are replaced by -0.0, and 1.0 keeps them
+        # from overflowing or turning inf into a NaN with a warning.
+        object.__setattr__(self, "_tiled", tuple(
+            (_readonly(np.tile(self.diagonal, k)),
+             _readonly(np.tile(np.append(self.off, 1.0), k)[:-1]))
+            for k in range(APPLY_ROWS + 1)))
 
     @property
     def m(self) -> int:
@@ -114,15 +127,44 @@ class TridiagonalMatrix:
         """Product M v in O(m) work per vector.
 
         ``v`` is a vector of length m or a stack of them, such as an (s, m)
-        stage block; M acts on the last axis.
+        stage block; M acts on the last axis.  Each entry is
+        (d v + o v_next) + o v_prev with neighbours from its own vector
+        only.  Up to APPLY_ROWS vectors are taken as one flat vector (a copy
+        if the stack is not C-contiguous) against the bands tiled to that
+        many rows, so a stage block costs five ufunc calls, not five per
+        vector.  The products that cross a row end are set to -0.0, which
+        adds nothing to any value (a signed zero, inf and NaN included), so
+        the result is bitwise that of one vector at a time and no entry
+        leaks into the next vector.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.m,):
             raise ValueError(f"expected last axis of length {self.m}, got shape {v.shape}")
-        r = self.diagonal * v
-        if self.m > 1:
-            r[..., :-1] += self.off * v[..., 1:]
-            r[..., 1:] += self.off * v[..., :-1]
+        flat = v.reshape(-1)
+        rows = math.prod(v.shape[:-1])
+        if rows <= APPLY_ROWS:
+            return self._apply_rows(flat, rows).reshape(v.shape)
+        out = np.empty(flat.shape)
+        for start in range(0, rows, APPLY_ROWS):
+            k = min(APPLY_ROWS, rows - start)
+            piece = slice(start * self.m, (start + k) * self.m)
+            out[piece] = self._apply_rows(flat[piece], k)
+        return out.reshape(v.shape)
+
+    def _apply_rows(self, v: np.ndarray, k: int) -> np.ndarray:
+        """``apply`` on k <= APPLY_ROWS vectors laid end to end in ``v``."""
+        m = self.m
+        d, off = self._tiled[k]
+        r = d * v
+        if m > 1:
+            p = off * v[1:]
+            if k > 1:
+                p[m - 1::m] = -0.0
+            r[:-1] += p
+            np.multiply(off, v[:-1], out=p)
+            if k > 1:
+                p[m - 1::m] = -0.0
+            r[1:] += p
         return r
 
     def solve_shift(self, z, rhs: np.ndarray) -> np.ndarray:
@@ -133,16 +175,16 @@ class TridiagonalMatrix:
         solve then runs ?gttrs only.  This is the elimination of the ?gtsv
         behind ``scipy.linalg.solve_banded``, so the result is bitwise the
         same.  A non-finite shift or right-hand side, or one without m rows,
-        raises ValueError; an exactly singular shift raises LinAlgError and
-        is not cached.
+        raises ValueError, also for z = 0, where x is a copy of rhs; an
+        exactly singular shift raises LinAlgError and is not cached.
         """
         rhs = np.asarray(rhs)
-        if z == 0:
-            return rhs.copy()
         if rhs.shape[:1] != (self.m,):
             raise ValueError(f"right-hand side must have {self.m} rows, got shape {rhs.shape}")
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
+        if z == 0:
+            return rhs.copy()
         complex_ = np.iscomplexobj(z) or np.iscomplexobj(rhs)
         factors = self._shift_factors(z, complex_)
         if factors is None:

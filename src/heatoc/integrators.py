@@ -397,7 +397,11 @@ class StageSystemSolver:
         self._shifts = None      # (stage, shift, factors) per nonzero shift, bound lazily
 
     def solve_stacked(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for stacked real right-hand sides of shape (s, m)."""
+        """Solve for stacked real right-hand sides of shape (s, m).
+
+        Returns a new C-contiguous real (s, m) block, which
+        ``TridiagonalMatrix.apply`` reads without a copy.
+        """
         if not np.isfinite(rhs).all():      # checked before Sinv @ rhs can warn
             raise ValueError("right-hand side must not contain infs or NaNs")
         if self._shifts is None:
@@ -410,7 +414,7 @@ class StageSystemSolver:
                 Z[i] = self.tri.solve_shift(z, Z[i])
             else:           # Z[i] is a contiguous complex row: solved in place
                 zgttrs(*factors, Z[i], overwrite_b=1)
-        return np.real(self.S @ Z)
+        return np.ascontiguousarray((self.S @ Z).real)
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +544,22 @@ def peer_start_block(scheme: PeerScheme, sys: MolSystem, control, h: float,
 
 
 def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
-           dec: SpectralDecomposition | None, peer_start: str, keep_stages: bool):
+           dec: SpectralDecomposition | None, peer_start: str, keep_stages: bool,
+           states: np.ndarray | None = None):
     """The forward recursion from y_0 = sys.psi over N steps of size h.
 
-    Returns the (N+1, m) states and, with ``keep_stages``, the (N, s, m)
-    stage values (else None).  A control of None means no forcing: the
-    steps skip the g b terms.  Non-finite control samples raise ValueError
-    before the first step.
+    Returns the (N+1, m) states, written into ``states`` if given (any
+    (N+1, m) view, such as a reversed one), and, with ``keep_stages``, the
+    (N, s, m) stage values (else None).  A control of None means no
+    forcing: the steps skip the g b terms.  Non-finite control samples raise
+    ValueError before the first step.
     """
     if not isinstance(scheme, (IrkTableau, PeerScheme)):
         raise TypeError(f"unsupported method object {scheme!r}")
     ode = LinearOde(matrix=sys.matrix,
                     forcing_vector=None if control is None else sys.forcing_vector)
-    states = np.empty((N + 1, sys.m))
+    if states is None:
+        states = np.empty((N + 1, sys.m))
     states[0] = sys.psi
     stage_values = np.empty((N, scheme.s, sys.m)) if keep_stages else None
     g_all = _node_values(control, N, scheme.s, scheme.c, h)
@@ -619,12 +626,16 @@ def integrate_adjoint(method, sys: MolSystem, p_T: np.ndarray, N: int, T: float,
     with no control, started at p_T and run with the method's adjoint-sweep
     scheme (IIIB for the Lobatto pair, the same scheme for the self-adjoint
     Gauss method and for Peer schemes).  The returned trajectory is indexed
-    by the original times, so states[0] approximates p(0).
+    by the original times, so states[0] approximates p(0).  The sweep
+    writes its reversed-time states straight into a reversed view of the
+    returned C-contiguous states, so no second (N+1, m) array is made.
     """
     scheme = _adjoint_scheme(method)
     p_T = np.array(p_T, dtype=float)      # a copy: MolSystem makes psi read-only in place
     if p_T.shape != (sys.m,):
         raise ValueError("terminal multiplier dimension mismatch")
     h = T / N
-    states, _ = _sweep(scheme, replace(sys, psi=p_T), None, N, h, dec, peer_start, False)
-    return Trajectory(times=np.arange(N + 1) * h, states=states[::-1].copy())
+    states = np.empty((N + 1, sys.m))
+    _sweep(scheme, replace(sys, psi=p_T), None, N, h, dec, peer_start, False,
+           states=states[::-1])
+    return Trajectory(times=np.arange(N + 1) * h, states=states)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ def test_scenario1_parallel_jobs_match_serial():
     serial = render_csv(run_scenario1(cfg))
     parallel = render_csv(run_scenario1(small_cfg(jobs=2)))
     assert data_rows(serial) == data_rows(parallel)
+
+
+def test_scenario1_cell_keeps_one_trajectory_alive():
+    # lobatto3, m=500, N=2048: one (N+1) x m trajectory is 8.2 MB; the cell
+    # used to hold both sweeps' states and two (N s) x m control temporaries
+    import heatoc.bench as bench
+    args = ("lobatto3", 500, 2048, 1.0, 0.0, 1.0, 1.0, bench.DEFAULT_DELTAS, None)
+    bench.benchmark_instance(500, *args[3:8])     # the cached instance is not the cell's
+    tracemalloc.start()
+    try:
+        bench._scenario1_cell(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2049 * 500 * 8
 
 
 @pytest.mark.parametrize("scenario,runner,rows_per_cell", [

@@ -69,6 +69,63 @@ def test_expsum_zero_function():
     assert np.array_equal(z.value(np.array([0.0, 0.5])), np.zeros(2))
 
 
+def whole_matrix_value(u, t):
+    """The whole-matrix form of ExpSumFunction.value: exp over every term at once."""
+    tt = np.asarray(t, dtype=float)
+    if u.n_terms == 0:
+        out = np.zeros(tt.shape)
+    else:
+        out = np.exp(np.multiply.outer(u.horizon - tt, u.rates)) @ u.coefficients
+    return float(out) if out.ndim == 0 else out
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("rows", [128, 8])
+def test_expsum_value_bitwise_equals_the_whole_matrix_form(rows, monkeypatch, rng):
+    monkeypatch.setattr(exact_oc, "EXP_SUM_ROWS", rows)
+    prob, sol = make_instance(250)
+    controls = {
+        "sparse": sol.control,                       # 2 nonzero coefficients
+        "dense": solve_terminal(prob).control,       # every coefficient nonzero
+        "mixed signs": ExpSumFunction(np.array([0.7, 0.0, -0.0, -2.5]),
+                                      np.array([-3.0, -1.0, 4.0, -80.0]), 1.0),
+        "zero": ExpSumFunction.zero(1.0),
+    }
+    times = [0.37, np.float64(1.0), np.zeros(0), rng.uniform(0, 1, 1),
+             rng.uniform(0, 1, 21), rng.uniform(0, 1, 1001),
+             rng.uniform(0, 1, (3, 130)), rng.uniform(0, 1, (2, 3, 11))]
+    for label, u in controls.items():
+        for t in times:
+            value, ref = u.value(t), whole_matrix_value(u, t)
+            assert type(value) is type(ref), label
+            assert bitwise_equal(value, ref), (label, np.shape(t))
+
+
+def test_expsum_value_zero_coefficient_never_meets_its_exponential():
+    # exp(800) overflows; the whole-matrix form gives 0 * inf = nan there
+    u = ExpSumFunction(np.array([0.5, 0.0]), np.array([-1.0, 800.0]), 2.0)
+    assert u.value(np.array([0.0, 1.0])).tolist() == [0.5 * math.exp(-2.0), 0.5 * math.exp(-1.0)]
+
+
+def test_expsum_value_temporaries_stay_near_the_result():
+    # m=500 sparse-target control on 6144 times (N=2048, three stages): the
+    # whole-matrix form holds two 6144 x 500 arrays, about 1000x the result
+    _, sol = make_instance(500)
+    t = np.linspace(0.0, 1.0, 6144)
+    tracemalloc.start()
+    try:
+        values = sol.control.value(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * values.nbytes
+
+
 def test_expsum_squared_integral_vs_quadrature():
     u = ExpSumFunction(np.array([1.3, -0.4]), np.array([-6.0, -0.5]), 1.5)
     ref, _ = quad(lambda t: u.value(t) ** 2, 0.0, 1.5, epsabs=1e-14, epsrel=1e-13)

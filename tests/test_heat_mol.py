@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -92,6 +93,58 @@ def test_apply_matrix_dimension_mismatch():
         sys.matrix.apply(np.zeros(5))
     with pytest.raises(ValueError):
         sys.matrix.apply(np.zeros((4, 5)))
+
+
+def vector_by_vector_apply(tri, v):
+    """M v as five ufunc calls on the (strided) stack, one vector per row."""
+    v = np.asarray(v, dtype=float)
+    r = tri.diagonal * v
+    if tri.m > 1:
+        r[..., :-1] += tri.off * v[..., 1:]
+        r[..., 1:] += tri.off * v[..., :-1]
+    return r
+
+
+def bitwise_equal(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 250])
+def test_apply_flat_stack_bitwise_equals_vector_by_vector(m, rng):
+    tri = build_system(RobinBC(2.0, 0.5), m, ones_profile).matrix
+    stacks = [rng.standard_normal(m)]
+    stacks += [rng.standard_normal((k, m)) for k in (1, 2, 3, 4, 5, 9)]
+    stacks += [rng.standard_normal((2, 3, m)), np.zeros((0, m))]
+    stacks += [(rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))).real,
+               rng.standard_normal((6, 2 * m))[::2, ::2]]       # not C-contiguous
+    stacks += [rng.choice([0.0, -0.0], size=(4, m)),              # exact zero sums
+               rng.choice([0.0, -0.0, 1.0, -1.0], size=(3, m))]
+    for v in stacks:
+        assert bitwise_equal(tri.apply(v), vector_by_vector_apply(tri, v)), v.shape
+        assert tri.apply(v).flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_apply_keeps_a_non_finite_entry_in_its_own_row(bad, rng):
+    tri = build_system(RobinBC.dirichlet(), 8, ones_profile).matrix
+    for row, col in ((0, 7), (1, 0), (1, 7), (2, 0), (2, 3)):
+        block = rng.standard_normal((3, 8))
+        block[row, col] = bad
+        with np.errstate(invalid="ignore"):
+            ref = vector_by_vector_apply(tri, block)
+        out = tri.apply(block)
+        assert bitwise_equal(out, ref)
+        others = np.arange(3) != row
+        assert np.isfinite(out[others]).all()
+
+
+def test_apply_tiles_stay_out_of_repr_and_survive_pickle(rng):
+    tri = build_system(RobinBC.dirichlet(), 8, ones_profile).matrix
+    block = rng.standard_normal((3, 8))
+    assert "_tiled" not in repr(tri)
+    twin = pickle.loads(pickle.dumps(tri))
+    assert bitwise_equal(twin.apply(block), tri.apply(block))
 
 
 bc_strategy = st.sampled_from([

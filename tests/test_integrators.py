@@ -202,8 +202,12 @@ def test_shifted_solve_error_contract():
             solve_shifted(bad, tri, np.ones(8))
         with pytest.raises(ValueError):
             solve_shifted(complex(0.3, bad), tri, np.ones(8))
+        with pytest.raises(ValueError):      # the z = 0 shortcut checks first
+            solve_shifted(0.0, tri, rhs)
     with pytest.raises(ValueError):
         solve_shifted(0.3, tri, np.ones(7))
+    with pytest.raises(ValueError):
+        solve_shifted(0.0, tri, np.ones(5))
     with pytest.raises(ValueError):
         solver.solve_stacked(np.ones((2, 9)))
 
@@ -350,6 +354,26 @@ def test_sweeps_equal_a_loop_of_public_steps_bitwise(name, m, rng):
                             p_T, N, T, peer_start="collocation")
     ref = stepped_states(method.adjoint, build_system(RobinBC(2.0, 0.5), m, p_T), None, N, h)
     assert np.array_equal(adj.states, ref[::-1])
+
+
+def test_stacked_solve_returns_a_fresh_contiguous_block(rng):
+    tri = build_system(RobinBC.dirichlet(), 8, ones_profile).matrix
+    solver = StageSystemSolver(lobatto_iiia().A, 0.1, tri)
+    first = solver.solve_stacked(rng.standard_normal((3, 8)))
+    kept = first.copy()
+    second = solver.solve_stacked(rng.standard_normal((3, 8)))
+    assert first.flags.c_contiguous and first.dtype == float
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+
+
+def test_adjoint_states_are_contiguous_and_in_time_order(rng):
+    sys = build_system(RobinBC.dirichlet(), 6, ones_profile)
+    p_T = rng.standard_normal(6)
+    adj = integrate_adjoint(get_method("gauss2"), sys, p_T, 8, 1.0)
+    assert adj.states.flags.c_contiguous
+    assert np.array_equal(adj.states[-1], p_T)
+    assert np.array_equal(adj.times, np.arange(9) / 8)
 
 
 def test_trajectory_stage_storage():
