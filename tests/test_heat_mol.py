@@ -1,5 +1,4 @@
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -137,14 +136,6 @@ def test_apply_keeps_a_non_finite_entry_in_its_own_row(bad, rng):
         assert bitwise_equal(out, ref)
         others = np.arange(3) != row
         assert np.isfinite(out[others]).all()
-
-
-def test_apply_tiles_stay_out_of_repr_and_survive_pickle(rng):
-    tri = build_system(RobinBC.dirichlet(), 8, ones_profile).matrix
-    block = rng.standard_normal((3, 8))
-    assert "_tiled" not in repr(tri)
-    twin = pickle.loads(pickle.dumps(tri))
-    assert bitwise_equal(twin.apply(block), tri.apply(block))
 
 
 bc_strategy = st.sampled_from([

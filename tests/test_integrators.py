@@ -177,9 +177,10 @@ def test_shift_factors_pickle_copy_and_stay_bounded(rng):
     X = StageSystemSolver(gauss2().A, 0.01, sys.matrix).solve_stacked(stacked)
     x = solve_shifted(0.37, sys.matrix, rhs)
     assert 0 < len(sys.matrix._factors) <= SHIFT_CACHE_SIZE
-    assert "_factors" not in repr(sys.matrix)
+    assert "_factors" not in repr(sys.matrix) and "_tiled" not in repr(sys.matrix)
     for twin in (pickle.loads(pickle.dumps(sys)), copy.deepcopy(sys)):
         assert np.array_equal(solve_shifted(0.37, twin.matrix, rhs), x)
+        assert np.array_equal(twin.matrix.apply(stacked), sys.matrix.apply(stacked))
         twin_solver = StageSystemSolver(gauss2().A, 0.01, twin.matrix)
         assert np.array_equal(twin_solver.solve_stacked(stacked), X)
     for z in np.linspace(0.01, 1.0, 4 * SHIFT_CACHE_SIZE):
@@ -367,15 +368,6 @@ def test_stacked_solve_returns_a_fresh_contiguous_block(rng):
     assert np.array_equal(first, kept)
 
 
-def test_adjoint_states_are_contiguous_and_in_time_order(rng):
-    sys = build_system(RobinBC.dirichlet(), 6, ones_profile)
-    p_T = rng.standard_normal(6)
-    adj = integrate_adjoint(get_method("gauss2"), sys, p_T, 8, 1.0)
-    assert adj.states.flags.c_contiguous
-    assert np.array_equal(adj.states[-1], p_T)
-    assert np.array_equal(adj.times, np.arange(9) / 8)
-
-
 def test_trajectory_stage_storage():
     sys = build_system(RobinBC.dirichlet(), 5, ones_profile)
     traj = integrate_forward(gauss2(), sys, None, 4, 1.0, keep_stages=True)
@@ -557,6 +549,7 @@ def test_adjoint_is_reversed_homogeneous_forward_sweep(name, peer_start, N, rng)
     method = get_method(name)
     traj = integrate_adjoint(method, sys, p_T, N, 1.0, dec=dec, peer_start=peer_start)
     assert p_T.flags.writeable
+    assert traj.states.flags.c_contiguous and np.array_equal(traj.states[-1], p_T)
     fwd = integrate_forward(method.adjoint, build_system(sys.bc, 8, p_T), None, N, 1.0,
                             dec=dec, peer_start=peer_start)
     assert np.array_equal(traj.times, fwd.times)
