@@ -10,9 +10,10 @@ objective are the defining contract).
 
 The scheme is linear and time-invariant, so the terminal state is affine in
 the control, y_T = y_free + J u.  ``optimize`` builds J once per call from the
-method's own steps and runs conjugate gradients on the m terminal
-multipliers instead of the N s control values; the matrix-free gradient
-above certifies the control it returns.
+method's own steps, stepping TERMINAL_MAP_COLUMNS unit vectors at once, and
+runs conjugate gradients on the m terminal multipliers instead of the N s
+control values; the matrix-free gradient above certifies the control it
+returns.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .integrators import (
     integrate_forward, irk_step, peer_step, solve_shifted,
     _forward_scheme, _start_tableau,
 )
+
+# Unit vectors that ``_terminal_map`` steps as one stack, which bounds its
+# temporaries to O(TERMINAL_MAP_COLUMNS s m).
+TERMINAL_MAP_COLUMNS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,12 +215,29 @@ def _objective_and_gradient(method, prob: OcProblem, values: np.ndarray, N: int)
     return grad, C, duals, state
 
 
+def _propagator(step, n: int) -> np.ndarray:
+    """The n x n matrix with columns step(e_j) for the unit vectors e_j of R^n.
+
+    ``step`` maps a (k, n) stack of states to the (k, n) stack of their
+    images; the unit vectors go through it TERMINAL_MAP_COLUMNS at a time.
+    """
+    P = np.empty((n, n))
+    for start in range(0, n, TERMINAL_MAP_COLUMNS):
+        k = min(TERMINAL_MAP_COLUMNS, n - start)
+        units = np.zeros((k, n))
+        units[np.arange(k), start + np.arange(k)] = 1.0
+        P[:, start:start + k] = step(units).T
+    return P
+
+
 def _terminal_map(scheme, sys: MolSystem, h: float, N: int) -> np.ndarray:
     """Linear part J of the terminal map y_T = y_free + J u, returned as J^T.
 
-    J is built by applying the method's own steps to unit vectors, so J u
-    agrees with a forward sweep up to roundoff; the eigenbasis of M is not
-    used.  Row n * s + i of the (N * s, m) result is dy_T / du_ni.
+    J is built by applying the method's own steps to unit vectors, stacked
+    TERMINAL_MAP_COLUMNS at a time; each item of a stacked step is bitwise
+    its single step, so J u agrees with a forward sweep up to roundoff and
+    the eigenbasis of M is not used.  Row n * s + i of the (N * s, m) result
+    is dy_T / du_ni.
     """
     m, s = sys.m, scheme.s
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
@@ -224,8 +246,7 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int) -> np.ndarray:
     if isinstance(scheme, IrkTableau):
         # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        R = np.column_stack([irk_step(scheme, ode, 0.0, h, e, solver, zero_g)[0]
-                             for e in np.eye(m)])
+        R = _propagator(lambda Y: irk_step(scheme, ode, 0.0, h, Y, solver, zero_g)[0], m)
         Z = np.column_stack([irk_step(scheme, ode, 0.0, h, np.zeros(m), solver, g)[0]
                              for g in units])
         for n in range(N - 1, -1, -1):
@@ -242,12 +263,14 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int) -> np.ndarray:
     zero_block = np.zeros((s, m))
 
     def step(block, g_prev, g_cur):
-        return peer_step(scheme, ode, 0.0, h, block, g_prev=g_prev, g_cur=g_cur)[0].ravel()
+        out = peer_step(scheme, ode, 0.0, h, block.reshape(-1, s, m),
+                        g_prev=g_prev, g_cur=g_cur)[0]
+        return out.reshape(block.shape)
 
     start = _start_tableau(scheme)
-    P = np.column_stack([step(e.reshape(s, m), zero_g, zero_g) for e in np.eye(s * m)])
-    G_prev = np.column_stack([step(zero_block, g, zero_g) for g in units])
-    G_cur = np.column_stack([step(zero_block, zero_g, g) for g in units])
+    P = _propagator(lambda Y: step(Y, zero_g, zero_g), s * m)
+    G_prev = np.column_stack([step(zero_block, g, zero_g).ravel() for g in units])
+    G_cur = np.column_stack([step(zero_block, zero_g, g).ravel() for g in units])
     W = np.column_stack([irk_step(start, ode, 0.0, h, np.zeros(m), g_values=g)[1].ravel()
                          for g in units])
     last = slice((s - 1) * m, s * m)

@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, zgtsv, zgttrf, zgttrs
 # Shifts whose factors one matrix keeps; a sweep uses at most a handful.
 SHIFT_CACHE_SIZE = 8
 # Vectors of a stack that ``TridiagonalMatrix.apply`` multiplies as one flat
-# vector; each matrix keeps its bands tiled to up to this many rows.
+# vector; a matrix tiles its bands to a row count on the first such product.
 APPLY_ROWS = 4
 
 
@@ -95,29 +95,22 @@ class TridiagonalMatrix:
 
     The bands are read-only, so the LU factors of a shifted matrix I - z M
     are derived data: ``solve_shift`` keeps those of the last
-    SHIFT_CACHE_SIZE shifts, and so are the bands tiled to 0..APPLY_ROWS
-    rows that ``apply`` uses.  Both are plain arrays, so the matrix still
-    pickles and copies, and they take no part in repr.  Matrices compare by
-    identity.
+    SHIFT_CACHE_SIZE shifts, and ``apply`` keeps the bands tiled to each
+    row count 0..APPLY_ROWS it has met.  Both are plain arrays in dicts, so
+    the matrix still pickles and copies, and they take no part in repr.
+    Matrices compare by identity.
     """
 
     diagonal: np.ndarray
     off: np.ndarray
     _factors: dict = field(default_factory=dict, init=False, repr=False)
-    _tiled: tuple = field(default=(), init=False, repr=False)
+    _tiled: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diagonal", _readonly(self.diagonal))
         object.__setattr__(self, "off", _readonly(self.off))
         if self.off.shape != (max(self.m - 1, 0),):
             raise ValueError("off-diagonal band must have length m - 1")
-        # Bands tiled to k = 0..APPLY_ROWS rows.  The entry that couples two
-        # rows is 1.0: its products are replaced by -0.0, and 1.0 keeps them
-        # from overflowing or turning inf into a NaN with a warning.
-        object.__setattr__(self, "_tiled", tuple(
-            (_readonly(np.tile(self.diagonal, k)),
-             _readonly(np.tile(np.append(self.off, 1.0), k)[:-1]))
-            for k in range(APPLY_ROWS + 1)))
 
     @property
     def m(self) -> int:
@@ -154,7 +147,10 @@ class TridiagonalMatrix:
     def _apply_rows(self, v: np.ndarray, k: int) -> np.ndarray:
         """``apply`` on k <= APPLY_ROWS vectors laid end to end in ``v``."""
         m = self.m
-        d, off = self._tiled[k]
+        bands = self._tiled.get(k)
+        if bands is None:
+            bands = self._tiled[k] = self._tile_bands(k)
+        d, off = bands
         r = d * v
         if m > 1:
             p = off * v[1:]
@@ -167,6 +163,18 @@ class TridiagonalMatrix:
             r[1:] += p
         return r
 
+    def _tile_bands(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The bands laid end to end k times, for ``_apply_rows``.
+
+        The entry that couples two rows is 1.0: its products are replaced
+        by -0.0, and 1.0 keeps them from overflowing or turning inf into a
+        NaN with a warning.  One row needs no tiling.
+        """
+        if k == 1:
+            return self.diagonal, self.off
+        return (_readonly(np.tile(self.diagonal, k)),
+                _readonly(np.tile(np.append(self.off, 1.0), k)[:-1]))
+
     def solve_shift(self, z, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - z M) x = rhs for a scalar shift z.
 
@@ -174,13 +182,15 @@ class TridiagonalMatrix:
         factored once with LAPACK ?gttrf, complex if z or rhs is; every
         solve then runs ?gttrs only.  This is the elimination of the ?gtsv
         behind ``scipy.linalg.solve_banded``, so the result is bitwise the
-        same.  A non-finite shift or right-hand side, or one without m rows,
+        same.  A non-finite shift or right-hand side, or one without m rows
+        or without a column (which scipy's ?gttrs wrapper does not survive),
         raises ValueError, also for z = 0, where x is a copy of rhs; an
         exactly singular shift raises LinAlgError and is not cached.
         """
         rhs = np.asarray(rhs)
-        if rhs.shape[:1] != (self.m,):
-            raise ValueError(f"right-hand side must have {self.m} rows, got shape {rhs.shape}")
+        if rhs.shape[:1] != (self.m,) or rhs.size == 0:
+            raise ValueError(f"right-hand side must have {self.m} rows and a column, "
+                             f"got shape {rhs.shape}")
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
         if z == 0:

@@ -378,8 +378,8 @@ class StageSystemSolver:
     Diagonalizes the s x s coupling matrix K over the complex numbers once,
     then each solve costs s shifted tridiagonal solves.  The factors of the
     s shifts are bound at the first solve, so later solves run one ?gttrs
-    per shift in place.  A zero eigenvalue (explicit stage) degenerates to
-    an identity solve.
+    per shift in place, with one right-hand side per item of a stack.  A
+    zero eigenvalue (explicit stage) degenerates to an identity solve.
     """
 
     def __init__(self, K: np.ndarray, h: float, tri: TridiagonalMatrix):
@@ -394,27 +394,37 @@ class StageSystemSolver:
         self.Sinv = np.linalg.inv(S)
         self.tri = tri
         self.h = h
+        self._block_shape = (K.shape[0], tri.m)
         self._shifts = None      # (stage, shift, factors) per nonzero shift, bound lazily
 
     def solve_stacked(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for stacked real right-hand sides of shape (s, m).
+        """Solve for real right-hand sides: an (s, m) block or a (K, s, m) stack.
 
-        Returns a new C-contiguous real (s, m) block, which
-        ``TridiagonalMatrix.apply`` reads without a copy.
+        Returns a new C-contiguous real array of the same shape, which
+        ``TridiagonalMatrix.apply`` reads without a copy.  The K >= 1 blocks
+        of a stack share each shift's ?gttrs as K right-hand sides, and the
+        ``Sinv`` and ``S`` products run per block, so each block of the
+        result is bitwise the solve of that block alone.
         """
+        if rhs.ndim > 3 or rhs.shape[-2:] != self._block_shape or rhs.size == 0:
+            s, m = self._block_shape
+            raise ValueError(f"right-hand side must have shape {(s, m)} or (K, {s}, {m}) "
+                             f"with K >= 1, got {rhs.shape}")
         if not np.isfinite(rhs).all():      # checked before Sinv @ rhs can warn
             raise ValueError("right-hand side must not contain infs or NaNs")
         if self._shifts is None:
             shifts = [self.h * mu for mu in self.mu]
             self._shifts = [(i, z, self.tri._shift_factors(z, True))
                             for i, z in enumerate(shifts) if z != 0]
-        Z = self.Sinv @ rhs.astype(complex)
+        # Z[i] holds the rows of shift i, (m,) or (K, m), C-contiguous: a
+        # copy for K > 1, the product itself for a block or a stack of one.
+        Z = np.ascontiguousarray((self.Sinv @ rhs.astype(complex)).swapaxes(0, -2))
         for i, z, factors in self._shifts:
             if factors is None:
-                Z[i] = self.tri.solve_shift(z, Z[i])
-            else:           # Z[i] is a contiguous complex row: solved in place
-                zgttrs(*factors, Z[i], overwrite_b=1)
-        return np.ascontiguousarray((self.S @ Z).real)
+                Z[i] = self.tri.solve_shift(z, Z[i].T).T
+            else:           # Z[i].T is Fortran-ordered (m, K): solved in place
+                zgttrs(*factors, Z[i].T, overwrite_b=1)
+        return np.ascontiguousarray((self.S @ Z.swapaxes(0, -2)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +438,25 @@ def irk_step(tab: IrkTableau, ode: LinearOde, t_n: float, h: float,
 
     The stages solve Y_i = y_n + h sum_j A_ij (M Y_j + g(t_n + c_j h) b); the
     update is y_{n+1} = y_n + h sum_i b_i F_i with F_i evaluated at the
-    solved stages.
+    solved stages.  ``y_n`` is one state (m,) or a stack of K states
+    (K, m); the stages are then (s, m) or (K, s, m).  The control samples
+    g are shared by the whole stack, and each item of the result is
+    bitwise the step of that state alone.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
+    m = ode.matrix.m
+    y_n = np.asarray(y_n)
+    if y_n.ndim not in (1, 2) or y_n.shape[-1] != m:
+        raise ValueError(f"state must have shape ({m},) or (K, {m}), got {y_n.shape}")
     if solver is None:
         solver = StageSystemSolver(tab.A, h, ode.matrix)
     g = ode.g(t_n + tab.c * h) if g_values is None else np.asarray(g_values, dtype=float)
     if ode.forcing_vector is not None:
-        rhs = h * np.outer(tab.A @ g, ode.forcing_vector)
-        rhs += y_n
+        rhs = y_n[..., None, :] + h * np.outer(tab.A @ g, ode.forcing_vector)
     else:
-        rhs = np.empty((tab.s, ode.matrix.m))
-        rhs[:] = y_n
+        rhs = np.empty(y_n.shape[:-1] + (tab.s, m))
+        rhs[:] = y_n[..., None, :]
     stages = solver.solve_stacked(rhs)
     F = ode.matrix.apply(stages)
     if ode.forcing_vector is not None:
@@ -455,13 +471,18 @@ def peer_step(scheme: PeerScheme, ode: LinearOde, t_n: float, h: float,
     """One two-step Peer block step; returns (stage block, stage derivatives).
 
     The new block satisfies Y_n = B Y_{n-1} + h A F(Y_{n-1}) + h R F(Y_n) and
-    is solved stage by stage since R is lower triangular.
+    is solved stage by stage since R is lower triangular.  ``prev_block``
+    (and ``prev_F``) is one (s, m) block or a stack of K blocks (K, s, m);
+    a stage of a stack is one shifted solve with K right-hand sides.  The
+    control samples are shared by the whole stack, and each item of the
+    result is bitwise the step of that block alone.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     s, m = scheme.s, ode.matrix.m
-    if prev_block.shape != (s, m):
-        raise ValueError(f"previous stage block must have shape {(s, m)}")
+    if prev_block.ndim not in (2, 3) or prev_block.shape[-2:] != (s, m):
+        raise ValueError(f"previous stage block must have shape {(s, m)} or (K, {s}, {m}), "
+                         f"got {prev_block.shape}")
     if g_prev is None:
         g_prev = ode.g(t_n - h + scheme.c * h)
     if g_cur is None:
@@ -472,17 +493,18 @@ def peer_step(scheme: PeerScheme, ode: LinearOde, t_n: float, h: float,
             prev_F = prev_F + np.outer(g_prev, ode.forcing_vector)
     hR = h * scheme.R
     block = scheme.B @ prev_block + h * (scheme.A @ prev_F)   # solved in place, row by row
-    F = np.empty((s, m))
+    F = np.empty(block.shape)
+    Y, FY = block.swapaxes(0, -2), F.swapaxes(0, -2)     # Y[i]: stage i of every block
     for i in range(s):
-        rhs = block[i]
+        rhs = Y[i]
         for j in range(i):
-            rhs += hR[i, j] * F[j]
+            rhs += hR[i, j] * FY[j]
         if ode.forcing_vector is not None:
             rhs += hR[i, i] * g_cur[i] * ode.forcing_vector
-        block[i] = solve_shifted(hR[i, i], ode.matrix, rhs)
-        F[i] = ode.matrix.apply(block[i])
+        Y[i] = solve_shifted(hR[i, i], ode.matrix, rhs.T).T
+        FY[i] = ode.matrix.apply(Y[i])
         if ode.forcing_vector is not None:
-            F[i] += g_cur[i] * ode.forcing_vector
+            FY[i] += g_cur[i] * ode.forcing_vector
     return block, F
 
 

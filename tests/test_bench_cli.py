@@ -198,6 +198,14 @@ def test_scenario2_small_run_marks_convergence():
     assert errs[1].error < errs[0].error
 
 
+def test_scenario2_data_rows_repeat_and_match_across_jobs():
+    kw = dict(scenario=2, m_values=(16,), methods=("gauss2", "lobatto3", "peer_toy2"))
+    first = data_rows(render_csv(run_scenario2(small_cfg(**kw))))
+    assert len(first) == 1 + 3 * 3          # header, 3 methods x N 16/32/64
+    assert data_rows(render_csv(run_scenario2(small_cfg(**kw)))) == first
+    assert data_rows(render_csv(run_scenario2(small_cfg(jobs=2, **kw)))) == first
+
+
 def test_scenario2_nonconverged_excluded_from_orders():
     cfg = small_cfg(scenario=2, N_values=(8, 16), methods=("gauss2",),
                     grad_tol=1e-16, max_iterations=1, m_values=(4,))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from heatoc import (
     discrete_gradient, discrete_objective, exact_objective, from_modal, gauss2,
     get_method, integrate_forward, optimize, peer_toy2,
 )
-from heatoc.discrete_opt import _terminal_map
+from heatoc.discrete_opt import TERMINAL_MAP_COLUMNS, _terminal_map
+from heatoc.integrators import (
+    IrkTableau, LinearOde, StageSystemSolver, _start_tableau, irk_step, peer_step,
+)
 from heatoc.oracles import fd_gradient_check
 from conftest import make_instance
 
@@ -259,6 +263,71 @@ def test_terminal_map_matches_forward_sweep(name, N, rng):
     y_T = integrate_forward(scheme, prob.sys, u, N, prob.T,
                             peer_start="collocation").final
     assert np.abs(y_free + u.ravel() @ Jt - y_T).max() <= 1e-12 * np.abs(y_T).max()
+
+
+def reference_terminal_map(scheme, sys, h, N):
+    """J^T from one single-vector step per unit vector, the build before stacked steps."""
+    m, s = sys.m, scheme.s
+    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    units, zero_g = np.eye(s), np.zeros(s)
+    Jt = np.empty((N, s, m))
+    if isinstance(scheme, IrkTableau):
+        solver = StageSystemSolver(scheme.A, h, sys.matrix)
+        R = np.column_stack([irk_step(scheme, ode, 0.0, h, e, solver, zero_g)[0]
+                             for e in np.eye(m)])
+        Z = np.column_stack([irk_step(scheme, ode, 0.0, h, np.zeros(m), solver, g)[0]
+                             for g in units])
+        for n in range(N - 1, -1, -1):
+            Jt[n] = Z.T
+            Z = R @ Z
+        return Jt.reshape(N * s, m)
+
+    def step(block, g_prev, g_cur):
+        return peer_step(scheme, ode, 0.0, h, block, g_prev=g_prev, g_cur=g_cur)[0].ravel()
+
+    zero_block = np.zeros((s, m))
+    P = np.column_stack([step(e.reshape(s, m), zero_g, zero_g) for e in np.eye(s * m)])
+    G_prev = np.column_stack([step(zero_block, g, zero_g) for g in units])
+    G_cur = np.column_stack([step(zero_block, zero_g, g) for g in units])
+    W = np.column_stack([irk_step(_start_tableau(scheme), ode, 0.0, h, np.zeros(m),
+                                  g_values=g)[1].ravel() for g in units])
+    last = slice((s - 1) * m, s * m)
+    Jt[N - 1] = G_cur[last].T
+    Z = np.hstack([P @ G_cur + G_prev, P @ W + G_prev])
+    for n in range(N - 2, 0, -1):
+        Jt[n] = Z[last, :s].T
+        Z = P @ Z
+    Jt[0] = Z[last, s:].T
+    return Jt.reshape(N * s, m)
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("m", [2, 3, 8, 70])        # s m > TERMINAL_MAP_COLUMNS at m = 70
+def test_terminal_map_bitwise_equals_column_by_column_build(name, m):
+    assert 70 > TERMINAL_MAP_COLUMNS
+    prob, _ = make_instance(m)
+    scheme = get_method(name).forward
+    for N in (2, 3, 16):
+        h = prob.T / N
+        assert np.array_equal(_terminal_map(scheme, prob.sys, h, N),
+                              reference_terminal_map(scheme, prob.sys, h, N)), N
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_terminal_map_temporaries_stay_near_the_result(name):
+    # m = 250, N = 256: the result is N s m floats, the propagator (s m)^2.
+    # A stack of TERMINAL_MAP_COLUMNS unit vectors keeps the peak at 2.9-4.3
+    # results; stepping all s m of them as one stack reaches 7.5-12.7
+    prob, _ = make_instance(250)
+    scheme = get_method(name).forward
+    N = 256
+    tracemalloc.start()
+    try:
+        Jt = _terminal_map(scheme, prob.sys, prob.T / N, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * Jt.nbytes
 
 
 @pytest.mark.parametrize("name, stage_rate", [("gauss2", 3.0), ("lobatto3", 2.0)])

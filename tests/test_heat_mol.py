@@ -9,6 +9,7 @@ from heatoc import (
     build_system, decompose, gauss2, load_problem, ones_profile, peer_toy2,
     robin_coefficients,
 )
+from heatoc.heat_mol import APPLY_ROWS
 from conftest import make_instance
 
 
@@ -122,6 +123,20 @@ def test_apply_flat_stack_bitwise_equals_vector_by_vector(m, rng):
     for v in stacks:
         assert bitwise_equal(tri.apply(v), vector_by_vector_apply(tri, v)), v.shape
         assert tri.apply(v).flags.c_contiguous
+
+
+def test_apply_tiles_bands_on_first_stacked_use(rng):
+    # a matrix that never multiplies a stack holds no tiled bands
+    tri = build_system(RobinBC.dirichlet(), 2000, ones_profile).matrix
+    assert tri._tiled == {}
+    tri.apply(rng.standard_normal(2000))
+    d, off = tri._tiled[1]
+    assert d is tri.diagonal and off is tri.off and len(tri._tiled) == 1
+    tri.apply(rng.standard_normal((3, 2000)))
+    assert sorted(tri._tiled) == [1, 3] and tri._tiled[3][0].shape == (6000,)
+    tri.apply(rng.standard_normal((2 * APPLY_ROWS + 2, 2000)))
+    assert sorted(tri._tiled) == [1, 2, 3, APPLY_ROWS]
+    assert all(not b.flags.writeable for bands in tri._tiled.values() for b in bands)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

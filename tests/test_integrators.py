@@ -368,6 +368,89 @@ def test_stacked_solve_returns_a_fresh_contiguous_block(rng):
     assert np.array_equal(first, kept)
 
 
+@pytest.mark.parametrize("m", [2, 3, 8])              # m = 2 stays unfactored
+def test_solve_stacked_bitwise_equals_a_loop_of_blocks(m, rng):
+    # lobatto_iiia has a zero shift (its explicit first stage)
+    tri = build_system(RobinBC(2.0, 0.5), m, ones_profile).matrix
+    for name, K in STAGE_COUPLINGS.items():
+        solver = StageSystemSolver(K, 1.0 / 64, tri)
+        for k in (1, 2, 5):
+            stack = rng.standard_normal((k, len(K), m))
+            X = solver.solve_stacked(stack)
+            assert X.shape == stack.shape and X.flags.c_contiguous, name
+            for item, block in zip(X, stack):
+                assert np.array_equal(item, solver.solve_stacked(block)), (name, k)
+
+
+@pytest.mark.parametrize("factory", [gauss2, lobatto_iiia, lobatto_iiib,
+                                     lambda: _start_tableau(peer_toy2())])
+@pytest.mark.parametrize("m", [2, 8])
+def test_irk_step_stack_bitwise_equals_single_steps(factory, m, rng):
+    tab = factory()
+    sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
+    h = 1.0 / 64
+    solver = StageSystemSolver(tab.A, h, sys.matrix)
+    g = rng.standard_normal(tab.s)
+    states = rng.standard_normal((5, m))
+    for forcing in (sys.forcing_vector, None):
+        ode = LinearOde(matrix=sys.matrix, forcing_vector=forcing)
+        Y, stages = irk_step(tab, ode, 0.0, h, states, solver, g)
+        assert Y.shape == (5, m) and stages.shape == (5, tab.s, m)
+        for y, y1, st in zip(states, Y, stages):
+            ref_y, ref_st = irk_step(tab, ode, 0.0, h, y, solver, g)
+            assert np.array_equal(y1, ref_y) and np.array_equal(st, ref_st)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_peer_step_stack_bitwise_equals_single_steps(m, rng):
+    scheme = peer_toy2()
+    sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
+    h = 1.0 / 64
+    g_prev, g_cur = rng.standard_normal(2), rng.standard_normal(2)
+    blocks = rng.standard_normal((5, 2, m))
+    for forcing in (sys.forcing_vector, None):
+        ode = LinearOde(matrix=sys.matrix, forcing_vector=forcing)
+        for prev_F in (None, rng.standard_normal((5, 2, m))):
+            Y, F = peer_step(scheme, ode, 0.0, h, blocks, prev_F=prev_F,
+                             g_prev=g_prev, g_cur=g_cur)
+            assert Y.shape == F.shape == (5, 2, m)
+            for k in range(5):
+                ref_Y, ref_F = peer_step(scheme, ode, 0.0, h, blocks[k],
+                                         prev_F=None if prev_F is None else prev_F[k],
+                                         g_prev=g_prev, g_cur=g_cur)
+                assert np.array_equal(Y[k], ref_Y) and np.array_equal(F[k], ref_F)
+
+
+def test_steps_reject_states_that_are_not_a_stack():
+    sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
+    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    for bad in (np.array([2.0]), np.zeros(7), np.zeros((8, 1)), np.zeros((2, 3, 8)),
+                np.float64(1.0)):
+        with pytest.raises(ValueError, match="state must have shape"):
+            irk_step(gauss2(), ode, 0.0, 0.1, bad)
+    for bad in (np.zeros((2, 7)), np.zeros((3, 8)), np.zeros(16), np.zeros((1, 1, 2, 8))):
+        with pytest.raises(ValueError, match="previous stage block"):
+            peer_step(peer_toy2(), ode, 0.1, 0.1, bad)
+    solver = StageSystemSolver(gauss2().A, 0.1, sys.matrix)
+    for bad in (np.zeros(8), np.zeros((3, 8)), np.zeros((2, 7)), np.zeros((1, 1, 2, 8)),
+                np.zeros((0, 2, 8))):
+        with pytest.raises(ValueError, match="right-hand side must have shape"):
+            solver.solve_stacked(bad)
+
+
+@pytest.mark.parametrize("m", [2, 8])              # m = 2 stays unfactored
+def test_empty_stacks_raise_instead_of_reaching_lapack(m):
+    # scipy's ?gttrs wrapper crashes the interpreter on an (m, 0) right-hand side
+    sys = build_system(RobinBC.dirichlet(), m, ones_profile)
+    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    with pytest.raises(ValueError):
+        solve_shifted(0.3, sys.matrix, np.zeros((m, 0)))
+    with pytest.raises(ValueError):
+        irk_step(gauss2(), ode, 0.0, 0.1, np.zeros((0, m)))
+    with pytest.raises(ValueError):
+        peer_step(peer_toy2(), ode, 0.1, 0.1, np.zeros((0, 2, m)))
+
+
 def test_trajectory_stage_storage():
     sys = build_system(RobinBC.dirichlet(), 5, ones_profile)
     traj = integrate_forward(gauss2(), sys, None, 4, 1.0, keep_stages=True)
