@@ -85,6 +85,8 @@ def _cmd_exact(args) -> int:
              if args.times else np.linspace(0.0, args.T, 11))
     if not np.isfinite(times).all():
         raise ConfigError("control sample times must be finite")
+    if ((times < 0.0) | (times > args.T)).any():
+        raise ConfigError(f"control sample times must lie in [0, {args.T:g}]")
     if args.verify:
         code = _run_verify_gate()
         if code:

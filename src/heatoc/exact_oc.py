@@ -54,13 +54,17 @@ def phi1(z):
 
     Uses expm1 for |z| >= 1e-4 and a truncated Taylor series below, so the
     relative accuracy is at the 1e-15 level everywhere, including z = 0
-    where phi1(0) = 1.  Accepts scalars or arrays.
+    where phi1(0) = 1.  Accepts scalars or arrays.  The quotient is formed
+    in the result array and the series only on the small entries, so beside
+    its input an array call holds one float array of the input's size at a
+    time (and boolean masks).
     """
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < PHI1_SERIES_THRESHOLD
-    zs = np.where(small, 1.0, z)
-    series = 1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))
-    out = np.where(small, series, np.expm1(zs) / zs)
+    out = np.expm1(z, out=np.empty(z.shape))     # an array also for 0-d z
+    np.divide(out, z, out=out, where=~small)
+    zs = z[small]
+    out[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -255,26 +259,45 @@ def solve_ivp_exact(sys: MolSystem, dec: SpectralDecomposition,
 
 def adjoint_exact(dec: SpectralDecomposition, p_T: np.ndarray, t: float,
                   horizon: float) -> np.ndarray:
-    """Exact multiplier p(t) = e^((T - t) M) p_T of the backward flow p' = -M p."""
+    """Exact multiplier p(t) = e^((T - t) M) p_T of the backward flow p' = -M p.
+
+    The modal vector V^T p_T is kept on ``dec``, keyed by the bytes of p_T,
+    so a run of calls with one p_T makes one m x m product for the
+    transform and one per call back to the grid.  A p_T changed in place
+    has other bytes and is transformed again.
+    """
     if not 0.0 <= t <= horizon:
         raise ValueError(f"time {t} outside [0, {horizon}]")
-    return from_modal(dec, np.exp(dec.lambdas * (horizon - t)) * to_modal(dec, p_T))
+    p_T = np.asarray(p_T, dtype=float)
+    if p_T.shape != (dec.m,):
+        raise ValueError(f"expected vector of length {dec.m}, got shape {p_T.shape}")
+    key = p_T.tobytes()
+    modal = dec._modal.get(key)
+    if modal is None:
+        modal = to_modal(dec, p_T)
+        dec._modal.clear()
+        dec._modal[key] = modal
+    return from_modal(dec, np.exp(dec.lambdas * (horizon - t)) * modal)
 
 
 def build_Q(prob: OcProblem) -> np.ndarray:
     """Positive semi-definite coupling matrix of the terminal linear system.
 
     q_kl = (gamma^2 T / alpha) v_m[k] phi1((lambda_k + lambda_l) T) v_m[l].
-    Exactly symmetric by construction.  Built BUILD_Q_ROWS rows at a time,
-    so the phi1 temporaries stay a fraction of the m x m result.
+    Exactly symmetric by construction.  Built BUILD_Q_ROWS rows at a time:
+    each row block is written straight into Q as v_m[k] v_m[l], then scaled
+    and multiplied by phi1 in place, the operation order of
+    ``scale * outer(v_m, v_m) * phi1(z)``.  So the phi1 temporaries stay a
+    fraction of the m x m result.
     """
     vm, lam = prob.dec.boundary_components, prob.dec.lambdas
     scale = prob.sys.gamma**2 * prob.T / prob.alpha
     Q = np.empty((lam.shape[0],) * 2)
     for start in range(0, lam.shape[0], BUILD_Q_ROWS):
         rows = slice(start, start + BUILD_Q_ROWS)
-        z = np.add.outer(lam[rows], lam) * prob.T
-        Q[rows] = scale * np.outer(vm[rows], vm) * phi1(z)
+        block = np.multiply.outer(vm[rows], vm, out=Q[rows])
+        block *= scale
+        block *= phi1(np.add.outer(lam[rows], lam) * prob.T)
     return Q
 
 
@@ -285,18 +308,20 @@ def solve_terminal(prob: OcProblem) -> ExactOcSolution:
     symmetric positive-definite Cholesky factorization, then reconstructs the
     terminal multiplier p(T) = V eta(T) - y_hat and the optimal control
     u(t) = -(gamma/alpha) sum_l <v_l, p(T)> v_m[l] exp(lambda_l (T - t)).
+    The right-hand side is formed from Q first; then 1 is added to Q's
+    diagonal and I + Q is factored in Q's own buffer, so Q is the only
+    m x m array held.
     """
     dec, sys = prob.dec, prob.sys
     Q = build_Q(prob)
     eta0 = to_modal(dec, sys.psi)
     target_modal = to_modal(dec, prob.y_hat)
     rhs = np.exp(dec.lambdas * prob.T) * eta0 + Q @ target_modal
-    system = np.eye(dec.m)
-    system += Q
+    Q.flat[::dec.m + 1] += 1.0   # I + Q: off the diagonal, 0 + q is q for every q != 0
     try:
         # I + Q is exactly symmetric, so its transpose is the same matrix in
         # the column order LAPACK factors in place.
-        cho = scipy.linalg.cho_factor(system.T, lower=True, overwrite_a=True)
+        cho = scipy.linalg.cho_factor(Q.T, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # cannot happen for alpha > 0
         raise RuntimeError("internal error: terminal system I + Q not positive definite") from exc
     eta_T = scipy.linalg.cho_solve(cho, rhs)

@@ -472,10 +472,10 @@ def peer_step(scheme: PeerScheme, ode: LinearOde, t_n: float, h: float,
 
     The new block satisfies Y_n = B Y_{n-1} + h A F(Y_{n-1}) + h R F(Y_n) and
     is solved stage by stage since R is lower triangular.  ``prev_block``
-    (and ``prev_F``) is one (s, m) block or a stack of K blocks (K, s, m);
-    a stage of a stack is one shifted solve with K right-hand sides.  The
-    control samples are shared by the whole stack, and each item of the
-    result is bitwise the step of that block alone.
+    (and ``prev_F``, of the same shape) is one (s, m) block or a stack of K
+    blocks (K, s, m); a stage of a stack is one shifted solve with K
+    right-hand sides.  The control samples are shared by the whole stack,
+    and each item of the result is bitwise the step of that block alone.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -483,6 +483,9 @@ def peer_step(scheme: PeerScheme, ode: LinearOde, t_n: float, h: float,
     if prev_block.ndim not in (2, 3) or prev_block.shape[-2:] != (s, m):
         raise ValueError(f"previous stage block must have shape {(s, m)} or (K, {s}, {m}), "
                          f"got {prev_block.shape}")
+    if prev_F is not None and prev_F.shape != prev_block.shape:
+        raise ValueError(f"previous stage derivatives have shape {prev_F.shape}, "
+                         f"the block {prev_block.shape}")
     if g_prev is None:
         g_prev = ode.g(t_n - h + scheme.c * h)
     if g_cur is None:

@@ -16,7 +16,7 @@ orthonormal with an explicit normalization constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,19 @@ MAX_FIXED_POINT_ITERS = 200
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenpairs M = V diag(lambdas) V^T with orthonormal columns of V."""
+    """Eigenpairs M = V diag(lambdas) V^T with orthonormal columns of V.
+
+    ``adjoint_exact`` keeps its last modal vector V^T p_T in ``_modal``,
+    keyed by the bytes of p_T: one entry, a plain array in a dict, so the
+    decomposition still pickles and copies, and it takes no part in repr.
+    Decompositions compare by identity.
+    """
 
     omegas: np.ndarray
     lambdas: np.ndarray
     vectors: np.ndarray  # (m, m), column k is the k-th eigenvector
     nus: np.ndarray
+    _modal: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("omegas", "lambdas", "vectors", "nus"):
@@ -125,6 +132,9 @@ def decompose(sys: MolSystem) -> SpectralDecomposition:
     nu_k = 2 / sqrt(2m + sin(2 omega_k)/sin(omega_k/m)).  The zero frequency
     (Neumann, k = 1) takes the limit value nu = 1/sqrt(m), making the first
     eigenvector the normalized constant vector.
+
+    V is built in its own buffer (outer product, then cos and the column
+    scaling in place), so the only m x m array held is the result.
     """
     m = sys.m
     om = solve_frequencies(sys)
@@ -133,7 +143,9 @@ def decompose(sys: MolSystem) -> SpectralDecomposition:
     nonzero = om > 0
     nus[~nonzero] = 1.0 / math.sqrt(m)
     nus[nonzero] = 2.0 / np.sqrt(2 * m + np.sin(2 * om[nonzero]) / np.sin(om[nonzero] / m))
-    vectors = np.cos(np.outer(sys.grid, om)) * nus  # grid_j = (2j-1)/(2m)
+    vectors = np.outer(sys.grid, om)  # grid_j = (2j-1)/(2m)
+    np.cos(vectors, out=vectors)
+    vectors *= nus
     return SpectralDecomposition(omegas=om, lambdas=lambdas, vectors=vectors, nus=nus)
 
 

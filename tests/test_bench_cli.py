@@ -332,6 +332,8 @@ def test_cli_rejects_bad_optimizer_settings_before_any_work(tmp_path, monkeypatc
     ["exact", "--m", "4", "--deltas", "5:0.1"],
     ["exact", "--deltas", "1:nan"],
     ["exact", "--times", "0,nan"],
+    ["exact", "--times=-1,0.5"],
+    ["exact", "--m", "8", "--times", "0.5,3"],
     ["exact", "--T", "nan"],
 ], ids=lambda a: " ".join(a))
 def test_cli_rejects_malformed_values_before_any_work(monkeypatch, capsys, argv, verify):

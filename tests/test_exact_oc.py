@@ -1,10 +1,13 @@
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -23,6 +26,12 @@ from conftest import make_instance
 # against 1e-15 adaptive quadrature of the squared control
 BENCH_OBJECTIVE_M250 = 0.017795452594291612
 BENCH_OBJECTIVE_M8 = 0.0007326499185834387
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +55,28 @@ def test_phi1_high_precision(z):
     with mpmath.workdps(50):
         expected = float(mpmath.expm1(z) / z) if z != 0 else 1.0
     assert phi1(z) == pytest.approx(expected, rel=1e-14)
+
+
+def where_form_phi1(z):
+    """The two-branch np.where form of phi1: both branches on every entry."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < exact_oc.PHI1_SERIES_THRESHOLD
+    zs = np.where(small, 1.0, z)
+    series = 1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))
+    out = np.where(small, series, np.expm1(zs) / zs)
+    return float(out) if out.ndim == 0 else out
+
+
+def test_phi1_bitwise_equals_the_where_form():
+    grid = np.concatenate([np.linspace(-3e-4, 3e-4, 6001), [0.0, -0.0, 1e-4, -1e-4],
+                           np.nextafter(1e-4, [0.0, 1.0]), np.nextafter(-1e-4, [0.0, -1.0]),
+                           [-np.inf, -700.0, -3.5, 2.0, 700.0]])
+    for z in (grid, grid[:6000].reshape(60, 100)):
+        assert bitwise_equal(phi1(z), where_form_phi1(z))
+    for x in (0.0, -0.0, 1e-4, -5e-5, 3.0, np.float64(-2.0), np.array(7e-5)):
+        value = phi1(x)
+        assert type(value) is float
+        assert bitwise_equal(value, where_form_phi1(x))
 
 
 def test_phi1_monotone_increasing():
@@ -77,12 +108,6 @@ def whole_matrix_value(u, t):
     else:
         out = np.exp(np.multiply.outer(u.horizon - tt, u.rates)) @ u.coefficients
     return float(out) if out.ndim == 0 else out
-
-
-def bitwise_equal(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 @pytest.mark.parametrize("rows", [128, 8])
@@ -281,6 +306,60 @@ def test_adjoint_satisfies_backward_flow(rng):
     assert np.abs(dp + Mp).max() <= 1e-4 * np.abs(Mp).max()
 
 
+def uncached_adjoint(dec, p_T, t, horizon):
+    return from_modal(dec, np.exp(dec.lambdas * (horizon - t)) * (dec.vectors.T @ p_T))
+
+
+def test_adjoint_transforms_each_multiplier_once(monkeypatch):
+    prob, _ = make_instance(64, bc=RobinBC(1.0, 1.0))
+    dec, p_T = prob.dec, solve_terminal(prob).p_T
+    calls, to_modal = [], exact_oc.to_modal
+
+    def counted(d, w):
+        calls.append(1)
+        return to_modal(d, w)
+
+    monkeypatch.setattr(exact_oc, "to_modal", counted)
+    for t in np.linspace(0.0, 1.0, 65):
+        assert bitwise_equal(adjoint_exact(dec, p_T, float(t), 1.0),
+                             uncached_adjoint(dec, p_T, t, 1.0))
+    adjoint_exact(dec, p_T.copy(), 0.5, 1.0)      # a copy has the same bytes
+    assert len(calls) == 1
+
+
+def test_adjoint_sees_a_multiplier_changed_in_place(rng):
+    dec = decompose(build_system(RobinBC(1.0, 1.0), 16, ones_profile))
+    p_T = rng.standard_normal(16)
+    saved = p_T[3]
+    first = adjoint_exact(dec, p_T, 0.25, 1.0)
+    p_T[3] += 1.0
+    second = adjoint_exact(dec, p_T, 0.25, 1.0)
+    assert bitwise_equal(second, uncached_adjoint(dec, p_T, 0.25, 1.0))
+    assert not np.array_equal(first, second)
+    p_T[3] = saved
+    assert bitwise_equal(adjoint_exact(dec, p_T, 0.25, 1.0), first)
+
+
+def test_adjoint_checks_the_shape_before_the_cache(rng):
+    dec = decompose(build_system(RobinBC(1.0, 1.0), 16, ones_profile))
+    p_T = rng.standard_normal(16)
+    adjoint_exact(dec, p_T, 0.5, 1.0)
+    with pytest.raises(ValueError, match="expected vector of length 16"):
+        adjoint_exact(dec, p_T.reshape(2, 8), 0.5, 1.0)
+
+
+def test_decomposition_with_a_cached_multiplier_pickles_and_copies(rng):
+    dec = decompose(build_system(RobinBC(1.0, 1.0), 8, ones_profile))
+    before = repr(dec)
+    p_T = rng.standard_normal(8)
+    ref = adjoint_exact(dec, p_T, 0.5, 1.0)
+    assert repr(dec) == before and "_modal" not in before
+    for clone in (pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
+        assert clone is not dec and clone != dec                # identity compare
+        assert bitwise_equal(clone.vectors, dec.vectors)
+        assert bitwise_equal(adjoint_exact(clone, p_T, 0.5, 1.0), ref)
+
+
 # ---------------------------------------------------------------------------
 # the optimality system
 # ---------------------------------------------------------------------------
@@ -335,6 +414,39 @@ def test_build_Q_temporaries_stay_below_the_result():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * Q.nbytes
+
+
+def eye_form_terminal(prob):
+    """eta_T and p_T with I + Q formed as np.eye(m) + Q beside Q."""
+    dec = prob.dec
+    Q = build_Q(prob)
+    target_modal = dec.vectors.T @ prob.y_hat
+    rhs = np.exp(dec.lambdas * prob.T) * (dec.vectors.T @ prob.sys.psi) + Q @ target_modal
+    cho = scipy.linalg.cho_factor((np.eye(dec.m) + Q).T, lower=True, overwrite_a=True)
+    eta_T = scipy.linalg.cho_solve(cho, rhs)
+    return eta_T, dec.vectors @ (eta_T - target_modal)
+
+
+@pytest.mark.parametrize("bc,m", [(RobinBC.dirichlet(), 8), (RobinBC.neumann(), 40),
+                                  (RobinBC(1.0, 1.0), 300)])
+def test_solve_terminal_bitwise_equals_the_eye_form(bc, m):
+    prob, _ = make_instance(m, bc=bc)
+    sol = solve_terminal(prob)
+    eta_T, p_T = eye_form_terminal(prob)
+    assert bitwise_equal(sol.eta_T, eta_T) and bitwise_equal(sol.p_T, p_T)
+
+
+def test_solve_terminal_holds_one_square_array():
+    # Robin(1,1), m=1000: Q is one 8 MB array, factored in place; the
+    # np.eye(m) + Q form held two
+    prob, _ = make_instance(1000, bc=RobinBC(1.0, 1.0))
+    tracemalloc.start()
+    try:
+        solve_terminal(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 1000**2 * 8
 
 
 def test_solve_terminal_uncontrolled_limit():

@@ -421,6 +421,19 @@ def test_peer_step_stack_bitwise_equals_single_steps(m, rng):
                 assert np.array_equal(Y[k], ref_Y) and np.array_equal(F[k], ref_F)
 
 
+def test_peer_step_rejects_derivatives_of_another_shape():
+    # a (2, 8) prev_F used to broadcast into every item of a (4, 2, 8) stack
+    sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
+    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    g = np.zeros(2)
+    for block, prev_F in ((np.ones((4, 2, 8)), np.ones((2, 8))),
+                          (np.ones((2, 8)), np.ones((4, 2, 8))),
+                          (np.ones((2, 8)), np.ones((2, 7)))):
+        with pytest.raises(ValueError, match="previous stage derivatives"):
+            peer_step(peer_toy2(), ode, 0.0, 0.1, block, prev_F=prev_F,
+                      g_prev=g, g_cur=g)
+
+
 def test_steps_reject_states_that_are_not_a_stack():
     sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,29 @@ def test_eigenvalue_bounds_and_normalization():
             assert (dec.lambdas[0] == 0.0) == (bc.beta0 == 0.0)
             norms = np.linalg.norm(dec.vectors, axis=0)
             assert np.abs(norms - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("bc", [RobinBC.dirichlet(), RobinBC.neumann(), RobinBC(1.0, 1.0),
+                                RobinBC(2.0, 0.5)])
+def test_decompose_vectors_bitwise_equal_the_outer_cos_form(bc):
+    for m in (2, 7, 300):
+        sys = build_system(bc, m, ones_profile)
+        dec = decompose(sys)
+        ref = np.cos(np.outer(sys.grid, dec.omegas)) * dec.nus
+        assert dec.vectors.tobytes() == ref.tobytes()
+
+
+def test_decompose_holds_one_square_array():
+    # Robin(1,1), m=1000: V is one 8 MB array, built in its own buffer; the
+    # cos(outer) * nus form held two
+    sys = build_system(RobinBC(1.0, 1.0), 1000, ones_profile)
+    tracemalloc.start()
+    try:
+        decompose(sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 1000**2 * 8
 
 
 def test_modal_roundtrip_and_unit_vectors(rng):
