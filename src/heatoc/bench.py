@@ -188,12 +188,15 @@ def _scenario2_cell(args) -> tuple[list[ReportRow], bool]:
 
 
 def _pool_iter(jobs: int, fn, argses: list):
-    # yields results cell by cell so callers can flush partial reports
-    if jobs <= 1:
+    # yields results cell by cell so callers can flush partial reports; the
+    # pool never exceeds the cell count, since a forking executor starts all
+    # of its workers at once
+    workers = min(jobs, len(argses))
+    if workers <= 1:
         for a in argses:
             yield fn(a)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, argses)
 
 

@@ -201,7 +201,11 @@ class _IvpPlan:
         mu = control.rates
         growing = mu > 0
         shifts = np.add.outer(dec.lambdas, mu)
-        guard = (shifts > -CAUCHY_GUARD_SHIFT) & (shifts < CAUCHY_GUARD_SHIFT)
+        # |shift| < G with one boolean array alive: the upper test runs only
+        # on the few entries above -G
+        guard = shifts > -CAUCHY_GUARD_SHIFT
+        rows, cols = np.nonzero(guard)
+        guard[rows, cols] = shifts[rows, cols] < CAUCHY_GUARD_SHIFT
         guard[:, growing] = True
         rows, cols = np.nonzero(guard)
         shifts[rows, cols] = np.inf

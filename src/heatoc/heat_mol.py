@@ -51,6 +51,8 @@ class RobinBC:
     beta1: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.beta0) and math.isfinite(self.beta1)):
+            raise ConfigError("Robin coefficients must be finite")
         if self.beta0 < 0 or self.beta1 < 0:
             raise ConfigError("Robin coefficients must be nonnegative")
         if self.beta0 == 0 and self.beta1 == 0:

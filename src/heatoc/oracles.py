@@ -6,6 +6,11 @@ matrix exponentials plus adaptive quadrature instead of modal exponentials and
 phi functions, and finite differences of the discrete objective instead of
 the transposed sweeps.  These routines back the `verify` CLI subcommand and
 the test suite, and are never part of a production solve path.
+
+The quadrature stack (``scipy.integrate``, which pulls in ``scipy.optimize``,
+``scipy.special`` and ``scipy.sparse``) is imported on first use inside the
+three routines that integrate, so importing this module, or running a
+scenario without verification, never loads it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 from scipy.linalg import expm
 
 from .heat_mol import MolSystem, RobinBC, build_system, ones_profile
@@ -45,6 +49,8 @@ def expm_state(sys: MolSystem, control: ExpSumFunction, t: float,
     M = dense_matrix(sys)
     y = expm(t * M) @ sys.psi
     if control.n_terms > 0 and t > 0:
+        from scipy.integrate import quad_vec
+
         bvec = sys.forcing_vector
 
         def integrand(tau):
@@ -74,6 +80,8 @@ def shooting_terminal(prob: OcProblem, tol: float = 1e-13):
     and the terminal condition q = y(T) - y_hat closes a dense m x m linear
     system.  Only expm and adaptive quadrature are used; returns (y_T, p_T).
     """
+    from scipy.integrate import quad_vec
+
     sys = prob.sys
     M = dense_matrix(sys)
     em = np.zeros(sys.m)
@@ -91,6 +99,8 @@ def shooting_terminal(prob: OcProblem, tol: float = 1e-13):
 
 def q_quadratic_form(prob: OcProblem, w: np.ndarray, tol: float = 1e-12) -> float:
     """w^T Q w evaluated by adaptive quadrature of its integral representation."""
+    from scipy.integrate import quad
+
     lam = prob.dec.lambdas
     vm = prob.dec.boundary_components
 

@@ -150,6 +150,31 @@ def test_scenario1_parallel_jobs_match_serial():
     assert data_rows(serial) == data_rows(parallel)
 
 
+def test_pool_never_exceeds_the_cell_count(monkeypatch):
+    import heatoc.bench as bench
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, argses):
+            return map(fn, argses)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    cfg = small_cfg(N_values=(16, 32))
+    serial = data_rows(render_csv(run_scenario1(cfg)))
+    assert asked == []
+    assert data_rows(render_csv(run_scenario1(cfg.with_overrides(jobs=64)))) == serial
+    assert asked == [2]
+
+
 def test_scenario1_cell_keeps_one_trajectory_alive():
     # lobatto3, m=500, N=2048: one (N+1) x m trajectory is 8.2 MB; the cell
     # used to hold both sweeps' states and two (N s) x m control temporaries
@@ -301,9 +326,9 @@ def test_cli_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, ca
                  "--algorithm", "gd"]) == 1
 
 
-@pytest.mark.parametrize("verify", [[], ["--verify"]])
-def test_cli_rejects_bad_optimizer_settings_before_any_work(tmp_path, monkeypatch,
-                                                            capsys, verify):
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Records each benchmark instance built and each verify gate run by the CLI."""
     import heatoc.bench as bench
     import heatoc.cli as cli
     calls = []
@@ -311,6 +336,12 @@ def test_cli_rejects_bad_optimizer_settings_before_any_work(tmp_path, monkeypatc
     monkeypatch.setattr(bench, "benchmark_instance",
                         lambda *a: calls.append("instance") or instance(*a))
     monkeypatch.setattr(cli, "run_verification", lambda: calls.append("verify") or [])
+    return calls
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_cli_rejects_bad_optimizer_settings_before_any_work(tmp_path, work_calls,
+                                                            capsys, verify):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "m_values": [4], "N_values": [8], "methods": ["gauss2"],
@@ -320,11 +351,32 @@ def test_cli_rejects_bad_optimizer_settings_before_any_work(tmp_path, monkeypatc
     for tol in ("0", "nan"):
         assert main(["scenario2", "--m", "4", "--N", "8", "--methods", "gauss2",
                      "--grad-tol", tol, *verify]) == 1
-    assert calls == []
+    assert work_calls == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_spectrum_rejects_nonfinite_robin_coefficients(capsys, value):
+    assert main(["spectrum", "--beta0", value]) == 1
+    captured = capsys.readouterr()
+    assert "Robin coefficients must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_cli_rejects_nonfinite_robin_config_before_any_work(tmp_path, work_calls,
+                                                           capsys, verify):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"m_values": [4], "N_values": [8], "methods": ["gauss2"], '
+                        '"beta0": NaN}')
+    assert main(["scenario1", "--config", str(cfg_path), *verify]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert work_calls == []
 
 
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 @pytest.mark.parametrize("argv", [
+    ["exact", "--beta0", "nan"],
+    ["exact", "--beta1", "inf"],
     ["scenario1", "--m", "4", "--N", "16,x", "--methods", "gauss2"],
     ["scenario2", "--m", "4,y", "--N", "16", "--methods", "gauss2"],
     ["exact", "--deltas", "1:abc"],

@@ -252,6 +252,55 @@ def test_ivp_plans_are_kept_per_system_and_decomposition(rng):
             assert err <= 1e-13
 
 
+def two_mask_plan(sys, dec, control):
+    """Guard entries, C and w_T with the guard mask formed as
+    (shifts > -G) & (shifts < G) beside the shifts."""
+    mu = control.rates
+    growing = mu > 0
+    shifts = np.add.outer(dec.lambdas, mu)
+    G = exact_oc.CAUCHY_GUARD_SHIFT
+    guard = (shifts > -G) & (shifts < G)
+    guard[:, growing] = True
+    rows, cols = np.nonzero(guard)
+    shifts[rows, cols] = np.inf
+    cauchy = np.reciprocal(shifts, out=shifts)
+    coef = np.where(growing, 0.0, control.coefficients)
+    rates = np.where(growing, 0.0, mu)
+    return rows, cols, cauchy, cauchy @ (coef * np.exp(rates * control.horizon))
+
+
+@pytest.mark.parametrize("bc", IVP_BCS, ids=("neumann", "robin", "dirichlet"))
+def test_ivp_plan_guard_bitwise_equals_the_two_mask_form(bc, rng):
+    sys = build_system(bc, 64, ones_profile)
+    dec = decompose(sys)
+    controls = ivp_controls(sys, dec, rng)
+    controls["growing"] = ExpSumFunction(rng.standard_normal(4),
+                                         np.array([3.0, 0.5, -0.2, -40.0]), 1.0)
+    for name, u in controls.items():
+        plan = exact_oc._IvpPlan.build(sys, dec, u)
+        rows, cols, cauchy, w_T = two_mask_plan(sys, dec, u)
+        assert bitwise_equal(plan.guard_rows, rows), name
+        assert bitwise_equal(plan.guard_cols, cols), name
+        assert bitwise_equal(plan.cauchy, cauchy), name
+        assert bitwise_equal(plan.w_T, w_T), name
+    # lambda_1 = 0 is a guard entry of every Neumann control with a zero rate
+    if bc.is_neumann:
+        assert 0 in exact_oc._IvpPlan.build(sys, dec, controls["exact"]).guard_rows
+
+
+def test_ivp_plan_holds_one_boolean_mask():
+    # Robin(1,1), m=1000: the shifts (C, in place) are one 8 MB array and one
+    # m x m boolean mask is 1/8 of that; the two-mask form peaked at 1.25
+    prob, sol = make_instance(1000, bc=RobinBC(1.0, 1.0))
+    tracemalloc.start()
+    try:
+        exact_oc._IvpPlan.build(prob.sys, prob.dec, sol.control)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 1000**2 * 8
+
+
 def test_ivp_repeat_call_needs_no_square_memory():
     prob, sol = make_instance(1000, bc=RobinBC(1.0, 1.0))
     solve_ivp_exact(prob.sys, prob.dec, sol.control, 0.5)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ def test_degenerate_bc_rejected():
         RobinBC(0.0, 0.0)
     with pytest.raises(ConfigError):
         RobinBC(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("beta0,beta1", [(math.nan, 0.0), (math.inf, 0.0),
+                                         (0.0, math.inf), (1.0, math.nan)])
+def test_nonfinite_bc_rejected(beta0, beta1):
+    with pytest.raises(ConfigError, match="finite"):
+        RobinBC(beta0, beta1)
 
 
 def test_build_system_dirichlet_m3():
