@@ -32,6 +32,49 @@ from .integrators import get_method, integrate_forward, integrate_adjoint
 DEFAULT_DELTAS = ((1, 1.0 / 75.0), (2, 1.0 / 75.0))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_delta(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and _is_int(value[0]) and _is_number(value[1]))
+
+
+# the JSON type check of each ExperimentConfig field, and whether it is a list
+_JSON_FIELDS = {
+    "m_values": (_is_int, True), "N_values": (_is_int, True),
+    "methods": (lambda v: isinstance(v, str), True), "deltas": (_is_delta, True),
+    "beta0": (_is_number, False), "beta1": (_is_number, False),
+    "T": (_is_number, False), "alpha": (_is_number, False),
+    "grad_tol": (_is_number, False), "scenario": (_is_int, False),
+    "jobs": (_is_int, False), "max_iterations": (_is_int, False),
+    "verify": (lambda v: isinstance(v, bool), False),
+    "out_dir": (lambda v: v is None or isinstance(v, str), False),
+    "peer_dir": (lambda v: v is None or isinstance(v, str), False),
+    "algorithm": (lambda v: isinstance(v, str), False),
+}
+
+
+def _json_field(name: str, value):
+    """A config field's JSON value, type-checked; raises TypeError if it is not
+    of the field's type (so 8.5 is no integer and "1" no number)."""
+    check, is_list = _JSON_FIELDS[name]
+    if is_list:
+        if not isinstance(value, list) or not all(map(check, value)):
+            raise TypeError(f"{name} has an item of the wrong type: {value!r}")
+        if name == "deltas":
+            return tuple((i, float(v)) for i, v in value)
+        return tuple(value)
+    if not check(value):
+        raise TypeError(f"{name} has the wrong type: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark experiment; serializable to and from a JSON document."""
@@ -56,8 +99,12 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if not self.methods:
             raise ConfigError("no methods requested")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods must be distinct, got {self.methods}")
         if not self.m_values or any(m < 2 for m in self.m_values):
             raise ConfigError("m values must all be >= 2")
+        if len(set(self.m_values)) != len(self.m_values):
+            raise ConfigError(f"m values must be distinct, got {self.m_values}")
         if self.scenario not in (1, 2):
             raise ConfigError(f"unknown scenario {self.scenario}")
         if not self.N_values:
@@ -65,8 +112,8 @@ class ExperimentConfig:
         for N in self.N_values:
             if N < 2 or (N & (N - 1)) != 0:
                 raise ConfigError(f"step counts must be powers of two >= 2, got {N}")
-        if tuple(sorted(self.N_values)) != self.N_values:
-            raise ConfigError("step counts must be sorted ascending")
+        if any(a >= b for a, b in zip(self.N_values, self.N_values[1:])):
+            raise ConfigError(f"step counts must be strictly ascending, got {self.N_values}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         RobinBC(self.beta0, self.beta1)
@@ -83,12 +130,7 @@ class ExperimentConfig:
             kwargs = {}
             for f in dataclasses.fields(cls):
                 if f.name in doc:
-                    value = doc[f.name]
-                    if f.name in ("m_values", "N_values", "methods"):
-                        value = tuple(value)
-                    elif f.name == "deltas":
-                        value = tuple((int(i), float(v)) for i, v in value)
-                    kwargs[f.name] = value
+                    kwargs[f.name] = _json_field(f.name, doc[f.name])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed experiment config: {exc}") from exc
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}

@@ -2,15 +2,21 @@
 
 Everything here deliberately avoids the closed-form machinery of the library:
 dense eigensolvers instead of the frequency equation, scaling-and-squaring
-matrix exponentials plus adaptive quadrature instead of modal exponentials and
-phi functions, and finite differences of the discrete objective instead of
-the transposed sweeps.  These routines back the `verify` CLI subcommand and
-the test suite, and are never part of a production solve path.
+matrix exponentials of the dense system matrix instead of modal exponentials,
+phi functions and Cauchy forms, and finite differences of the discrete
+objective instead of the transposed sweeps.  These routines back the `verify`
+CLI subcommand and the test suite, and are never part of a production solve
+path.
 
-The quadrature stack (``scipy.integrate``, which pulls in ``scipy.optimize``,
-``scipy.special`` and ``scipy.sparse``) is imported on first use inside the
-three routines that integrate, so importing this module, or running a
-scenario without verification, never loads it.
+The forcing integrals of the state and the shooting Gramian are exact block
+exponentials (Van Loan, "Computing integrals involving the matrix
+exponential", IEEE TAC 23, 1978): an exponential-sum control solves a
+diagonal linear ODE, and an integral of expm(s K) v is the last column of the
+exponential of [[K, v], [0, 0]].  So the verify gate needs only
+``scipy.linalg.expm``.  Only ``q_quadratic_form``, which the tests call,
+integrates adaptively; it imports ``scipy.integrate`` (which pulls in
+``scipy.optimize``, ``scipy.special`` and ``scipy.sparse``) on first use, so
+neither importing this module nor ``run_verification`` loads that stack.
 """
 
 from __future__ import annotations
@@ -43,22 +49,24 @@ def dense_eigendecomposition(sys: MolSystem):
     return lam[order], V[:, order]
 
 
-def expm_state(sys: MolSystem, control: ExpSumFunction, t: float,
-               tol: float = 1e-13) -> np.ndarray:
-    """y(t) by scaling-and-squaring expm plus adaptive quadrature of the forcing."""
-    M = dense_matrix(sys)
-    y = expm(t * M) @ sys.psi
-    if control.n_terms > 0 and t > 0:
-        from scipy.integrate import quad_vec
+def expm_state(sys: MolSystem, control: ExpSumFunction, t: float) -> np.ndarray:
+    """y(t) from one exponential of the state augmented by the control terms.
 
-        bvec = sys.forcing_vector
-
-        def integrand(tau):
-            return expm((t - tau) * M) @ bvec * control.value(tau)
-
-        conv, _ = quad_vec(integrand, 0.0, t, epsabs=tol, epsrel=tol)
-        y = y + conv
-    return y
+    Each term z_l(s) = c_l exp(mu_l (T - s)) solves z_l' = -mu_l z_l, so
+    (y, z) solves a linear ODE with the block upper triangular matrix
+    A = [[M, b 1^T], [0, -diag(mu)]], b = gamma e_m, and y(t) is the top m
+    entries of expm(t A) (psi, c exp(mu T)) (Van Loan 1978).  The start
+    c exp(mu T) overflows for mu T > 709, as the integrand of the forcing
+    would.
+    """
+    m, n = sys.m, control.n_terms
+    A = np.zeros((m + n, m + n))
+    A[:m, :m] = dense_matrix(sys)
+    A[:m, m:] = sys.forcing_vector[:, None]
+    A[m:, m:] = np.diag(-control.rates)
+    x0 = np.concatenate(
+        [sys.psi, control.coefficients * np.exp(control.rates * control.horizon)])
+    return (expm(t * A) @ x0)[:m]
 
 
 def expm_adjoint(sys: MolSystem, p_T: np.ndarray, t: float, T: float) -> np.ndarray:
@@ -66,7 +74,7 @@ def expm_adjoint(sys: MolSystem, p_T: np.ndarray, t: float, T: float) -> np.ndar
     return expm((T - t) * dense_matrix(sys)) @ p_T
 
 
-def shooting_terminal(prob: OcProblem, tol: float = 1e-13):
+def shooting_terminal(prob: OcProblem):
     """Solve the optimality boundary value problem by dense single shooting.
 
     The coupled system for (y, p) has exponential dichotomy, so the shot is
@@ -78,21 +86,21 @@ def shooting_terminal(prob: OcProblem, tol: float = 1e-13):
         G = integral_0^T w(tau) w(tau)^T dtau,
 
     and the terminal condition q = y(T) - y_hat closes a dense m x m linear
-    system.  Only expm and adaptive quadrature are used; returns (y_T, p_T).
+    system.  vec(w w^T) = expm(s K) vec(e_m e_m^T) with s = T - tau and the
+    Kronecker sum K = M (+) M, so vec(G) is the last column of
+    expm(T [[K, vec(e_m e_m^T)], [0, 0]]) (Van Loan 1978).  That is one
+    (m^2 + 1)-square exponential, O(m^6) work and O(m^4) memory: a desk-scale
+    oracle.  Returns (y_T, p_T).
     """
-    from scipy.integrate import quad_vec
-
     sys = prob.sys
+    m = sys.m
     M = dense_matrix(sys)
-    em = np.zeros(sys.m)
-    em[-1] = 1.0
-
-    def integrand(tau):
-        w = expm((prob.T - tau) * M) @ em
-        return np.outer(w, w)
-
-    G, _ = quad_vec(integrand, 0.0, prob.T, epsabs=tol, epsrel=tol)
-    lhs = np.eye(sys.m) + (sys.gamma**2 / prob.alpha) * G
+    eye = np.eye(m)
+    K = np.zeros((m * m + 1, m * m + 1))
+    K[:-1, :-1] = np.kron(M, eye) + np.kron(eye, M)
+    K[m * m - 1, -1] = 1.0       # vec(e_m e_m^T) has one entry, the last
+    G = expm(prob.T * K)[:-1, -1].reshape(m, m)
+    lhs = eye + (sys.gamma**2 / prob.alpha) * G
     q = np.linalg.solve(lhs, expm(prob.T * M) @ sys.psi - prob.y_hat)
     return q + prob.y_hat, q
 
@@ -175,7 +183,7 @@ def run_verification(rng_seed: int = 2024) -> list[CheckResult]:
     record("eigenvector residuals (scaled)", worst_res, 1e-10)
     record("eigenvector orthonormality", worst_orth, 1e-12)
 
-    # exact state and multiplier vs expm + adaptive quadrature
+    # exact state and multiplier vs dense (augmented) matrix exponentials
     prob, sol = _bench_instance(8)
     sys, dec, T = prob.sys, prob.dec, prob.T
     worst_y, worst_p = 0.0, 0.0
@@ -189,7 +197,7 @@ def run_verification(rng_seed: int = 2024) -> list[CheckResult]:
         p_T = rng.standard_normal(sys.m)
         worst_p = max(worst_p, float(np.abs(
             adjoint_exact(dec, p_T, t, T) - expm_adjoint(sys, p_T, t, T)).max()))
-    record("exact state vs expm+quadrature", worst_y, 1e-10)
+    record("exact state vs augmented expm", worst_y, 1e-10)
     record("exact multiplier vs expm", worst_p, 1e-10)
 
     # optimality system vs dense shooting, and PSD sampling of Q

@@ -95,6 +95,10 @@ def test_config_validation_errors():
         small_cfg(N_values=(16, 24)).validate()
     with pytest.raises(ConfigError):
         small_cfg(N_values=(32, 16)).validate()
+    for repeated in (dict(methods=("gauss2", "gauss2")), dict(m_values=(4, 4)),
+                     dict(N_values=(4, 4, 8))):
+        with pytest.raises(ConfigError):
+            small_cfg(**repeated).validate()
     with pytest.raises(ConfigError):
         small_cfg(m_values=(1,)).validate()
     with pytest.raises(ConfigError):
@@ -397,12 +401,29 @@ def test_cli_rejects_malformed_values_before_any_work(monkeypatch, capsys, argv,
     assert calls == []
 
 
-@pytest.mark.parametrize("text", ['{"deltas": [[1]]}', '{"m_values": 8}', '{"m_values": [8'])
-def test_cli_rejects_malformed_config_file(tmp_path, capsys, text):
+@pytest.mark.parametrize("text", [
+    '{"deltas": [[1]]}', '{"m_values": 8}', '{"m_values": [8',
+    '{"beta0": "x"}', '{"T": "1"}', '{"jobs": "2"}', '{"alpha": null}',
+    '{"m_values": [8.5]}', '{"N_values": ["16"]}',
+])
+def test_cli_rejects_malformed_config_file(tmp_path, work_calls, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
-    assert main(["scenario1", "--config", str(cfg_path)]) == 1
+    assert main(["scenario1", "--config", str(cfg_path), "--verify"]) == 1
     assert "[heatoc] config error: malformed experiment config" in capsys.readouterr().err
+    assert work_calls == []
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize("argv", [
+    ["--m", "4,4", "--N", "4,8", "--methods", "gauss2"],
+    ["--m", "4", "--N", "4,4,8", "--methods", "gauss2"],
+    ["--m", "4", "--N", "4,8", "--methods", "gauss2,gauss2"],
+], ids=lambda a: " ".join(a))
+def test_cli_rejects_repeated_grid_entries_before_any_work(work_calls, capsys, argv, verify):
+    assert main(["scenario1", *argv, *verify]) == 1
+    assert "[heatoc] config error:" in capsys.readouterr().err
+    assert work_calls == []
 
 
 def test_cli_scenario2_smoke(capsys):

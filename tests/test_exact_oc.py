@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from heatoc import (
     ExpSumFunction, OcProblem, RobinBC, adjoint_exact, build_Q,
@@ -18,7 +18,7 @@ from heatoc import (
 )
 from heatoc import exact_oc
 from heatoc.oracles import (
-    expm_adjoint, expm_state, q_quadratic_form, shooting_terminal,
+    dense_matrix, expm_adjoint, expm_state, q_quadratic_form, shooting_terminal,
 )
 from conftest import make_instance
 
@@ -236,6 +236,48 @@ def test_ivp_cauchy_form_against_expm_oracle(bc, rng):
         for t in IVP_TIMES:
             err = scaled_error(solve_ivp_exact(sys, dec, u, t), expm_state(sys, u, t))
             assert err <= 1e-10, (name, t, err)
+
+
+def quadrature_state(sys, control, t, tol=1e-13):
+    """y(t) by expm plus adaptive quadrature of the forcing integral."""
+    M = dense_matrix(sys)
+    y = scipy.linalg.expm(t * M) @ sys.psi
+    if control.n_terms > 0 and t > 0:
+        def integrand(tau):
+            return scipy.linalg.expm((t - tau) * M) @ sys.forcing_vector * control.value(tau)
+        y = y + quad_vec(integrand, 0.0, t, epsabs=tol, epsrel=tol)[0]
+    return y
+
+
+def quadrature_shooting(prob, tol=1e-13):
+    """Dense shooting with the Gramian from adaptive quadrature."""
+    sys = prob.sys
+    M = dense_matrix(sys)
+    em = np.zeros(sys.m)
+    em[-1] = 1.0
+
+    def integrand(tau):
+        w = scipy.linalg.expm((prob.T - tau) * M) @ em
+        return np.outer(w, w)
+
+    G = quad_vec(integrand, 0.0, prob.T, epsabs=tol, epsrel=tol)[0]
+    lhs = np.eye(sys.m) + (sys.gamma**2 / prob.alpha) * G
+    q = np.linalg.solve(lhs, scipy.linalg.expm(prob.T * M) @ sys.psi - prob.y_hat)
+    return q + prob.y_hat, q
+
+
+@pytest.mark.parametrize("m", (4, 8, 12))
+@pytest.mark.parametrize("bc", IVP_BCS[:2] + (RobinBC(3.0, 1.0), RobinBC.dirichlet()),
+                         ids=("neumann", "robin11", "robin31", "dirichlet"))
+def test_block_exponential_oracles_match_adaptive_quadrature(bc, m, rng):
+    prob, _ = make_instance(m, bc=bc)
+    sys, dec = prob.sys, prob.dec
+    for name, u in ivp_controls(sys, dec, rng).items():
+        for t in IVP_TIMES:
+            err = scaled_error(expm_state(sys, u, t), quadrature_state(sys, u, t))
+            assert err <= 1e-12, (name, t, err)
+    for got, want in zip(shooting_terminal(prob), quadrature_shooting(prob)):
+        assert scaled_error(got, want) <= 1e-13
 
 
 def test_ivp_plans_are_kept_per_system_and_decomposition(rng):
