@@ -25,7 +25,6 @@ def main():
         N_values=tuple(2**k for k in range(4, args.kmax + 1)),
         scenario=2,
         grad_tol=args.grad_tol,
-        algorithm="cg",
         jobs=args.jobs,
     )
     report = run_scenario2(cfg)

@@ -121,8 +121,6 @@ def _cmd_scenario(args, runner) -> int:
     )
     if getattr(args, "grad_tol", None) is not None:
         overrides["grad_tol"] = args.grad_tol
-    if getattr(args, "algorithm", None) is not None:
-        overrides["algorithm"] = args.algorithm
     cfg = cfg.with_overrides(**overrides).validate()
     if args.verify or cfg.verify:
         code = _run_verify_gate()
@@ -178,7 +176,6 @@ def build_parser() -> _Parser:
         p.add_argument("--verify", action="store_true")
         if name == "scenario2":
             p.add_argument("--grad-tol", type=float, default=None)
-            p.add_argument("--algorithm", choices=("cg",), default=None)
 
     sub.add_parser("verify", help="run the desk-scale oracle verification suite")
     return parser

@@ -10,10 +10,10 @@ objective are the defining contract).
 
 The scheme is linear and time-invariant, so the terminal state is affine in
 the control, y_T = y_free + J u.  ``optimize`` builds J once per call from the
-method's own steps, stepping TERMINAL_MAP_COLUMNS unit vectors at once, and
-runs conjugate gradients on the m terminal multipliers instead of the N s
-control values; the matrix-free gradient above certifies the control it
-returns.
+method's own steps, stepping TERMINAL_MAP_COLUMNS unit vectors at once,
+reduces the optimality system to the m terminal multipliers instead of the
+N s control values and solves it with one Cholesky factorization; the
+matrix-free gradient above certifies the control it returns.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .heat_mol import ConfigError, MolSystem
 from .exact_oc import OcProblem, objective
@@ -63,40 +64,36 @@ class DiscreteControl:
 class OptimizerConfig:
     """Settings of the discrete optimal-control solver.
 
-    ``algorithm`` is "cg", conjugate gradients on the terminal multipliers
-    (see ``optimize``); it is the only solver.  The solve stops once the
-    max-norm of the control gradient falls below ``grad_tol`` or after
-    ``max_iterations`` CG steps.  ``initial_control`` starts the multiplier
-    at the terminal residual y_T(u0) - y_hat of the given control.
+    ``grad_tol`` bounds the max-norm of the certified control gradient (see
+    ``optimize``); it sets the ``converged`` flag and does not change the
+    control.
     """
 
-    max_iterations: int = 2000
     grad_tol: float = 1e-10
-    initial_control: np.ndarray | None = None
-    algorithm: str = "cg"
 
     def __post_init__(self):
         if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ConfigError(
                 f"gradient tolerance must be finite and positive, got {self.grad_tol}")
-        if self.max_iterations < 0:
-            raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if self.algorithm != "cg":
-            raise ConfigError(f"unknown optimizer algorithm {self.algorithm!r}")
 
 
 @dataclass
 class OptimizationResult:
-    """Converged (or capped) discrete optimum with diagnostics."""
+    """Discrete optimum with its certificate.
+
+    ``gradient_norm`` is the max-norm of the matrix-free gradient at the
+    returned control.  ``iterations`` is always 0: it is kept for perfbench
+    and removed in the benchmark-upkeep change (ROADMAP item 1).
+    """
 
     control: DiscreteControl
     objective_value: float
-    gradient_norm_history: list[float]
-    iterations: int
+    gradient_norm: float
     converged: bool
     state: Trajectory
     adjoint: np.ndarray
     control_error: float | None = None
+    iterations: int = 0
 
 
 def control_quadrature_weights(method) -> np.ndarray:
@@ -290,73 +287,35 @@ def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
     With y_T = y_free + J u (see ``_terminal_map``) and the penalty
     alpha/2 u^T D u, D = diag(h w_i), stationarity reads u = -(alpha D)^-1 J^T lam
     for the terminal multiplier lam = y_T - y_hat, which solves the m x m
-    symmetric positive definite system (I + J (alpha D)^-1 J^T) lam = y_free - y_hat.
-    CG runs on that system.  At u(lam) the control gradient is exactly J^T r
-    for the CG residual r, so CG stops once max|J^T r| <= ``grad_tol`` or
-    after ``max_iterations`` steps.  The matrix-free gradient of
-    ``discrete_gradient`` then certifies u: ``converged`` is True exactly
-    when it has max-norm <= ``grad_tol``.  When the certificate fails while
-    the recursive residual passed, CG restarts from the true residual
-    y_T(u) - y_hat - lam; it stops, flagged non-converged, once a restart no
-    longer lowers the certified gradient (the tolerance is below the
-    roundoff floor).  When ``exact_control`` is given, the result records
-    max_{n,i} |u(t_ni) - u_h(t_ni)| against it.
+    symmetric positive definite system (I + J (alpha D)^-1 J^T) lam = y_free - y_hat
+    (Hager, Numer. Math. 87, 2000).  One Cholesky factorization of
+    I + X^T X, X = (alpha D)^-1/2 J^T, solves it, so the returned control is
+    the discrete optimum up to roundoff whatever ``cfg.grad_tol`` is.  The
+    matrix-free gradient of ``discrete_gradient`` then certifies u:
+    ``gradient_norm`` is its max-norm and ``converged`` is True exactly when
+    that is <= ``grad_tol``.  When ``exact_control`` is given, the result
+    records max_{n,i} |u(t_ni) - u_h(t_ni)| against it.
     """
     scheme = _forward_scheme(method)
     s = scheme.s
     h = prob.T / N
-    u = np.zeros((N, s)) if cfg.initial_control is None \
-        else _check_shape(cfg.initial_control, N, s)
     y_free = integrate_forward(scheme, prob.sys, None, N, prob.T,
                                peer_start="collocation").final
-    Jt = _terminal_map(scheme, prob.sys, h, N)
-    alpha_D = prob.alpha * h * np.tile(control_quadrature_weights(scheme), N)
-
-    def K(v):
-        return v + ((Jt @ v) / alpha_D) @ Jt
-
-    b = y_free - prob.y_hat
-    lam = b + u.ravel() @ Jt
-    r = b - K(lam)
-    p = r.copy()
-    rs = float(r @ r)
-    history: list[float] = []
-    iterations = 0
-    restart_norm = np.inf
-    while True:
-        gnorm = float(np.abs(Jt @ r).max())
-        history.append(gnorm)
-        if gnorm > cfg.grad_tol and iterations < cfg.max_iterations:
-            Kp = K(p)
-            curvature = float(p @ Kp)
-            if rs > 0 and curvature > 0:       # both underflow once r is tiny
-                a = rs / curvature
-                lam = lam + a * p
-                r = r - a * Kp
-                rs_new = float(r @ r)
-                p = r + (rs_new / rs) * p
-                rs = rs_new
-                iterations += 1
-                continue
-        u = (-(Jt @ lam) / alpha_D).reshape(N, s)
-        grad, C, duals, state = _objective_and_gradient(method, prob, u, N)
-        final_norm = float(np.abs(grad).max())
-        if final_norm <= cfg.grad_tol or final_norm >= restart_norm \
-                or iterations == cfg.max_iterations:
-            break
-        restart_norm = final_norm
-        r = state.final - prob.y_hat - lam
-        p = r.copy()
-        rs = float(r @ r)
-
-    history.append(final_norm)
-    converged = final_norm <= cfg.grad_tol
+    root_aD = np.sqrt(prob.alpha * h * np.tile(control_quadrature_weights(scheme), N))
+    X = _terminal_map(scheme, prob.sys, h, N)
+    X /= root_aD[:, None]
+    G = X.T @ X
+    G[np.diag_indices_from(G)] += 1.0
+    lam = cho_solve(cho_factor(G, overwrite_a=True), y_free - prob.y_hat)
+    u = (-(X @ lam) / root_aD).reshape(N, s)
+    grad, C, duals, state = _objective_and_gradient(method, prob, u, N)
+    gradient_norm = float(np.abs(grad).max())
     control = DiscreteControl(values=u, h=h, c=np.asarray(scheme.c))
     err = None
     if exact_control is not None:
         err = float(np.abs(u - exact_control(control.node_times().ravel())
                            .reshape(N, s)).max())
     return OptimizationResult(control=control, objective_value=C,
-                              gradient_norm_history=history,
-                              iterations=iterations, converged=converged,
+                              gradient_norm=gradient_norm,
+                              converged=gradient_norm <= cfg.grad_tol,
                               state=state, adjoint=duals, control_error=err)

@@ -210,7 +210,7 @@ def run_verification(rng_seed: int = 2024) -> list[CheckResult]:
     err_round = float(np.abs(terminal.eta_T - sol.eta_T).max())
     record("sparse-target round trip", err_round, 1e-10)
     Q = build_Q(prob)
-    worst_psd = 0.0
+    worst_psd = np.inf
     for _ in range(100):
         w = rng.standard_normal(sys.m)
         worst_psd = min(worst_psd, float(w @ Q @ w) / float(w @ w))

@@ -239,7 +239,7 @@ def test_criterion_7_scenario2_control_orders():
     m = 250
     cfg = ExperimentConfig(m_values=(m,), methods=ONE_STEP_METHODS,
                            N_values=tuple(2**k for k in range(4, 10)), scenario=2,
-                           grad_tol=1e-10, algorithm="cg", max_iterations=5000)
+                           grad_tol=1e-10)
     report = run_scenario2(cfg)
     prob, _ = benchmark_instance(m, cfg.beta0, cfg.beta1, cfg.T, cfg.alpha, cfg.deltas)
     lam_min = float(prob.dec.lambdas.min())
@@ -272,8 +272,7 @@ def test_criterion_7_scenario2_control_orders():
     if ap:
         cfg_peer = ExperimentConfig(m_values=(250,), methods=tuple(m.name for m in ap),
                                     N_values=tuple(2**k for k in range(4, 10)),
-                                    scenario=2, grad_tol=1e-10, algorithm="cg",
-                                    max_iterations=5000)
+                                    scenario=2, grad_tol=1e-10)
         peer_report = run_scenario2(cfg_peer)
         for m_spec in ap:
             series = _series(peer_report, m_spec.name, 250, "u_nodes_err_inf")

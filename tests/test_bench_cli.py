@@ -111,6 +111,14 @@ def test_config_validation_errors():
         ExperimentConfig.from_json({"mvalues": [8]})
 
 
+def test_integral_json_numbers_hash_like_floats():
+    default = ExperimentConfig().config_hash()
+    assert ExperimentConfig.from_json({"T": 1}).config_hash() == default
+    assert ExperimentConfig.from_json({"T": 1.0}).config_hash() == default
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json({"T": 10**400})    # no float holds it
+
+
 # ---------------------------------------------------------------------------
 # scenario runs
 # ---------------------------------------------------------------------------
@@ -219,7 +227,7 @@ def test_partial_flush_on_failure(monkeypatch, scenario, runner, rows_per_cell):
 
 def test_scenario2_small_run_marks_convergence():
     cfg = small_cfg(scenario=2, N_values=(8, 16), methods=("gauss2",),
-                    grad_tol=1e-9, algorithm="cg", m_values=(4,))
+                    grad_tol=1e-9, m_values=(4,))
     report = run_scenario2(cfg)
     assert all(r.metric == "u_nodes_err_inf" for r in report.rows)
     assert "non_converged" not in report.metadata
@@ -236,8 +244,9 @@ def test_scenario2_data_rows_repeat_and_match_across_jobs():
 
 
 def test_scenario2_nonconverged_excluded_from_orders():
+    # no certificate meets 1e-300, so every cell is non-converged
     cfg = small_cfg(scenario=2, N_values=(8, 16), methods=("gauss2",),
-                    grad_tol=1e-16, max_iterations=1, m_values=(4,))
+                    grad_tol=1e-300, m_values=(4,))
     report = run_scenario2(cfg)
     assert "non_converged" in report.metadata
     assert all(r.observed_order is None for r in report.rows)
@@ -254,7 +263,7 @@ def test_scenario2_huge_penalty_drives_controls_to_zero():
     # vanishes and all methods agree
     cfg = small_cfg(scenario=2, N_values=(8,), m_values=(4,), alpha=1e9,
                     methods=("gauss2", "lobatto3", "peer_toy2"),
-                    grad_tol=1e-12, algorithm="cg")
+                    grad_tol=1e-12)
     report = run_scenario2(cfg)
     from heatoc import benchmark_instance
     _, sol = benchmark_instance(4, 1.0, 0.0, 1.0, 1e9, cfg.deltas)
@@ -326,8 +335,10 @@ def test_cli_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, ca
         "scenario": 2, "algorithm": "gd"}))
     assert main(["scenario2", "--config", str(cfg_path)]) == 1
     assert "'gd'" in capsys.readouterr().err
-    assert main(["scenario2", "--m", "4", "--N", "8", "--methods", "gauss2",
-                 "--algorithm", "gd"]) == 1
+    # the --algorithm flag is gone, so any value is an unknown argument
+    for algorithm in ("gd", "cg"):
+        assert main(["scenario2", "--m", "4", "--N", "8", "--methods", "gauss2",
+                     "--algorithm", algorithm]) == 1
 
 
 @pytest.fixture
@@ -445,6 +456,15 @@ def test_cli_exact_verify_gate(capsys):
     out = capsys.readouterr().out
     assert "[verify] all checks passed" in out
     assert "quantity,key,value" in out
+
+
+def test_cli_verify_prints_the_sampled_psd_ratio(capsys):
+    # the detail shows the smallest sampled Rayleigh quotient of Q, which is
+    # positive on the verification instance, not a running minimum stuck at 0
+    assert main(["verify"]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if "Q positive semi-definite" in ln)
+    assert float(line.split("min ratio=")[1].rstrip(")")) > 0
 
 
 def test_cli_verify_failure_maps_to_exit_2(monkeypatch, capsys):

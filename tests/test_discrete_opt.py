@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from heatoc import (
-    ConfigError, OcProblem, OptimizerConfig, PeerScheme, control_quadrature_weights,
-    discrete_gradient, discrete_objective, exact_objective, from_modal, gauss2,
-    get_method, integrate_forward, optimize, peer_toy2,
+    ConfigError, ExperimentConfig, OcProblem, OptimizerConfig, PeerScheme,
+    control_quadrature_weights, discrete_gradient, discrete_objective, exact_objective,
+    from_modal, gauss2, get_method, integrate_forward, optimize, peer_toy2,
 )
 from heatoc.discrete_opt import TERMINAL_MAP_COLUMNS, _terminal_map
 from heatoc.integrators import (
@@ -113,22 +113,7 @@ def test_stationary_start_converges_immediately():
                                 alpha=prob.alpha, y_hat=y_free)
     result = optimize(gauss2(), prob_stationary, OptimizerConfig(), N)
     assert result.converged
-    assert result.iterations <= 1
     assert np.abs(result.control.values).max() == 0.0
-
-
-def test_unique_minimizer_from_different_starts(rng):
-    # large alpha keeps the Hessian well conditioned, so the gradient bound
-    # transfers to the control values
-    prob, _ = make_instance(4, alpha=100.0)
-    tol = 1e-12
-    cfg0 = OptimizerConfig(algorithm="cg", grad_tol=tol)
-    cfg1 = OptimizerConfig(algorithm="cg", grad_tol=tol,
-                           initial_control=rng.standard_normal((8, 2)))
-    a = optimize(gauss2(), prob, cfg0, 8)
-    b = optimize(gauss2(), prob, cfg1, 8)
-    assert a.converged and b.converged
-    assert np.abs(a.control.values - b.control.values).max() <= 10 * tol
 
 
 def test_optimum_matches_brute_force_normal_equations():
@@ -147,22 +132,14 @@ def test_optimum_matches_brute_force_normal_equations():
         for j in range(dim):
             H[i, j] = obj_flat(e[i] + e[j]) - obj_flat(e[i]) - obj_flat(e[j]) + c0
     u_direct = np.linalg.solve(H, -lin).reshape(N, s)
-    result = optimize(gauss2(), prob, OptimizerConfig(algorithm="cg", grad_tol=1e-13), N)
+    result = optimize(gauss2(), prob, OptimizerConfig(grad_tol=1e-13), N)
     assert np.abs(result.control.values - u_direct).max() <= 1e-8
-
-
-def test_iteration_cap_marks_nonconverged():
-    prob, _ = make_instance(6)
-    cfg = OptimizerConfig(algorithm="cg", grad_tol=1e-14, max_iterations=2)
-    result = optimize(gauss2(), prob, cfg, 8)
-    assert not result.converged
-    assert result.iterations == 2
 
 
 def test_benchmark_control_error_decreases_with_refinement():
     # m=250 cell of the coupled study: error finite and smaller when N doubles
     prob, sol = make_instance(250)
-    cfg = OptimizerConfig(algorithm="cg", grad_tol=1e-10, max_iterations=3000)
+    cfg = OptimizerConfig(grad_tol=1e-10)
     errs = [optimize(get_method("gauss2"), prob, cfg, N,
                      exact_control=sol.control).control_error
             for N in (64, 128)]
@@ -172,7 +149,7 @@ def test_benchmark_control_error_decreases_with_refinement():
 
 def test_optimize_records_control_error():
     prob, sol = make_instance(8)
-    cfg = OptimizerConfig(algorithm="cg", grad_tol=1e-11)
+    cfg = OptimizerConfig(grad_tol=1e-11)
     result = optimize(gauss2(), prob, cfg, 16, exact_control=sol.control)
     assert result.control_error is not None
     assert 0 < result.control_error < 0.2
@@ -180,72 +157,68 @@ def test_optimize_records_control_error():
     assert result.control.node_times().shape == (16, 2)
 
 
-def test_bad_initial_control_shape():
-    prob, _ = make_instance(4)
-    cfg = OptimizerConfig(initial_control=np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        optimize(gauss2(), prob, cfg, 4)
-
-
 def test_config_validation():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             OptimizerConfig(grad_tol=tol)
+    # the CG-era fields of ExperimentConfig are ignored by the solve but
+    # still checked, so a mistyped config is rejected
     with pytest.raises(ConfigError):
-        OptimizerConfig(max_iterations=-1)
-    assert OptimizerConfig(max_iterations=0).max_iterations == 0
+        ExperimentConfig(m_values=(4,), max_iterations=-1).validate()
+    assert ExperimentConfig(m_values=(4,), max_iterations=0).validate().max_iterations == 0
     with pytest.raises(ConfigError):
-        OptimizerConfig(algorithm="newton")
+        ExperimentConfig(m_values=(4,), algorithm="newton").validate()
     with pytest.raises(ConfigError):
-        OptimizerConfig(algorithm="gd")
+        ExperimentConfig(m_values=(4,), algorithm="gd").validate()
 
 
 def test_cg_converged_flag_reports_true_gradient():
-    # the flag follows the gradient recomputed matrix-free at the returned
-    # control, not CG's recursive residual
+    # the flag and gradient_norm follow the gradient recomputed matrix-free
+    # at the returned control
     prob, _ = make_instance(250)
     method = get_method("lobatto3")
     N = 32
-    cfg = OptimizerConfig(algorithm="cg", grad_tol=1e-10, max_iterations=5000)
+    cfg = OptimizerConfig(grad_tol=1e-10)
     result = optimize(method, prob, cfg, N)
     true_norm = float(np.abs(discrete_gradient(method, prob, result.control.values,
                                                N)).max())
     assert result.converged
     assert result.converged == (true_norm <= cfg.grad_tol)
-    assert result.gradient_norm_history[-1] == true_norm
-
-
-def test_cg_iteration_cap_reports_true_gradient():
-    # CG stopped by max_iterations: the flag and the last history entry come
-    # from the gradient recomputed at the returned control
-    prob, _ = make_instance(250)
-    method = get_method("lobatto3")
-    N = 32
-    cfg = OptimizerConfig(algorithm="cg", grad_tol=1e-10, max_iterations=5)
-    result = optimize(method, prob, cfg, N)
-    true_norm = float(np.abs(discrete_gradient(method, prob, result.control.values,
-                                               N)).max())
-    assert result.iterations == 5
-    assert not result.converged
-    assert result.gradient_norm_history[-1] == true_norm
+    assert result.gradient_norm == true_norm
 
 
 @pytest.mark.parametrize("grad_tol", [1e-18, 1e-300])
 def test_cg_stops_when_restarts_stagnate(grad_tol):
-    # grad_tol below the roundoff floor: the recursive residual keeps meeting
-    # it (at 1e-300 only by underflowing) while the recomputed gradient
-    # cannot, so restarts stop once they no longer lower the recomputed
-    # gradient instead of using up max_iterations
+    # grad_tol below the roundoff floor: the certificate cannot meet it, so
+    # the result is flagged non-converged and reports the true gradient
     prob, _ = make_instance(8)
     method = get_method("gauss2")
     N = 8
-    cfg = OptimizerConfig(algorithm="cg", grad_tol=grad_tol, max_iterations=5000)
+    cfg = OptimizerConfig(grad_tol=grad_tol)
     result = optimize(method, prob, cfg, N)
     true_norm = float(np.abs(discrete_gradient(method, prob, result.control.values,
                                                N)).max())
     assert not result.converged
-    assert result.iterations < cfg.max_iterations // 10
-    assert result.gradient_norm_history[-1] == true_norm
+    assert result.gradient_norm == true_norm
+
+
+def test_grad_tol_does_not_change_the_control():
+    # the direct solve returns the discrete optimum; grad_tol only sets the flag
+    prob, _ = make_instance(250)
+    method = get_method("gauss2")
+    loose = optimize(method, prob, OptimizerConfig(grad_tol=1e-10), 256)
+    strict = optimize(method, prob, OptimizerConfig(grad_tol=1e-300), 256)
+    assert loose.converged and not strict.converged
+    assert np.array_equal(loose.control.values, strict.control.values)
+    assert loose.gradient_norm == strict.gradient_norm
+
+
+def test_small_grid_certified_gradients():
+    prob, _ = make_instance(250)
+    for name in METHODS:
+        for N in (16, 32, 64):
+            result = optimize(get_method(name), prob, OptimizerConfig(), N)
+            assert result.gradient_norm <= 1e-11, (name, N, result.gradient_norm)
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -348,7 +321,7 @@ def test_discrete_optimality_system_order_when_nonstiff(name, stage_rate):
 
     prob, sol = make_instance(4)
     y_T_exact = from_modal(prob.dec, sol.eta_T)
-    cfg = OptimizerConfig(algorithm="cg", grad_tol=1e-14, max_iterations=200)
+    cfg = OptimizerConfig(grad_tol=1e-14)
     errs = {"y_T": [], "grid-node control": [], "stage-node control": []}
     for N in (32, 64, 128):
         result = optimize(method, prob, cfg, N, exact_control=sol.control)
