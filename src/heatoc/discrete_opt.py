@@ -10,10 +10,12 @@ objective are the defining contract).
 
 The scheme is linear and time-invariant, so the terminal state is affine in
 the control, y_T = y_free + J u.  ``optimize`` builds J once per call from the
-method's own steps, stepping TERMINAL_MAP_COLUMNS unit vectors at once,
-reduces the optimality system to the m terminal multipliers instead of the
-N s control values and solves it with one Cholesky factorization; the
-matrix-free gradient above certifies the control it returns.
+method's own steps, stepping TERMINAL_MAP_COLUMNS unit vectors at once and
+carrying y_free through the same propagator loop, reduces the optimality
+system to the m terminal multipliers instead of the N s control values and
+solves it with one Cholesky factorization.  The matrix-free gradient above,
+one forward sweep without stages and one transposed sweep, certifies the
+control it returns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .heat_mol import ConfigError, MolSystem
 from .exact_oc import OcProblem, objective
 from .integrators import (
-    IrkTableau, LinearOde, PeerScheme, StageSystemSolver, Trajectory,
+    IrkTableau, LinearOde, PeerScheme, StageSystemSolver,
     integrate_forward, irk_step, peer_step, solve_shifted,
     _forward_scheme, _start_tableau,
 )
@@ -87,11 +89,8 @@ class OptimizationResult:
     """
 
     control: DiscreteControl
-    objective_value: float
     gradient_norm: float
     converged: bool
-    state: Trajectory
-    adjoint: np.ndarray
     control_error: float | None = None
     iterations: int = 0
 
@@ -131,85 +130,77 @@ def discrete_objective(method, prob: OcProblem, values: np.ndarray, N: int) -> f
 
 
 def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, N: int,
-                  y_T: np.ndarray):
-    """Exact transpose sweep for an IRK forward map; returns (grad, multipliers)."""
+                  y_T: np.ndarray) -> np.ndarray:
+    """Exact transpose sweep for an IRK forward map; returns the gradient.
+
+    The loop carries the multiplier lam and keeps W b and lam . b per step;
+    the gradient is assembled from them once after the loop.
+    """
     sys = prob.sys
     h = prob.T / N
     bvec = sys.forcing_vector
-    w = control_quadrature_weights(tab)
-    solver_t = StageSystemSolver(tab.A.T, h, sys.matrix)
+    apply = sys.matrix.apply
+    solve = StageSystemSolver(tab.A.T, h, sys.matrix).solve_stacked
+    Wb, lam_b = np.empty((N, tab.s)), np.empty(N)
     lam = y_T - prob.y_hat
-    multipliers = np.empty((N + 1, sys.m))
-    multipliers[N] = lam
-    grad = np.empty_like(values)
     for n in range(N - 1, -1, -1):
-        rhs = h * np.outer(tab.b, sys.matrix.apply(lam))
-        W = solver_t.solve_stacked(rhs)
-        grad[n] = prob.alpha * h * w * values[n] \
-            + h * (tab.A.T @ (W @ bvec)) + h * tab.b * (lam @ bvec)
+        W = solve(h * np.outer(tab.b, apply(lam)))
+        Wb[n] = W @ bvec
+        lam_b[n] = lam @ bvec
         lam = lam + W.sum(axis=0)
-        multipliers[n] = lam
-    return grad, multipliers
+    w = control_quadrature_weights(tab)
+    return prob.alpha * h * w * values + h * (Wb @ tab.A) + h * tab.b * lam_b[:, None]
 
 
 def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, N: int,
-                   y_T: np.ndarray):
-    """Exact transpose sweep for the Peer forward map with collocation start."""
+                   y_T: np.ndarray) -> np.ndarray:
+    """Exact transpose sweep for the Peer forward map with collocation start.
+
+    The loop keeps W b per step; the gradient is assembled from them once
+    after the loop, each row taking its A^T term before its R^T term.
+    """
     sys = prob.sys
     h = prob.T / N
     bvec = sys.forcing_vector
-    w = control_quadrature_weights(scheme)
+    apply = sys.matrix.apply
     s = scheme.s
-    grad = prob.alpha * h * w[None, :] * values
-    duals = np.empty((N, s, sys.m))
-
+    hR, BT, AT = h * scheme.R, scheme.B.T, scheme.A.T
+    Wb = np.empty((N, s))
     G = np.zeros((s, sys.m))
     G[-1] = y_T - prob.y_hat
+    W, MW = np.empty_like(G), np.empty_like(G)
     for n in range(N - 1, 0, -1):
         # solve (I - h R^T (x) M) W = G stage by stage in reverse order
-        W = np.empty_like(G)
-        MW = np.empty_like(G)
         for i in range(s - 1, -1, -1):
-            rhs = G[i].copy()
+            rhs = G[i]
             for j in range(i + 1, s):
-                rhs += h * scheme.R[j, i] * MW[j]
-            W[i] = solve_shifted(h * scheme.R[i, i], sys.matrix, rhs)
-            MW[i] = sys.matrix.apply(W[i])
-        duals[n] = W
-        wb = W @ bvec
-        grad[n] += h * (scheme.R.T @ wb)
-        grad[n - 1] += h * (scheme.A.T @ wb)
-        G = scheme.B.T @ W + h * (scheme.A.T @ MW)
+                rhs = rhs + hR[j, i] * MW[j]
+            W[i] = solve_shifted(hR[i, i], sys.matrix, rhs)
+            MW[i] = apply(W[i])
+        Wb[n] = W @ bvec
+        G = BT @ W + h * (AT @ MW)
 
     # transpose of the collocation starting step
     tab = _start_tableau(scheme)
-    solver_t = StageSystemSolver(tab.A.T, h, sys.matrix)
-    W0 = solver_t.solve_stacked(G)
-    duals[0] = W0
+    W0 = StageSystemSolver(tab.A.T, h, sys.matrix).solve_stacked(G)
+    grad = prob.alpha * h * control_quadrature_weights(scheme)[None, :] * values
+    grad[:-1] += h * (Wb[1:] @ scheme.A)
+    grad[1:] += h * (Wb[1:] @ scheme.R)
     grad[0] += h * (tab.A.T @ (W0 @ bvec))
-    return grad, duals
-
-
-def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np.ndarray:
-    """Exact gradient of the discrete objective with respect to all u_ni."""
-    grad, _, _, _ = _objective_and_gradient(method, prob, values, N)
     return grad
 
 
-def _objective_and_gradient(method, prob: OcProblem, values: np.ndarray, N: int):
-    """(gradient, objective, multipliers, forward trajectory with stages) at ``values``."""
+def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np.ndarray:
+    """Exact gradient of the discrete objective with respect to all u_ni.
+
+    One forward sweep gives y_T; one transposed sweep gives the gradient.
+    """
     scheme = _forward_scheme(method)
     values = _check_shape(values, N, scheme.s)
-    h = prob.T / N
-    state = integrate_forward(scheme, prob.sys, values, N, prob.T,
-                              peer_start="collocation", keep_stages=True)
-    w_full = np.broadcast_to(h * control_quadrature_weights(scheme), (N, scheme.s))
-    C = objective(prob, state.final, values, w_full)
-    if isinstance(scheme, IrkTableau):
-        grad, duals = _irk_backward(scheme, prob, values, N, state.final)
-    else:
-        grad, duals = _peer_backward(scheme, prob, values, N, state.final)
-    return grad, C, duals, state
+    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T,
+                            peer_start="collocation").final
+    backward = _irk_backward if isinstance(scheme, IrkTableau) else _peer_backward
+    return backward(scheme, prob, values, N, y_T)
 
 
 def _propagator(step, n: int) -> np.ndarray:
@@ -227,36 +218,42 @@ def _propagator(step, n: int) -> np.ndarray:
     return P
 
 
-def _terminal_map(scheme, sys: MolSystem, h: float, N: int) -> np.ndarray:
-    """Linear part J of the terminal map y_T = y_free + J u, returned as J^T.
+def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
+    """The terminal map y_T = y_free + J u, returned as (J^T, y_free).
 
     J is built by applying the method's own steps to unit vectors, stacked
     TERMINAL_MAP_COLUMNS at a time; each item of a stacked step is bitwise
     its single step, so J u agrees with a forward sweep up to roundoff and
-    the eigenbasis of M is not used.  Row n * s + i of the (N * s, m) result
-    is dy_T / du_ni.
+    the eigenbasis of M is not used.  Row n * s + i of the (N * s, m) J^T
+    is dy_T / du_ni.  y_free, the terminal state for u = 0 (Peer with the
+    collocation start), rides in the same loop as its own vector under the
+    propagator that builds J.
     """
     m, s = sys.m, scheme.s
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     units, zero_g = np.eye(s), np.zeros(s)
     Jt = np.empty((N, s, m))
     if isinstance(scheme, IrkTableau):
-        # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V
+        # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V and y_free = R^N psi
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
         R = _propagator(lambda Y: irk_step(scheme, ode, 0.0, h, Y, solver, zero_g)[0], m)
         Z = np.column_stack([irk_step(scheme, ode, 0.0, h, np.zeros(m), solver, g)[0]
                              for g in units])
+        free = sys.psi
         for n in range(N - 1, -1, -1):
             Jt[n] = Z.T
             Z = R @ Z
-        return Jt.reshape(N * s, m)
+            free = R @ free
+        return Jt.reshape(N * s, m), free
 
     # Peer: the state is the stage block Y_n (flattened, s * m) with
     # Y_0 = S psi + W g_0 from the collocation start and, for n >= 1,
     # Y_n = P Y_{n-1} + G_prev g_{n-1} + G_cur g_n; y_T is the last stage of
     # Y_{N-1}.  So g_n reaches Y_{n+1} through H = P G_cur + G_prev for
-    # n >= 1 and through H_0 = P W + G_prev for n = 0, and the last control
-    # row only through G_cur.
+    # n >= 1 and through H_0 = P W + G_prev for n = 0, the last control
+    # row only through G_cur, and y_free is the last stage of P^(N-1) S psi.
+    if N < 2:
+        raise ValueError("Peer methods need at least N = 2 steps")
     zero_block = np.zeros((s, m))
 
     def step(block, g_prev, g_cur):
@@ -270,52 +267,52 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int) -> np.ndarray:
     G_cur = np.column_stack([step(zero_block, zero_g, g).ravel() for g in units])
     W = np.column_stack([irk_step(start, ode, 0.0, h, np.zeros(m), g_values=g)[1].ravel()
                          for g in units])
+    free = P @ irk_step(start, ode, 0.0, h, sys.psi, g_values=zero_g)[1].ravel()
     last = slice((s - 1) * m, s * m)
     Jt[N - 1] = G_cur[last].T
     Z = np.hstack([P @ G_cur + G_prev, P @ W + G_prev])
     for n in range(N - 2, 0, -1):
         Jt[n] = Z[last, :s].T
         Z = P @ Z
+        free = P @ free
     Jt[0] = Z[last, s:].T
-    return Jt.reshape(N * s, m)
+    return Jt.reshape(N * s, m), free[last]
 
 
 def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
              exact_control=None) -> OptimizationResult:
     """Minimize the discrete objective over all node control values.
 
-    With y_T = y_free + J u (see ``_terminal_map``) and the penalty
-    alpha/2 u^T D u, D = diag(h w_i), stationarity reads u = -(alpha D)^-1 J^T lam
-    for the terminal multiplier lam = y_T - y_hat, which solves the m x m
-    symmetric positive definite system (I + J (alpha D)^-1 J^T) lam = y_free - y_hat
-    (Hager, Numer. Math. 87, 2000).  One Cholesky factorization of
-    I + X^T X, X = (alpha D)^-1/2 J^T, solves it, so the returned control is
-    the discrete optimum up to roundoff whatever ``cfg.grad_tol`` is.  The
-    matrix-free gradient of ``discrete_gradient`` then certifies u:
-    ``gradient_norm`` is its max-norm and ``converged`` is True exactly when
-    that is <= ``grad_tol``.  When ``exact_control`` is given, the result
-    records max_{n,i} |u(t_ni) - u_h(t_ni)| against it.
+    With y_T = y_free + J u (see ``_terminal_map``, which returns y_free from
+    the loop that builds J) and the penalty alpha/2 u^T D u, D = diag(h w_i),
+    stationarity reads u = -(alpha D)^-1 J^T lam for the terminal multiplier
+    lam = y_T - y_hat, which solves the m x m symmetric positive definite
+    system (I + J (alpha D)^-1 J^T) lam = y_free - y_hat (Hager, Numer. Math.
+    87, 2000).  One Cholesky factorization of I + X^T X,
+    X = (alpha D)^-1/2 J^T, solves it, so the returned control is the
+    discrete optimum up to roundoff whatever ``cfg.grad_tol`` is.  The
+    matrix-free gradient of ``discrete_gradient`` (one forward sweep and one
+    transposed sweep) then certifies u: ``gradient_norm`` is its max-norm
+    and ``converged`` is True exactly when that is <= ``grad_tol``.  When
+    ``exact_control`` is given, the result records
+    max_{n,i} |u(t_ni) - u_h(t_ni)| against it.
     """
     scheme = _forward_scheme(method)
     s = scheme.s
     h = prob.T / N
-    y_free = integrate_forward(scheme, prob.sys, None, N, prob.T,
-                               peer_start="collocation").final
     root_aD = np.sqrt(prob.alpha * h * np.tile(control_quadrature_weights(scheme), N))
-    X = _terminal_map(scheme, prob.sys, h, N)
+    X, y_free = _terminal_map(scheme, prob.sys, h, N)
     X /= root_aD[:, None]
     G = X.T @ X
     G[np.diag_indices_from(G)] += 1.0
     lam = cho_solve(cho_factor(G, overwrite_a=True), y_free - prob.y_hat)
     u = (-(X @ lam) / root_aD).reshape(N, s)
-    grad, C, duals, state = _objective_and_gradient(method, prob, u, N)
-    gradient_norm = float(np.abs(grad).max())
+    gradient_norm = float(np.abs(discrete_gradient(scheme, prob, u, N)).max())
     control = DiscreteControl(values=u, h=h, c=np.asarray(scheme.c))
     err = None
     if exact_control is not None:
         err = float(np.abs(u - exact_control(control.node_times().ravel())
                            .reshape(N, s)).max())
-    return OptimizationResult(control=control, objective_value=C,
-                              gradient_norm=gradient_norm,
+    return OptimizationResult(control=control, gradient_norm=gradient_norm,
                               converged=gradient_norm <= cfg.grad_tol,
-                              state=state, adjoint=duals, control_error=err)
+                              control_error=err)

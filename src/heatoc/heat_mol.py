@@ -130,21 +130,22 @@ class TridiagonalMatrix:
         vector.  The products that cross a row end are set to -0.0, which
         adds nothing to any value (a signed zero, inf and NaN included), so
         the result is bitwise that of one vector at a time and no entry
-        leaks into the next vector.
+        leaks into the next vector.  A larger stack is one pass of the same
+        five ufunc calls over its (rows, m) matrix, which is the product of
+        one vector at a time by construction.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.m,):
             raise ValueError(f"expected last axis of length {self.m}, got shape {v.shape}")
-        flat = v.reshape(-1)
         rows = math.prod(v.shape[:-1])
         if rows <= APPLY_ROWS:
-            return self._apply_rows(flat, rows).reshape(v.shape)
-        out = np.empty(flat.shape)
-        for start in range(0, rows, APPLY_ROWS):
-            k = min(APPLY_ROWS, rows - start)
-            piece = slice(start * self.m, (start + k) * self.m)
-            out[piece] = self._apply_rows(flat[piece], k)
-        return out.reshape(v.shape)
+            return self._apply_rows(v.reshape(-1), rows).reshape(v.shape)
+        V = v.reshape(rows, self.m)
+        r = np.multiply(self.diagonal, V, order="C")
+        if self.m > 1:
+            r[:, :-1] += self.off * V[:, 1:]
+            r[:, 1:] += self.off * V[:, :-1]
+        return r.reshape(v.shape)
 
     def _apply_rows(self, v: np.ndarray, k: int) -> np.ndarray:
         """``apply`` on k <= APPLY_ROWS vectors laid end to end in ``v``."""

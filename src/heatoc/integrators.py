@@ -347,12 +347,10 @@ class LinearOde:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid trajectory with optional stage node values."""
+    """Uniform-grid trajectory."""
 
     times: np.ndarray              # (N+1,)
     states: np.ndarray             # (N+1, m)
-    stage_times: np.ndarray | None = None    # (N, s)
-    stage_values: np.ndarray | None = None   # (N, s, m)
 
     @property
     def final(self) -> np.ndarray:
@@ -569,13 +567,12 @@ def peer_start_block(scheme: PeerScheme, sys: MolSystem, control, h: float,
 
 
 def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
-           dec: SpectralDecomposition | None, peer_start: str, keep_stages: bool,
-           states: np.ndarray | None = None):
+           dec: SpectralDecomposition | None, peer_start: str,
+           states: np.ndarray | None = None) -> np.ndarray:
     """The forward recursion from y_0 = sys.psi over N steps of size h.
 
     Returns the (N+1, m) states, written into ``states`` if given (any
-    (N+1, m) view, such as a reversed one), and, with ``keep_stages``, the
-    (N, s, m) stage values (else None).  A control of None means no
+    (N+1, m) view, such as a reversed one).  A control of None means no
     forcing: the steps skip the g b terms.  Non-finite control samples raise
     ValueError before the first step.
     """
@@ -586,7 +583,6 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
     if states is None:
         states = np.empty((N + 1, sys.m))
     states[0] = sys.psi
-    stage_values = np.empty((N, scheme.s, sys.m)) if keep_stages else None
     g_all = _node_values(control, N, scheme.s, scheme.c, h)
     if not np.isfinite(g_all).all():
         raise ValueError("control samples must not contain infs or NaNs")
@@ -597,11 +593,8 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
         y = states[0]
         for n in range(N):
-            y, stages = irk_step(scheme, ode, n * h, h, y, solver=solver,
-                                 g_values=g_all[n])
+            y, _ = irk_step(scheme, ode, n * h, h, y, solver=solver, g_values=g_all[n])
             states[n + 1] = y
-            if keep_stages:
-                stage_values[n] = stages
     else:
         if N < 2:
             raise ValueError("Peer methods need at least N = 2 steps")
@@ -609,21 +602,16 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
                                  g_row0=g_all[0])
         F = None                  # the first step forms F(Y_0) from g_all[0]
         states[1] = block[-1]
-        if keep_stages:
-            stage_values[0] = block
         for n in range(1, N):
             block, F = peer_step(scheme, ode, n * h, h, block, prev_F=F,
                                  g_prev=g_all[n - 1], g_cur=g_all[n])
             states[n + 1] = block[-1]
-            if keep_stages:
-                stage_values[n] = block
-    return states, stage_values
+    return states
 
 
 def integrate_forward(method, sys: MolSystem, control, N: int, T: float,
                       dec: SpectralDecomposition | None = None,
-                      peer_start: str = "exact",
-                      keep_stages: bool = False) -> Trajectory:
+                      peer_start: str = "exact") -> Trajectory:
     """Integrate y' = M y + gamma e_m u(t) from y(0) = psi on N uniform steps.
 
     ``control`` may be an ExpSumFunction (evaluated at the stage nodes), an
@@ -634,11 +622,8 @@ def integrate_forward(method, sys: MolSystem, control, N: int, T: float,
     """
     scheme = _forward_scheme(method)
     h = T / N
-    states, stage_values = _sweep(scheme, sys, control, N, h, dec, peer_start, keep_stages)
-    times = np.arange(N + 1) * h
-    stage_times = (times[:N, None] + scheme.c[None, :] * h) if keep_stages else None
-    return Trajectory(times=times, states=states, stage_times=stage_times,
-                      stage_values=stage_values)
+    states = _sweep(scheme, sys, control, N, h, dec, peer_start)
+    return Trajectory(times=np.arange(N + 1) * h, states=states)
 
 
 def integrate_adjoint(method, sys: MolSystem, p_T: np.ndarray, N: int, T: float,
@@ -661,6 +646,6 @@ def integrate_adjoint(method, sys: MolSystem, p_T: np.ndarray, N: int, T: float,
         raise ValueError("terminal multiplier dimension mismatch")
     h = T / N
     states = np.empty((N + 1, sys.m))
-    _sweep(scheme, replace(sys, psi=p_T), None, N, h, dec, peer_start, False,
+    _sweep(scheme, replace(sys, psi=p_T), None, N, h, dec, peer_start,
            states=states[::-1])
     return Trajectory(times=np.arange(N + 1) * h, states=states)

@@ -12,6 +12,7 @@ from heatoc import (
 from heatoc.discrete_opt import TERMINAL_MAP_COLUMNS, _terminal_map
 from heatoc.integrators import (
     IrkTableau, LinearOde, StageSystemSolver, _start_tableau, irk_step, peer_step,
+    solve_shifted,
 )
 from heatoc.oracles import fd_gradient_check
 from conftest import make_instance
@@ -113,7 +114,9 @@ def test_stationary_start_converges_immediately():
                                 alpha=prob.alpha, y_hat=y_free)
     result = optimize(gauss2(), prob_stationary, OptimizerConfig(), N)
     assert result.converged
-    assert np.abs(result.control.values).max() == 0.0
+    # y_free comes from the terminal-map loop, y_hat from a forward sweep:
+    # they differ by roundoff only
+    assert np.abs(result.control.values).max() <= 1e-15
 
 
 def test_optimum_matches_brute_force_normal_equations():
@@ -153,8 +156,14 @@ def test_optimize_records_control_error():
     result = optimize(gauss2(), prob, cfg, 16, exact_control=sol.control)
     assert result.control_error is not None
     assert 0 < result.control_error < 0.2
-    assert result.state.states.shape == (17, 8)
+    assert result.converged and result.gradient_norm <= cfg.grad_tol
     assert result.control.node_times().shape == (16, 2)
+
+
+def test_peer_optimize_rejects_a_single_step():
+    prob, _ = make_instance(8)
+    with pytest.raises(ValueError, match="N = 2"):
+        optimize(peer_toy2(), prob, OptimizerConfig(), 1)
 
 
 def test_config_validation():
@@ -230,9 +239,7 @@ def test_terminal_map_matches_forward_sweep(name, N, rng):
     prob, _ = make_instance(8)
     scheme = get_method(name).forward
     u = rng.standard_normal((N, scheme.s))
-    Jt = _terminal_map(scheme, prob.sys, prob.T / N, N)
-    y_free = integrate_forward(scheme, prob.sys, None, N, prob.T,
-                               peer_start="collocation").final
+    Jt, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
     y_T = integrate_forward(scheme, prob.sys, u, N, prob.T,
                             peer_start="collocation").final
     assert np.abs(y_free + u.ravel() @ Jt - y_T).max() <= 1e-12 * np.abs(y_T).max()
@@ -274,6 +281,81 @@ def reference_terminal_map(scheme, sys, h, N):
     return Jt.reshape(N * s, m)
 
 
+def reference_irk_backward(tab, prob, values, N, y_T):
+    """Transposed IRK sweep assembling the gradient step by step; returns
+    (gradient, grid multipliers lambda_0..lambda_N)."""
+    sys = prob.sys
+    h = prob.T / N
+    bvec = sys.forcing_vector
+    w = control_quadrature_weights(tab)
+    solver_t = StageSystemSolver(tab.A.T, h, sys.matrix)
+    lam = y_T - prob.y_hat
+    multipliers = np.empty((N + 1, sys.m))
+    multipliers[N] = lam
+    grad = np.empty_like(values)
+    for n in range(N - 1, -1, -1):
+        rhs = h * np.outer(tab.b, sys.matrix.apply(lam))
+        W = solver_t.solve_stacked(rhs)
+        grad[n] = prob.alpha * h * w * values[n] \
+            + h * (tab.A.T @ (W @ bvec)) + h * tab.b * (lam @ bvec)
+        lam = lam + W.sum(axis=0)
+        multipliers[n] = lam
+    return grad, multipliers
+
+
+def reference_peer_backward(scheme, prob, values, N, y_T):
+    """Transposed Peer sweep (collocation start) assembling the gradient step
+    by step; returns (gradient, stage multipliers W_0..W_{N-1})."""
+    sys = prob.sys
+    h = prob.T / N
+    bvec = sys.forcing_vector
+    w = control_quadrature_weights(scheme)
+    s = scheme.s
+    grad = prob.alpha * h * w[None, :] * values
+    duals = np.empty((N, s, sys.m))
+    G = np.zeros((s, sys.m))
+    G[-1] = y_T - prob.y_hat
+    for n in range(N - 1, 0, -1):
+        W = np.empty_like(G)
+        MW = np.empty_like(G)
+        for i in range(s - 1, -1, -1):
+            rhs = G[i].copy()
+            for j in range(i + 1, s):
+                rhs += h * scheme.R[j, i] * MW[j]
+            W[i] = solve_shifted(h * scheme.R[i, i], sys.matrix, rhs)
+            MW[i] = sys.matrix.apply(W[i])
+        duals[n] = W
+        wb = W @ bvec
+        grad[n] += h * (scheme.R.T @ wb)
+        grad[n - 1] += h * (scheme.A.T @ wb)
+        G = scheme.B.T @ W + h * (scheme.A.T @ MW)
+    tab = _start_tableau(scheme)
+    W0 = StageSystemSolver(tab.A.T, h, sys.matrix).solve_stacked(G)
+    duals[0] = W0
+    grad[0] += h * (tab.A.T @ (W0 @ bvec))
+    return grad, duals
+
+
+def reference_gradient(scheme, prob, values, N):
+    """(gradient, multipliers) of the reference transposed sweeps."""
+    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T,
+                            peer_start="collocation").final
+    backward = (reference_irk_backward if isinstance(scheme, IrkTableau)
+                else reference_peer_backward)
+    return backward(scheme, prob, values, N, y_T)
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("m", [8, 70])
+@pytest.mark.parametrize("N", [2, 3, 16])           # h = 1/3 is not a power of two
+def test_gradient_bitwise_equals_step_by_step_reference(name, m, N, rng):
+    prob, _ = make_instance(m)
+    scheme = get_method(name).forward
+    values = rng.standard_normal((N, scheme.s))
+    assert np.array_equal(discrete_gradient(scheme, prob, values, N),
+                          reference_gradient(scheme, prob, values, N)[0])
+
+
 @pytest.mark.parametrize("name", METHODS)
 @pytest.mark.parametrize("m", [2, 3, 8, 70])        # s m > TERMINAL_MAP_COLUMNS at m = 70
 def test_terminal_map_bitwise_equals_column_by_column_build(name, m):
@@ -282,8 +364,24 @@ def test_terminal_map_bitwise_equals_column_by_column_build(name, m):
     scheme = get_method(name).forward
     for N in (2, 3, 16):
         h = prob.T / N
-        assert np.array_equal(_terminal_map(scheme, prob.sys, h, N),
-                              reference_terminal_map(scheme, prob.sys, h, N)), N
+        Jt, _ = _terminal_map(scheme, prob.sys, h, N)
+        assert np.array_equal(Jt, reference_terminal_map(scheme, prob.sys, h, N)), N
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("m", [8, 70])
+@pytest.mark.parametrize("N", [2, 3, 16])           # N = 2: Peer runs no loop step
+def test_terminal_map_y_free_matches_zero_control_sweep(name, m, N):
+    # R^N psi by products with the built propagator and by N steps differ
+    # by roundoff that grows with h |lambda_max|: at m = 70, N = 2 they
+    # differ by up to 1.6e-12 relative, and each is as far from the modal
+    # value R(h lambda_k)^N of the IRK methods (up to 1.4e-12)
+    prob, _ = make_instance(m)
+    scheme = get_method(name).forward
+    _, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
+    ref = integrate_forward(scheme, prob.sys, None, N, prob.T,
+                            peer_start="collocation").final
+    assert np.abs(y_free - ref).max() <= 5e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -296,7 +394,7 @@ def test_terminal_map_temporaries_stay_near_the_result(name):
     N = 256
     tracemalloc.start()
     try:
-        Jt = _terminal_map(scheme, prob.sys, prob.T / N, N)
+        Jt, _ = _terminal_map(scheme, prob.sys, prob.T / N, N)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -327,8 +425,10 @@ def test_discrete_optimality_system_order_when_nonstiff(name, stage_rate):
         result = optimize(method, prob, cfg, N, exact_control=sol.control)
         assert result.converged
         t_n = np.arange(N + 1) * (prob.T / N)
-        u_n = -(result.adjoint @ prob.sys.forcing_vector) / prob.alpha
-        errs["y_T"].append(np.abs(result.state.final - y_T_exact).max())
+        _, multipliers = reference_gradient(method.forward, prob, result.control.values, N)
+        u_n = -(multipliers @ prob.sys.forcing_vector) / prob.alpha
+        y_T = integrate_forward(method, prob.sys, result.control.values, N, prob.T).final
+        errs["y_T"].append(np.abs(y_T - y_T_exact).max())
         errs["grid-node control"].append(np.abs(u_n - sol.control(t_n)).max())
         errs["stage-node control"].append(result.control_error)
     rates = {"y_T": 4.0, "grid-node control": 4.0, "stage-node control": stage_rate}

@@ -464,14 +464,6 @@ def test_empty_stacks_raise_instead_of_reaching_lapack(m):
         peer_step(peer_toy2(), ode, 0.1, 0.1, np.zeros((0, 2, m)))
 
 
-def test_trajectory_stage_storage():
-    sys = build_system(RobinBC.dirichlet(), 5, ones_profile)
-    traj = integrate_forward(gauss2(), sys, None, 4, 1.0, keep_stages=True)
-    assert traj.stage_values.shape == (4, 2, 5)
-    assert traj.stage_times.shape == (4, 2)
-    assert np.allclose(traj.stage_times[0], gauss2().c * 0.25)
-
-
 # ---------------------------------------------------------------------------
 # Peer framework
 # ---------------------------------------------------------------------------
