@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .heat_mol import (
     ConfigError, MolSystem, RobinBC, TridiagonalMatrix,
-    build_system, load_problem, ones_profile, robin_coefficients,
+    build_system, ones_profile, robin_coefficients,
 )
 from .spectrum import (
     SpectralDecomposition, decompose, from_modal, solve_frequencies, to_modal,

@@ -14,10 +14,8 @@ encodes the Robin condition beta0 * Y + beta1 * Y_x = u at x = 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, zgtsv, zgttrf, zgttrs
@@ -306,39 +304,3 @@ def build_system(bc: RobinBC, m: int, initial_profile) -> MolSystem:
 def ones_profile(x: float) -> float:
     """Constant-one initial profile used in the benchmark instance."""
     return 1.0
-
-
-def load_problem(source) -> MolSystem:
-    """Load a MolSystem from a JSON document.
-
-    Schema::
-
-        {
-          "m": <int >= 2>,
-          "beta0": <float >= 0>,
-          "beta1": <float >= 0>,
-          "profile": "ones" | {"samples": [<float>, ... m values]}
-        }
-
-    ``source`` may be a path, a JSON string, or an already parsed dict.
-    """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            is_file = Path(str(source)).exists()
-        except OSError:
-            is_file = False
-        text = Path(source).read_text() if is_file else str(source)
-        doc = json.loads(text)
-    try:
-        m = int(doc["m"])
-        bc = RobinBC(float(doc["beta0"]), float(doc["beta1"]))
-        profile = doc.get("profile", "ones")
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed problem document: {exc}") from exc
-    if profile == "ones":
-        return build_system(bc, m, ones_profile)
-    if isinstance(profile, dict) and "samples" in profile:
-        return build_system(bc, m, np.asarray(profile["samples"], dtype=float))
-    raise ConfigError(f"unknown profile spec: {profile!r}")

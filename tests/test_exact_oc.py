@@ -16,7 +16,7 @@ from heatoc import (
     build_system, decompose, exact_objective, from_modal, objective,
     ones_profile, phi1, solve_ivp_exact, solve_terminal, sparse_target,
 )
-from heatoc import exact_oc
+from heatoc import exact_oc, spectrum
 from heatoc.oracles import (
     dense_matrix, expm_adjoint, expm_state, q_quadratic_form, shooting_terminal,
 )
@@ -449,6 +449,80 @@ def test_decomposition_with_a_cached_multiplier_pickles_and_copies(rng):
         assert clone is not dec and clone != dec                # identity compare
         assert bitwise_equal(clone.vectors, dec.vectors)
         assert bitwise_equal(adjoint_exact(clone, p_T, 0.5, 1.0), ref)
+
+
+# ---------------------------------------------------------------------------
+# modal and Cauchy products cut at the last nonzero weight
+# ---------------------------------------------------------------------------
+
+LIVE_BCS = (RobinBC.dirichlet(), RobinBC.neumann(), RobinBC(1.0, 1.0))
+LIVE_TIMES = np.linspace(0.0, 1.0, 65)
+
+
+@pytest.mark.parametrize("m", (8, 70, 500))
+@pytest.mark.parametrize("bc", LIVE_BCS, ids=("dirichlet", "neumann", "robin11"))
+def test_cut_products_bitwise_equal_the_full_products(bc, m, monkeypatch):
+    prob, target = make_instance(m, bc=bc)
+    sys, dec = prob.sys, prob.dec
+    sol = solve_terminal(prob)
+    rng = np.random.default_rng(m)
+    perm = rng.permutation(m)
+    controls = {"optimal": sol.control, "target": target.control,
+                "unsorted": ExpSumFunction(sol.control.coefficients[perm],
+                                           sol.control.rates[perm], 1.0)}
+    holed = rng.standard_normal(m)
+    holed[rng.random(m) < 0.4] = 0.0                  # interior zeros
+    holed[-1] = 0.0
+    cut = {}
+    for name, u in controls.items():
+        cut[name] = [solve_ivp_exact(sys, dec, u, float(t)) for t in LIVE_TIMES]
+    cut["adjoint"] = [adjoint_exact(dec, sol.p_T, float(t), 1.0) for t in LIVE_TIMES]
+    cut["holed"] = [from_modal(dec, np.exp(dec.lambdas * (1.0 - t)) * holed)
+                    for t in LIVE_TIMES]
+    full = {}
+    with monkeypatch.context() as patch:               # every product over all columns
+        for module in (spectrum, exact_oc):
+            patch.setattr(module, "live_product", lambda A, w: A @ w)
+        for name, u in controls.items():
+            u = ExpSumFunction(u.coefficients, u.rates, u.horizon)   # no plans yet
+            full[name] = [solve_ivp_exact(sys, dec, u, float(t)) for t in LIVE_TIMES]
+            plan = u._ivp_plans[(sys, dec)]
+            assert bitwise_equal(
+                exact_oc._IvpPlan.build(sys, dec, controls[name]).w_T,
+                plan.cauchy @ (plan.coef * np.exp(plan.rates * 1.0))), name
+        full["adjoint"] = [adjoint_exact(dec, sol.p_T, float(t), 1.0) for t in LIVE_TIMES]
+    full["holed"] = [dec.vectors @ (np.exp(dec.lambdas * (1.0 - t)) * holed)
+                     for t in LIVE_TIMES]
+    for name in cut:
+        for t, got, want in zip(LIVE_TIMES, cut[name], full[name]):
+            assert bitwise_equal(got, want), (name, t)
+
+
+def test_live_columns_rule():
+    step = spectrum.LIVE_COLUMNS_STEP
+    assert spectrum.live_columns(np.zeros(40)) == 0
+    assert spectrum.live_columns(np.array([0.0, -0.0, 0.0])) == 0
+    w = np.zeros(40)
+    w[0] = 1.0
+    assert spectrum.live_columns(w) == step
+    w[step] = 1e-300
+    assert spectrum.live_columns(w) == 2 * step
+    w[-1] = 1.0
+    assert spectrum.live_columns(w) == 40                 # capped at the length
+    assert spectrum.live_columns(np.ones(3)) == 3
+
+
+def test_cut_products_read_few_columns_away_from_the_horizon():
+    # m=500 Robin(1,1): at t = 0 the adjoint weights exp(lambda T) V^T p_T
+    # and the control weights c exp(mu T) are zero past mode 9
+    prob, _ = make_instance(500, bc=RobinBC(1.0, 1.0))
+    dec = prob.dec
+    sol = solve_terminal(prob)
+    modal = dec.vectors.T @ sol.p_T
+    assert spectrum.live_columns(np.exp(dec.lambdas * 1.0) * modal) <= 16
+    assert spectrum.live_columns(np.exp(dec.lambdas * 0.0) * modal) == 500
+    u = sol.control
+    assert spectrum.live_columns(u.coefficients * np.exp(u.rates * 1.0)) <= 16
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from heatoc import (
     ConfigError, DiscreteControl, ExpSumFunction, RobinBC, TridiagonalMatrix,
-    build_system, decompose, gauss2, load_problem, ones_profile, peer_toy2,
+    build_system, decompose, gauss2, ones_profile, peer_toy2,
     robin_coefficients,
 )
 from heatoc.heat_mol import APPLY_ROWS
@@ -74,6 +73,13 @@ def test_build_system_m250_ones():
 def test_build_system_rejects_small_m():
     with pytest.raises(ConfigError):
         build_system(RobinBC.dirichlet(), 1, ones_profile)
+
+
+def test_build_system_takes_nodal_samples_of_length_m():
+    sys = build_system(RobinBC.neumann(), 3, np.array([0.1, 0.2, 0.3]))
+    assert np.array_equal(sys.psi, [0.1, 0.2, 0.3])
+    with pytest.raises(ConfigError, match="3 samples"):
+        build_system(RobinBC.neumann(), 3, np.array([1.0, 2.0]))
 
 
 def test_apply_matrix_zero_vector():
@@ -231,29 +237,3 @@ def test_array_dataclasses_compare_by_identity(build):
 def test_robin_bc_keeps_value_equality():
     assert RobinBC(1.0, 0.0) == RobinBC.dirichlet()
     assert hash(RobinBC(1.0, 0.0)) == hash(RobinBC.dirichlet())
-
-
-def test_load_problem_ones():
-    sys = load_problem({"m": 4, "beta0": 1.0, "beta1": 0.0, "profile": "ones"})
-    assert sys.theta == 3.0
-    assert np.array_equal(sys.psi, np.ones(4))
-
-
-def test_load_problem_samples(tmp_path):
-    doc = {"m": 3, "beta0": 0.0, "beta1": 2.0,
-           "profile": {"samples": [0.1, 0.2, 0.3]}}
-    path = tmp_path / "prob.json"
-    path.write_text(json.dumps(doc))
-    sys = load_problem(path)
-    assert np.allclose(sys.psi, [0.1, 0.2, 0.3])
-    assert sys.theta == 1.0
-
-
-def test_load_problem_bad_docs():
-    with pytest.raises(ConfigError):
-        load_problem({"m": 3, "beta0": 1.0, "beta1": 0.0,
-                      "profile": {"samples": [1.0, 2.0]}})   # wrong length
-    with pytest.raises(ConfigError):
-        load_problem({"beta0": 1.0, "beta1": 0.0})           # missing m
-    with pytest.raises(ConfigError):
-        load_problem({"m": 3, "beta0": 1.0, "beta1": 0.0, "profile": "spline"})
