@@ -17,7 +17,7 @@ from .exact_oc import (
 )
 from .integrators import (
     IrkTableau, LinearOde, MethodSpec, MissingPeerCoefficientsError,
-    NumericalError, PeerScheme, Trajectory, collocation, gauss2, get_method,
+    NumericalError, PeerScheme, collocation, gauss2, get_method,
     integrate_adjoint, integrate_forward, irk_step, load_peer_scheme,
     lobatto_iiia, lobatto_iiib, peer_step, peer_toy2, stability_function,
 )

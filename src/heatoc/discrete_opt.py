@@ -30,7 +30,7 @@ from .exact_oc import OcProblem, objective
 from .integrators import (
     IrkTableau, LinearOde, PeerScheme, StageSystemSolver,
     integrate_forward, irk_step, peer_step, solve_shifted,
-    _forward_scheme, _start_tableau,
+    _forward_scheme, _start_tableau, _step_size,
 )
 
 # Unit vectors that ``_terminal_map`` steps as one stack, which bounds its
@@ -121,15 +121,14 @@ def _check_shape(values: np.ndarray, N: int, s: int) -> np.ndarray:
 def discrete_objective(method, prob: OcProblem, values: np.ndarray, N: int) -> float:
     """C_h = 1/2 ||y_h(T) - y_hat||^2 + alpha/2 * h sum_{n,i} w_i u_ni^2."""
     scheme = _forward_scheme(method)
+    h = _step_size(scheme, N, prob.T)
     values = _check_shape(values, N, scheme.s)
-    h = prob.T / N
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T,
-                            peer_start="collocation").final
+    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T, peer_start="collocation")
     w_full = np.broadcast_to(h * control_quadrature_weights(scheme), (N, scheme.s))
     return objective(prob, y_T, values, w_full)
 
 
-def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, N: int,
+def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, h: float,
                   y_T: np.ndarray) -> np.ndarray:
     """Exact transpose sweep for an IRK forward map; returns the gradient.
 
@@ -137,7 +136,7 @@ def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, N: int,
     the gradient is assembled from them once after the loop.
     """
     sys = prob.sys
-    h = prob.T / N
+    N = values.shape[0]
     bvec = sys.forcing_vector
     apply = sys.matrix.apply
     solve = StageSystemSolver(tab.A.T, h, sys.matrix).solve_stacked
@@ -152,7 +151,7 @@ def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, N: int,
     return prob.alpha * h * w * values + h * (Wb @ tab.A) + h * tab.b * lam_b[:, None]
 
 
-def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, N: int,
+def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, h: float,
                    y_T: np.ndarray) -> np.ndarray:
     """Exact transpose sweep for the Peer forward map with collocation start.
 
@@ -160,7 +159,7 @@ def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, N: i
     after the loop, each row taking its A^T term before its R^T term.
     """
     sys = prob.sys
-    h = prob.T / N
+    N = values.shape[0]
     bvec = sys.forcing_vector
     apply = sys.matrix.apply
     s = scheme.s
@@ -196,11 +195,11 @@ def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np
     One forward sweep gives y_T; one transposed sweep gives the gradient.
     """
     scheme = _forward_scheme(method)
+    h = _step_size(scheme, N, prob.T)
     values = _check_shape(values, N, scheme.s)
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T,
-                            peer_start="collocation").final
+    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T, peer_start="collocation")
     backward = _irk_backward if isinstance(scheme, IrkTableau) else _peer_backward
-    return backward(scheme, prob, values, N, y_T)
+    return backward(scheme, prob, values, h, y_T)
 
 
 def _propagator(step, n: int) -> np.ndarray:
@@ -227,7 +226,7 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     the eigenbasis of M is not used.  Row n * s + i of the (N * s, m) J^T
     is dy_T / du_ni.  y_free, the terminal state for u = 0 (Peer with the
     collocation start), rides in the same loop as its own vector under the
-    propagator that builds J.
+    propagator that builds J.  N must have passed ``_step_size``.
     """
     m, s = sys.m, scheme.s
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
@@ -252,8 +251,6 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     # Y_{N-1}.  So g_n reaches Y_{n+1} through H = P G_cur + G_prev for
     # n >= 1 and through H_0 = P W + G_prev for n = 0, the last control
     # row only through G_cur, and y_free is the last stage of P^(N-1) S psi.
-    if N < 2:
-        raise ValueError("Peer methods need at least N = 2 steps")
     zero_block = np.zeros((s, m))
 
     def step(block, g_prev, g_cur):
@@ -299,7 +296,7 @@ def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
     """
     scheme = _forward_scheme(method)
     s = scheme.s
-    h = prob.T / N
+    h = _step_size(scheme, N, prob.T)
     root_aD = np.sqrt(prob.alpha * h * np.tile(control_quadrature_weights(scheme), N))
     X, y_free = _terminal_map(scheme, prob.sys, h, N)
     X /= root_aD[:, None]

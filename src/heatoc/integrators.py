@@ -5,7 +5,9 @@ a coefficient-driven implicit two-step Peer framework, plus forward and
 terminal-value backward integration on uniform grids.  Both sweeps run one
 forward recursion (``_sweep``): the backward sweep is that recursion for
 the method's adjoint scheme on the homogeneous system started at p(T), in
-reversed time.
+reversed time.  A sweep keeps only its live state and returns its
+endpoint, y(T) forward and p(0) backward, so it holds O(m) memory for any
+number of steps.
 
 The coupled implicit stage systems are solved by diagonalizing the small
 stage-coupling matrix over the complex numbers, which reduces each step to a
@@ -316,7 +318,7 @@ def get_method(name: str, peer_dir: str | None = None) -> MethodSpec:
 
 
 # ---------------------------------------------------------------------------
-# linear ODE description and trajectories
+# linear ODE description
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -343,18 +345,6 @@ class LinearOde:
             return np.zeros(times.shape)
         values = self.control(times)
         return np.broadcast_to(np.asarray(values, dtype=float), times.shape).copy()
-
-
-@dataclass
-class Trajectory:
-    """Uniform-grid trajectory."""
-
-    times: np.ndarray              # (N+1,)
-    states: np.ndarray             # (N+1, m)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -566,86 +556,82 @@ def peer_start_block(scheme: PeerScheme, sys: MolSystem, control, h: float,
     raise ValueError(f"unknown Peer start mode {mode!r}")
 
 
-def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
-           dec: SpectralDecomposition | None, peer_start: str,
-           states: np.ndarray | None = None) -> np.ndarray:
-    """The forward recursion from y_0 = sys.psi over N steps of size h.
+def _step_size(scheme, N: int, T: float) -> float:
+    """h = T / N, once N is a valid step count for ``scheme``.
 
-    Returns the (N+1, m) states, written into ``states`` if given (any
-    (N+1, m) view, such as a reversed one).  A control of None means no
-    forcing: the steps skip the g b terms.  Non-finite control samples raise
-    ValueError before the first step.
+    A sweep needs N >= 1 steps, and a Peer scheme N >= 2: its start step and
+    at least one Peer step.
+    """
+    least = 2 if isinstance(scheme, PeerScheme) else 1
+    if N < least:
+        raise ValueError(f"{scheme.name} needs at least N = {least} steps, got N = {N}")
+    return T / N
+
+
+def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
+           dec: SpectralDecomposition | None, peer_start: str) -> np.ndarray:
+    """The forward recursion from y_0 = sys.psi over N steps of size h; returns y_N.
+
+    Only the live state is kept: y_n for IRK, the stage block and its
+    derivatives for Peer.  A control of None means no forcing: the steps
+    skip the g b terms.  Non-finite control samples raise ValueError before
+    the first step.  N must have passed ``_step_size``.
     """
     if not isinstance(scheme, (IrkTableau, PeerScheme)):
         raise TypeError(f"unsupported method object {scheme!r}")
     ode = LinearOde(matrix=sys.matrix,
                     forcing_vector=None if control is None else sys.forcing_vector)
-    if states is None:
-        states = np.empty((N + 1, sys.m))
-    states[0] = sys.psi
     g_all = _node_values(control, N, scheme.s, scheme.c, h)
     if not np.isfinite(g_all).all():
         raise ValueError("control samples must not contain infs or NaNs")
 
     if isinstance(scheme, IrkTableau):
-        if N < 1:
-            raise ValueError("need at least one step")
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        y = states[0]
+        y = sys.psi
         for n in range(N):
             y, _ = irk_step(scheme, ode, n * h, h, y, solver=solver, g_values=g_all[n])
-            states[n + 1] = y
-    else:
-        if N < 2:
-            raise ValueError("Peer methods need at least N = 2 steps")
-        block = peer_start_block(scheme, sys, control, h, dec, peer_start,
-                                 g_row0=g_all[0])
-        F = None                  # the first step forms F(Y_0) from g_all[0]
-        states[1] = block[-1]
-        for n in range(1, N):
-            block, F = peer_step(scheme, ode, n * h, h, block, prev_F=F,
-                                 g_prev=g_all[n - 1], g_cur=g_all[n])
-            states[n + 1] = block[-1]
-    return states
+        return y
+    block = peer_start_block(scheme, sys, control, h, dec, peer_start, g_row0=g_all[0])
+    F = None                      # the first step forms F(Y_0) from g_all[0]
+    for n in range(1, N):
+        block, F = peer_step(scheme, ode, n * h, h, block, prev_F=F,
+                             g_prev=g_all[n - 1], g_cur=g_all[n])
+    return block[-1]
 
 
 def integrate_forward(method, sys: MolSystem, control, N: int, T: float,
                       dec: SpectralDecomposition | None = None,
-                      peer_start: str = "exact") -> Trajectory:
+                      peer_start: str = "exact") -> np.ndarray:
     """Integrate y' = M y + gamma e_m u(t) from y(0) = psi on N uniform steps.
 
-    ``control`` may be an ExpSumFunction (evaluated at the stage nodes), an
-    (N, s) array of node samples, or None for the homogeneous problem.  Peer
-    methods take their first stage block from the exact solution by default;
-    a self-starting collocation bootstrap is selected with
-    peer_start="collocation".
+    Returns y_N, the (m,) approximation of y(T).  ``control`` may be an
+    ExpSumFunction (evaluated at the stage nodes), an (N, s) array of node
+    samples, or None for the homogeneous problem.  Peer methods take their
+    first stage block from the exact solution by default; a self-starting
+    collocation bootstrap is selected with peer_start="collocation".  N < 1,
+    or N < 2 for a Peer method, raises ValueError.  The intermediate states
+    are not kept; loop ``irk_step`` or ``peer_step`` to see them.
     """
     scheme = _forward_scheme(method)
-    h = T / N
-    states = _sweep(scheme, sys, control, N, h, dec, peer_start)
-    return Trajectory(times=np.arange(N + 1) * h, states=states)
+    h = _step_size(scheme, N, T)
+    return _sweep(scheme, sys, control, N, h, dec, peer_start)
 
 
 def integrate_adjoint(method, sys: MolSystem, p_T: np.ndarray, N: int, T: float,
                       dec: SpectralDecomposition | None = None,
-                      peer_start: str = "exact") -> Trajectory:
+                      peer_start: str = "exact") -> np.ndarray:
     """Integrate the multiplier equation p' = -M p backward from p(T) = p_T.
 
-    In reversed time q(s) = p(T - s) solves q' = M q from q(0) = p_T, so this
-    is the forward recursion of ``integrate_forward``, Peer start included,
-    with no control, started at p_T and run with the method's adjoint-sweep
-    scheme (IIIB for the Lobatto pair, the same scheme for the self-adjoint
-    Gauss method and for Peer schemes).  The returned trajectory is indexed
-    by the original times, so states[0] approximates p(0).  The sweep
-    writes its reversed-time states straight into a reversed view of the
-    returned C-contiguous states, so no second (N+1, m) array is made.
+    Returns p_0, the (m,) approximation of p(0).  In reversed time
+    q(s) = p(T - s) solves q' = M q from q(0) = p_T, so this is the forward
+    recursion of ``integrate_forward``, Peer start and step-count check
+    included, with no control, started at p_T and run with the method's
+    adjoint-sweep scheme (IIIB for the Lobatto pair, the same scheme for the
+    self-adjoint Gauss method and for Peer schemes).
     """
     scheme = _adjoint_scheme(method)
     p_T = np.array(p_T, dtype=float)      # a copy: MolSystem makes psi read-only in place
     if p_T.shape != (sys.m,):
         raise ValueError("terminal multiplier dimension mismatch")
-    h = T / N
-    states = np.empty((N + 1, sys.m))
-    _sweep(scheme, replace(sys, psi=p_T), None, N, h, dec, peer_start,
-           states=states[::-1])
-    return Trajectory(times=np.arange(N + 1) * h, states=states)
+    h = _step_size(scheme, N, T)
+    return _sweep(scheme, replace(sys, psi=p_T), None, N, h, dec, peer_start)

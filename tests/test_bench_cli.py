@@ -111,6 +111,16 @@ def test_config_validation_errors():
         ExperimentConfig.from_json({"mvalues": [8]})
 
 
+def test_config_hash_ignores_out_dir_and_jobs():
+    # neither changes a data row, so one experiment has one hash
+    cfg = small_cfg()
+    assert cfg.with_overrides(out_dir="a").config_hash() == \
+        cfg.with_overrides(out_dir="b").config_hash()
+    assert cfg.with_overrides(jobs=1).config_hash() == cfg.with_overrides(jobs=2).config_hash()
+    assert cfg.with_overrides(T=2.0).config_hash() != cfg.config_hash()
+    assert '"out_dir": "a"' in cfg.with_overrides(out_dir="a").canonical_json()
+
+
 def test_integral_json_numbers_hash_like_floats():
     default = ExperimentConfig().config_hash()
     assert ExperimentConfig.from_json({"T": 1}).config_hash() == default
@@ -187,9 +197,9 @@ def test_pool_never_exceeds_the_cell_count(monkeypatch):
     assert asked == [2]
 
 
-def test_scenario1_cell_keeps_one_trajectory_alive():
-    # lobatto3, m=500, N=2048: one (N+1) x m trajectory is 8.2 MB; the cell
-    # used to hold both sweeps' states and two (N s) x m control temporaries
+def test_scenario1_cell_holds_no_trajectory():
+    # lobatto3, m=500, N=2048: one (N+1) x m trajectory is 8.2 MB, and the
+    # sweeps keep only their live states (a 0.7 MB peak)
     import heatoc.bench as bench
     args = ("lobatto3", 500, 2048, 1.0, 0.0, 1.0, 1.0, bench.DEFAULT_DELTAS, None)
     bench.benchmark_instance(500, *args[3:8])     # the cached instance is not the cell's
@@ -199,7 +209,7 @@ def test_scenario1_cell_keeps_one_trajectory_alive():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2049 * 500 * 8
+    assert peak < 2049 * 500 * 8 / 4
 
 
 @pytest.mark.parametrize("scenario,runner,rows_per_cell", [

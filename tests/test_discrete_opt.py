@@ -7,7 +7,8 @@ import pytest
 from heatoc import (
     ConfigError, ExperimentConfig, OcProblem, OptimizerConfig, PeerScheme,
     control_quadrature_weights, discrete_gradient, discrete_objective, exact_objective,
-    from_modal, gauss2, get_method, integrate_forward, optimize, peer_toy2,
+    from_modal, gauss2, get_method, integrate_adjoint, integrate_forward, optimize,
+    peer_toy2,
 )
 from heatoc.discrete_opt import TERMINAL_MAP_COLUMNS, _terminal_map
 from heatoc.integrators import (
@@ -65,7 +66,7 @@ def test_objective_zero_control(instance8):
     prob, _ = instance8
     N = 8
     u0 = np.zeros((N, 2))
-    y_T = integrate_forward(gauss2(), prob.sys, None, N, prob.T).final
+    y_T = integrate_forward(gauss2(), prob.sys, None, N, prob.T)
     expected = 0.5 * np.sum((y_T - prob.y_hat) ** 2)
     assert discrete_objective(gauss2(), prob, u0, N) == pytest.approx(expected, rel=1e-14)
 
@@ -109,7 +110,7 @@ def test_objective_grid_mismatch(instance8):
 def test_stationary_start_converges_immediately():
     prob, _ = make_instance(4)
     N = 8
-    y_free = integrate_forward(gauss2(), prob.sys, None, N, prob.T).final
+    y_free = integrate_forward(gauss2(), prob.sys, None, N, prob.T)
     prob_stationary = OcProblem(sys=prob.sys, dec=prob.dec, T=prob.T,
                                 alpha=prob.alpha, y_hat=y_free)
     result = optimize(gauss2(), prob_stationary, OptimizerConfig(), N)
@@ -164,6 +165,29 @@ def test_peer_optimize_rejects_a_single_step():
     prob, _ = make_instance(8)
     with pytest.raises(ValueError, match="N = 2"):
         optimize(peer_toy2(), prob, OptimizerConfig(), 1)
+
+
+ENTRY_POINTS = {
+    "integrate_forward": lambda method, prob, N: integrate_forward(
+        method, prob.sys, None, N, prob.T, peer_start="collocation"),
+    "integrate_adjoint": lambda method, prob, N: integrate_adjoint(
+        method, prob.sys, prob.y_hat, N, prob.T, peer_start="collocation"),
+    "discrete_objective": lambda method, prob, N: discrete_objective(
+        method, prob, np.zeros((max(N, 0), method.forward.s)), N),
+    "discrete_gradient": lambda method, prob, N: discrete_gradient(
+        method, prob, np.zeros((max(N, 0), method.forward.s)), N),
+    "optimize": lambda method, prob, N: optimize(method, prob, OptimizerConfig(), N),
+}
+
+
+@pytest.mark.parametrize("name, N", [("gauss2", 0), ("gauss2", -1), ("peer_toy2", 0),
+                                     ("peer_toy2", -1), ("peer_toy2", 1)])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_too_few_steps(entry, name, N, instance8):
+    # checked before h = T / N, so N = 0 is no ZeroDivisionError
+    least = 2 if name == "peer_toy2" else 1
+    with pytest.raises(ValueError, match=f"at least N = {least} steps, got N = {N}"):
+        ENTRY_POINTS[entry](get_method(name), instance8[0], N)
 
 
 def test_config_validation():
@@ -240,8 +264,7 @@ def test_terminal_map_matches_forward_sweep(name, N, rng):
     scheme = get_method(name).forward
     u = rng.standard_normal((N, scheme.s))
     Jt, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
-    y_T = integrate_forward(scheme, prob.sys, u, N, prob.T,
-                            peer_start="collocation").final
+    y_T = integrate_forward(scheme, prob.sys, u, N, prob.T, peer_start="collocation")
     assert np.abs(y_free + u.ravel() @ Jt - y_T).max() <= 1e-12 * np.abs(y_T).max()
 
 
@@ -338,8 +361,7 @@ def reference_peer_backward(scheme, prob, values, N, y_T):
 
 def reference_gradient(scheme, prob, values, N):
     """(gradient, multipliers) of the reference transposed sweeps."""
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T,
-                            peer_start="collocation").final
+    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T, peer_start="collocation")
     backward = (reference_irk_backward if isinstance(scheme, IrkTableau)
                 else reference_peer_backward)
     return backward(scheme, prob, values, N, y_T)
@@ -379,8 +401,7 @@ def test_terminal_map_y_free_matches_zero_control_sweep(name, m, N):
     prob, _ = make_instance(m)
     scheme = get_method(name).forward
     _, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
-    ref = integrate_forward(scheme, prob.sys, None, N, prob.T,
-                            peer_start="collocation").final
+    ref = integrate_forward(scheme, prob.sys, None, N, prob.T, peer_start="collocation")
     assert np.abs(y_free - ref).max() <= 5e-12 * np.abs(ref).max()
 
 
@@ -427,7 +448,7 @@ def test_discrete_optimality_system_order_when_nonstiff(name, stage_rate):
         t_n = np.arange(N + 1) * (prob.T / N)
         _, multipliers = reference_gradient(method.forward, prob, result.control.values, N)
         u_n = -(multipliers @ prob.sys.forcing_vector) / prob.alpha
-        y_T = integrate_forward(method, prob.sys, result.control.values, N, prob.T).final
+        y_T = integrate_forward(method, prob.sys, result.control.values, N, prob.T)
         errs["y_T"].append(np.abs(y_T - y_T_exact).max())
         errs["grid-node control"].append(np.abs(u_n - sol.control(t_n)).max())
         errs["stage-node control"].append(result.control_error)

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,12 +229,11 @@ def test_shifted_solve_error_contract():
 def test_forward_single_step_composition():
     sys = build_system(RobinBC.dirichlet(), 6, ones_profile)
     u = ExpSumFunction(np.array([1.0]), np.array([-2.0]), 1.0)
-    traj = integrate_forward(gauss2(), sys, u, 2, 1.0)
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector, control=u.value)
     y1, _ = irk_step(gauss2(), ode, 0.0, 0.5, sys.psi)
     y2, _ = irk_step(gauss2(), ode, 0.5, 0.5, y1)
-    assert np.array_equal(traj.states[1], y1)
-    assert np.array_equal(traj.states[2], y2)
+    assert np.array_equal(integrate_forward(gauss2(), sys, u, 1, 0.5), y1)
+    assert np.array_equal(integrate_forward(gauss2(), sys, u, 2, 1.0), y2)
 
 
 def test_forward_homogeneous_fourth_order_decay():
@@ -242,8 +242,8 @@ def test_forward_homogeneous_fourth_order_decay():
     exact = from_modal(dec, np.exp(dec.lambdas * 1.0) * (dec.vectors.T @ sys.psi))
     errs = []
     for N in (32, 64, 128):
-        traj = integrate_forward(gauss2(), sys, None, N, 1.0)
-        errs.append(np.abs(traj.final - exact).max())
+        y_N = integrate_forward(gauss2(), sys, None, N, 1.0)
+        errs.append(np.abs(y_N - exact).max())
     assert errs[0] / errs[1] >= 8.0
     assert errs[1] / errs[2] >= 8.0
 
@@ -260,10 +260,13 @@ def test_polynomial_exactness(name, degree):
     sys_like = MolSystem(m=1, xi=1.0, bc=RobinBC.dirichlet(), theta=3.0, gamma=1.0,
                          grid=np.array([0.5]), psi=np.array([q(0.0)]), matrix=tri)
     control = lambda t: dq(np.asarray(t))
-    traj = integrate_forward(method, sys_like, control, 8, 1.0,
-                             peer_start="collocation")
-    scale = np.abs(q(traj.times)).max()
-    assert np.abs(traj.states[:, 0] - q(traj.times)).max() <= 1e-12 * max(scale, 1.0)
+    # every state y_n of an 8-step grid on [0, 1], as the endpoint of n steps
+    times = np.arange(9) / 8
+    scale = max(np.abs(q(times)).max(), 1.0)
+    for n in range(2 if name == "peer_toy2" else 1, 9):
+        y_n = integrate_forward(method, sys_like, control, n, times[n],
+                                peer_start="collocation")
+        assert abs(y_n[0] - q(times[n])) <= 1e-12 * scale, n
 
 
 def test_forward_benchmark_error_shrinks_from_coarsest_to_finest():
@@ -272,8 +275,8 @@ def test_forward_benchmark_error_shrinks_from_coarsest_to_finest():
     y_exact = from_modal(prob.dec, sol.eta_T)
     coarse = integrate_forward(gauss2(), prob.sys, sol.control, 2**4, 1.0)
     fine = integrate_forward(gauss2(), prob.sys, sol.control, 2**11, 1.0)
-    err_coarse = np.abs(coarse.final - y_exact).max()
-    err_fine = np.abs(fine.final - y_exact).max()
+    err_coarse = np.abs(coarse - y_exact).max()
+    err_fine = np.abs(fine - y_exact).max()
     assert np.isfinite(err_fine)
     assert err_fine < err_coarse
 
@@ -287,7 +290,7 @@ def test_forward_node_samples_match_callable():
     samples = u.value(times.ravel()).reshape(N, 2)
     t1 = integrate_forward(tab, sys, u, N, 1.0)
     t2 = integrate_forward(tab, sys, samples, N, 1.0)
-    assert np.abs(t1.final - t2.final).max() < 1e-15
+    assert np.abs(t1 - t2).max() < 1e-15
 
 
 def test_forward_rejects_bad_sample_shape():
@@ -308,8 +311,26 @@ def test_forward_rejects_non_finite_control_samples(name, bad):
         integrate_forward(method, sys, samples, 16, 1.0, peer_start="collocation")
 
 
-def stepped_states(scheme, sys, control, N, h):
-    """States of N public irk_step / peer_step calls, each IRK step with its own solver."""
+@pytest.mark.parametrize("control", ["none", "nodes"])
+@pytest.mark.parametrize("name", ["gauss2", "peer_toy2"])
+def test_sweeps_hold_o_of_m_memory(name, control):
+    # m = 250, N = 4096: the N + 1 states of one sweep would take 8.2 MB
+    sys = build_system(RobinBC.dirichlet(), 250, ones_profile)
+    method = get_method(name)
+    N = 4096
+    u = None if control == "none" else np.ones((N, method.forward.s))
+    tracemalloc.start()
+    try:
+        y_T = integrate_forward(method, sys, u, N, 1.0, peer_start="collocation")
+        integrate_adjoint(method, sys, y_T, N, 1.0, peer_start="collocation")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def stepped_endpoint(scheme, sys, control, N, h):
+    """y_N of N public irk_step / peer_step calls, each IRK step with its own solver."""
     ode = LinearOde(matrix=sys.matrix,
                     forcing_vector=None if control is None else sys.forcing_vector)
     if control is None:
@@ -319,42 +340,42 @@ def stepped_states(scheme, sys, control, N, h):
     else:
         times = (np.arange(N)[:, None] + scheme.c[None, :]) * h
         g = control(times.ravel()).reshape(N, scheme.s)
-    states = [sys.psi]
+    y = sys.psi
     if isinstance(scheme, IrkTableau):
         for n in range(N):
-            states.append(irk_step(scheme, ode, n * h, h, states[-1], g_values=g[n])[0])
-        return np.array(states)
-    _, block = irk_step(collocation(scheme.c), ode, 0.0, h, sys.psi, g_values=g[0])
-    states.append(block[-1])
+            y = irk_step(scheme, ode, n * h, h, y, g_values=g[n])[0]
+        return y
+    _, block = irk_step(collocation(scheme.c), ode, 0.0, h, y, g_values=g[0])
     F = None
     for n in range(1, N):
         block, F = peer_step(scheme, ode, n * h, h, block, prev_F=F,
                              g_prev=g[n - 1], g_cur=g[n])
-        states.append(block[-1])
-    return np.array(states)
+    return block[-1]
 
 
 @pytest.mark.parametrize("m", [2, 3, 8])              # m = 2 stays unfactored
 @pytest.mark.parametrize("name", ["gauss2", "lobatto3", "peer_toy2"])
 def test_sweeps_equal_a_loop_of_public_steps_bitwise(name, m, rng):
+    # every state y_n of a 6-step grid, as the endpoint of a sweep of n steps
+    # against a loop with the sweep's own step size T_n / n
     method = get_method(name)
     N, T = 6, 1.0
-    h = T / N
-    controls = {
-        "expsum": ExpSumFunction(np.array([0.7, -0.2]), np.array([-3.0, 0.5]), T),
-        "nodes": rng.standard_normal((N, method.forward.s)),
-        "none": None,
-    }
-    for label, control in controls.items():
-        sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
-        traj = integrate_forward(method, sys, control, N, T, peer_start="collocation")
-        fresh = build_system(RobinBC(2.0, 0.5), m, ones_profile)    # no kept factors
-        assert np.array_equal(traj.states, stepped_states(method.forward, fresh, control, N, h)), label
+    expsum = ExpSumFunction(np.array([0.7, -0.2]), np.array([-3.0, 0.5]), T)
+    nodes = rng.standard_normal((N, method.forward.s))
     p_T = rng.standard_normal(m)
-    adj = integrate_adjoint(method, build_system(RobinBC(2.0, 0.5), m, ones_profile),
-                            p_T, N, T, peer_start="collocation")
-    ref = stepped_states(method.adjoint, build_system(RobinBC(2.0, 0.5), m, p_T), None, N, h)
-    assert np.array_equal(adj.states, ref[::-1])
+    for n in range(2 if name == "peer_toy2" else 1, N + 1):
+        T_n = n * (T / N)
+        for label, control in (("expsum", expsum), ("nodes", nodes[:n]), ("none", None)):
+            sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
+            y_n = integrate_forward(method, sys, control, n, T_n, peer_start="collocation")
+            fresh = build_system(RobinBC(2.0, 0.5), m, ones_profile)    # no kept factors
+            ref = stepped_endpoint(method.forward, fresh, control, n, T_n / n)
+            assert np.array_equal(y_n, ref), (label, n)
+        p_0 = integrate_adjoint(method, build_system(RobinBC(2.0, 0.5), m, ones_profile),
+                                p_T, n, T_n, peer_start="collocation")
+        ref = stepped_endpoint(method.adjoint, build_system(RobinBC(2.0, 0.5), m, p_T),
+                               None, n, T_n / n)
+        assert np.array_equal(p_0, ref), n
 
 
 def test_stacked_solve_returns_a_fresh_contiguous_block(rng):
@@ -501,9 +522,8 @@ def test_peer_forward_second_order_on_benchmark():
     y_exact = from_modal(prob.dec, sol.eta_T)
     errs = []
     for N in (32, 64, 128, 256):
-        traj = integrate_forward(peer_toy2(), prob.sys, sol.control, N, 1.0,
-                                 dec=prob.dec)
-        errs.append(np.abs(traj.final - y_exact).max())
+        y_N = integrate_forward(peer_toy2(), prob.sys, sol.control, N, 1.0, dec=prob.dec)
+        errs.append(np.abs(y_N - y_exact).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders[-1] == pytest.approx(2.0, abs=0.35)
 
@@ -514,7 +534,7 @@ def test_peer_collocation_start_close_to_exact_start():
                           dec=prob.dec, peer_start="exact")
     b = integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0,
                           peer_start="collocation")
-    assert np.abs(a.final - b.final).max() < 1e-4
+    assert np.abs(a - b).max() < 1e-4
     with pytest.raises(ValueError):
         integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0,
                           peer_start="exact")   # decomposition missing
@@ -594,9 +614,10 @@ def test_missing_scheme_raises():
 # ---------------------------------------------------------------------------
 
 def test_adjoint_zero_terminal_value():
+    # every state p_{8-k} of an 8-step grid on [0, 1], as the endpoint of k steps
     sys = build_system(RobinBC.dirichlet(), 6, ones_profile)
-    traj = integrate_adjoint(gauss2(), sys, np.zeros(6), 8, 1.0)
-    assert np.abs(traj.states).max() == 0.0
+    for k in range(1, 9):
+        assert np.abs(integrate_adjoint(gauss2(), sys, np.zeros(6), k, k / 8)).max() == 0.0
 
 
 def test_adjoint_scalar_amplification_is_stability_factor():
@@ -604,10 +625,10 @@ def test_adjoint_scalar_amplification_is_stability_factor():
     dec = decompose(sys)
     k, N = 2, 8
     h = 1.0 / N
-    traj = integrate_adjoint(gauss2(), sys, dec.vectors[:, k], N, 1.0)
     factor = stability_function(gauss2(), h * dec.lambdas[k]).real
-    # one reversed-time step back from the horizon
-    assert np.abs(traj.states[N - 1] - factor * dec.vectors[:, k]).max() < 1e-12
+    # p_{N-1}: one reversed-time step back from the horizon
+    p = integrate_adjoint(gauss2(), sys, dec.vectors[:, k], 1, h)
+    assert np.abs(p - factor * dec.vectors[:, k]).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["gauss2", "lobatto3", "peer_toy2"])
@@ -619,8 +640,8 @@ def test_adjoint_converges_to_exact_flow(name, rng):
     method = get_method(name)
     errs = []
     for N in (16, 32, 64):
-        traj = integrate_adjoint(method, sys, p_T, N, 1.0, dec=dec)
-        errs.append(np.abs(traj.states[0] - exact0).max())
+        p_0 = integrate_adjoint(method, sys, p_T, N, 1.0, dec=dec)
+        errs.append(np.abs(p_0 - exact0).max())
     order = np.log2(errs[-2] / errs[-1])
     assert order >= (3.5 if method.order == 4 else 1.6)
 
@@ -635,14 +656,15 @@ def test_adjoint_is_reversed_homogeneous_forward_sweep(name, peer_start, N, rng)
     dec = decompose(sys)
     p_T = rng.standard_normal(8)
     method = get_method(name)
-    traj = integrate_adjoint(method, sys, p_T, N, 1.0, dec=dec, peer_start=peer_start)
-    assert p_T.flags.writeable
-    assert traj.states.flags.c_contiguous and np.array_equal(traj.states[-1], p_T)
-    fwd = integrate_forward(method.adjoint, build_system(sys.bc, 8, p_T), None, N, 1.0,
-                            dec=dec, peer_start=peer_start)
-    assert np.array_equal(traj.times, fwd.times)
-    ref = fwd.states[::-1]
-    assert np.abs(traj.states - ref).max() <= 1e-13 * np.abs(ref).max()
+    # every state p_{N-k} of an N-step grid on [0, 1], as the endpoint of k steps
+    for k in range(2 if name == "peer_toy2" else 1, N + 1):
+        T_k = k * (1.0 / N)
+        p = integrate_adjoint(method, sys, p_T, k, T_k, dec=dec, peer_start=peer_start)
+        assert p_T.flags.writeable and p.shape == (8,)
+        start = build_system(sys.bc, 8, p_T.copy())    # makes its psi read-only
+        fwd = integrate_forward(method.adjoint, start, None, k, T_k, dec=dec,
+                                peer_start=peer_start)
+        assert np.array_equal(p, fwd), k
 
 
 def test_lobatto_pair_uses_iiib_for_adjoint():
