@@ -123,7 +123,7 @@ def discrete_objective(method, prob: OcProblem, values: np.ndarray, N: int) -> f
     scheme = _forward_scheme(method)
     h = _step_size(scheme, N, prob.T)
     values = _check_shape(values, N, scheme.s)
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T, peer_start="collocation")
+    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T)
     w_full = np.broadcast_to(h * control_quadrature_weights(scheme), (N, scheme.s))
     return objective(prob, y_T, values, w_full)
 
@@ -197,7 +197,7 @@ def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np
     scheme = _forward_scheme(method)
     h = _step_size(scheme, N, prob.T)
     values = _check_shape(values, N, scheme.s)
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T, peer_start="collocation")
+    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T)
     backward = _irk_backward if isinstance(scheme, IrkTableau) else _peer_backward
     return backward(scheme, prob, values, h, y_T)
 
@@ -235,8 +235,8 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     if isinstance(scheme, IrkTableau):
         # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V and y_free = R^N psi
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        R = _propagator(lambda Y: irk_step(scheme, ode, 0.0, h, Y, solver, zero_g)[0], m)
-        Z = np.column_stack([irk_step(scheme, ode, 0.0, h, np.zeros(m), solver, g)[0]
+        R = _propagator(lambda Y: irk_step(scheme, ode, h, Y, zero_g, solver)[0], m)
+        Z = np.column_stack([irk_step(scheme, ode, h, np.zeros(m), g, solver)[0]
                              for g in units])
         free = sys.psi
         for n in range(N - 1, -1, -1):
@@ -254,17 +254,16 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     zero_block = np.zeros((s, m))
 
     def step(block, g_prev, g_cur):
-        out = peer_step(scheme, ode, 0.0, h, block.reshape(-1, s, m),
-                        g_prev=g_prev, g_cur=g_cur)[0]
+        out = peer_step(scheme, ode, h, block.reshape(-1, s, m), g_prev, g_cur)[0]
         return out.reshape(block.shape)
 
     start = _start_tableau(scheme)
     P = _propagator(lambda Y: step(Y, zero_g, zero_g), s * m)
     G_prev = np.column_stack([step(zero_block, g, zero_g).ravel() for g in units])
     G_cur = np.column_stack([step(zero_block, zero_g, g).ravel() for g in units])
-    W = np.column_stack([irk_step(start, ode, 0.0, h, np.zeros(m), g_values=g)[1].ravel()
+    W = np.column_stack([irk_step(start, ode, h, np.zeros(m), g)[1].ravel()
                          for g in units])
-    free = P @ irk_step(start, ode, 0.0, h, sys.psi, g_values=zero_g)[1].ravel()
+    free = P @ irk_step(start, ode, h, sys.psi, zero_g)[1].ravel()
     last = slice((s - 1) * m, s * m)
     Jt[N - 1] = G_cur[last].T
     Z = np.hstack([P @ G_cur + G_prev, P @ W + G_prev])

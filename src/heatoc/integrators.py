@@ -13,9 +13,11 @@ The coupled implicit stage systems are solved by diagonalizing the small
 stage-coupling matrix over the complex numbers, which reduces each step to a
 handful of shifted tridiagonal solves (I - h mu M) z = r of O(m) size.  Each
 shift h mu is factored once per matrix (LAPACK ?gttrf, kept on the
-TridiagonalMatrix), so a solve is one ?gttrs.  The known eigenbasis of M is
-never used inside a method under test; it only supplies exact starting
-blocks for two-step methods when requested.
+TridiagonalMatrix), so a solve is one ?gttrs.  The module depends on
+``heat_mol`` alone: the steps take their control samples as arrays, and a
+two-step method starts from a collocation bootstrap or from a stage block
+the caller passes.  So the closed-form solution, which judges the methods,
+never enters one.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import numpy as np
 from scipy.linalg.lapack import zgttrs
 
 from .heat_mol import ConfigError, TridiagonalMatrix, MolSystem, _readonly
-from .exact_oc import ExpSumFunction, solve_ivp_exact
-from .spectrum import SpectralDecomposition
 
 PEER_DIR_ENV = "HEATOC_PEER_DIR"
 ORDER4_TOL = 1e-13
@@ -177,7 +177,6 @@ class PeerScheme:
     B: np.ndarray
     A: np.ndarray
     R: np.ndarray
-    formulation: str = "BAR"
     order: int | None = None
 
     def __post_init__(self):
@@ -187,8 +186,6 @@ class PeerScheme:
         for attr in ("B", "A", "R"):
             if getattr(self, attr).shape != (s, s):
                 raise ConfigError(f"Peer scheme {self.name}: {attr} must be {s}x{s}")
-        if self.formulation != "BAR":
-            raise ConfigError(f"Peer scheme {self.name}: unsupported formulation {self.formulation!r}")
         if np.abs(np.triu(self.R, 1)).max(initial=0.0) != 0.0:
             raise ConfigError(f"Peer scheme {self.name}: R must be lower triangular")
         pre = np.abs(self.B @ np.ones(s) - 1.0).max()
@@ -225,7 +222,7 @@ def load_peer_scheme(source) -> PeerScheme:
         {
           "name": <str>, "s": <int>,
           "c": [<s entries>], "B": [[...]], "A": [[...]], "R": [[...]],
-          "formulation": "BAR",
+          "formulation": "BAR" (optional, the only form supported),
           "order": <int, optional>
         }
 
@@ -250,10 +247,12 @@ def load_peer_scheme(source) -> PeerScheme:
         order = doc.get("order")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed Peer coefficient document: {exc}") from exc
+    if formulation != "BAR":
+        raise ConfigError(f"Peer scheme {name}: unsupported formulation {formulation!r}")
     if c.shape != (s,):
         raise ConfigError(f"Peer scheme {name}: expected {s} nodes")
     return PeerScheme(name=name, c=c, B=mats["B"], A=mats["A"], R=mats["R"],
-                      formulation=formulation, order=None if order is None else int(order))
+                      order=None if order is None else int(order))
 
 
 def _packaged_peer_dir() -> Path:
@@ -325,26 +324,18 @@ def get_method(name: str, peer_dir: str | None = None) -> MethodSpec:
 class LinearOde:
     """Right-hand side M y + g(t) b with a tridiagonal matrix handle.
 
-    ``control`` may be an ExpSumFunction, any callable of time, or None for a
-    homogeneous problem.
+    The steps take the control samples g at their stage nodes; a forcing
+    vector of None means a homogeneous problem, whose samples are ignored.
     """
 
     matrix: TridiagonalMatrix
     forcing_vector: np.ndarray | None = None
-    control: object = None
 
     def __post_init__(self):
         if self.forcing_vector is not None:
             self.forcing_vector = np.asarray(self.forcing_vector, dtype=float)
             if self.forcing_vector.shape != (self.matrix.m,):
                 raise ValueError("forcing vector dimension mismatch")
-
-    def g(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if self.control is None:
-            return np.zeros(times.shape)
-        values = self.control(times)
-        return np.broadcast_to(np.asarray(values, dtype=float), times.shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +410,18 @@ class StageSystemSolver:
 # single steps
 # ---------------------------------------------------------------------------
 
-def irk_step(tab: IrkTableau, ode: LinearOde, t_n: float, h: float,
-             y_n: np.ndarray, solver: StageSystemSolver | None = None,
-             g_values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def irk_step(tab: IrkTableau, ode: LinearOde, h: float, y_n: np.ndarray,
+             g_values: np.ndarray,
+             solver: StageSystemSolver | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One implicit Runge-Kutta step; returns (y_{n+1}, stage values).
 
-    The stages solve Y_i = y_n + h sum_j A_ij (M Y_j + g(t_n + c_j h) b); the
-    update is y_{n+1} = y_n + h sum_i b_i F_i with F_i evaluated at the
-    solved stages.  ``y_n`` is one state (m,) or a stack of K states
-    (K, m); the stages are then (s, m) or (K, s, m).  The control samples
-    g are shared by the whole stack, and each item of the result is
-    bitwise the step of that state alone.
+    The stages solve Y_i = y_n + h sum_j A_ij (M Y_j + g_j b), with the
+    control samples ``g_values`` g_j = g(t_n + c_j h); the update is
+    y_{n+1} = y_n + h sum_i b_i F_i with F_i evaluated at the solved
+    stages.  ``y_n`` is one state (m,) or a stack of K states (K, m); the
+    stages are then (s, m) or (K, s, m).  The control samples g are shared
+    by the whole stack, and each item of the result is bitwise the step of
+    that state alone.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -439,7 +431,7 @@ def irk_step(tab: IrkTableau, ode: LinearOde, t_n: float, h: float,
         raise ValueError(f"state must have shape ({m},) or (K, {m}), got {y_n.shape}")
     if solver is None:
         solver = StageSystemSolver(tab.A, h, ode.matrix)
-    g = ode.g(t_n + tab.c * h) if g_values is None else np.asarray(g_values, dtype=float)
+    g = np.asarray(g_values, dtype=float)
     if ode.forcing_vector is not None:
         rhs = y_n[..., None, :] + h * np.outer(tab.A @ g, ode.forcing_vector)
     else:
@@ -452,18 +444,20 @@ def irk_step(tab: IrkTableau, ode: LinearOde, t_n: float, h: float,
     return y_n + h * (tab.b @ F), stages
 
 
-def peer_step(scheme: PeerScheme, ode: LinearOde, t_n: float, h: float,
-              prev_block: np.ndarray, prev_F: np.ndarray | None = None,
-              g_prev: np.ndarray | None = None,
-              g_cur: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def peer_step(scheme: PeerScheme, ode: LinearOde, h: float, prev_block: np.ndarray,
+              g_prev: np.ndarray, g_cur: np.ndarray,
+              prev_F: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One two-step Peer block step; returns (stage block, stage derivatives).
 
     The new block satisfies Y_n = B Y_{n-1} + h A F(Y_{n-1}) + h R F(Y_n) and
-    is solved stage by stage since R is lower triangular.  ``prev_block``
-    (and ``prev_F``, of the same shape) is one (s, m) block or a stack of K
-    blocks (K, s, m); a stage of a stack is one shifted solve with K
-    right-hand sides.  The control samples are shared by the whole stack,
-    and each item of the result is bitwise the step of that block alone.
+    is solved stage by stage since R is lower triangular.  ``g_prev`` and
+    ``g_cur`` are the control samples at the stage nodes of the previous and
+    the new block; ``prev_F`` defaults to F(Y_{n-1}) formed from ``g_prev``.
+    ``prev_block`` (and ``prev_F``, of the same shape) is one (s, m) block
+    or a stack of K blocks (K, s, m); a stage of a stack is one shifted
+    solve with K right-hand sides.  The control samples are shared by the
+    whole stack, and each item of the result is bitwise the step of that
+    block alone.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -474,10 +468,6 @@ def peer_step(scheme: PeerScheme, ode: LinearOde, t_n: float, h: float,
     if prev_F is not None and prev_F.shape != prev_block.shape:
         raise ValueError(f"previous stage derivatives have shape {prev_F.shape}, "
                          f"the block {prev_block.shape}")
-    if g_prev is None:
-        g_prev = ode.g(t_n - h + scheme.c * h)
-    if g_cur is None:
-        g_cur = ode.g(t_n + scheme.c * h)
     if prev_F is None:
         prev_F = ode.matrix.apply(prev_block)
         if ode.forcing_vector is not None:
@@ -528,34 +518,6 @@ def _node_values(control, N: int, s: int, c: np.ndarray, h: float):
     return np.asarray(control(times.ravel()), dtype=float).reshape(N, s)
 
 
-def peer_start_block(scheme: PeerScheme, sys: MolSystem, control, h: float,
-                     dec: SpectralDecomposition | None, mode: str,
-                     g_row0: np.ndarray) -> np.ndarray:
-    """Starting stage block Y_0 with Y_0i approximating y(c_i h).
-
-    mode "exact" evaluates the closed-form solution at the first-window nodes
-    (requires the spectral decomposition and an exponential-sum control, or
-    None for the homogeneous problem); mode "collocation" bootstraps with one
-    collocation step on the scheme's own nodes, which only needs the control
-    values ``g_row0`` at those nodes.  A control of None means no forcing.
-    """
-    if mode == "exact":
-        if dec is None:
-            raise ValueError("exact Peer start requires the spectral decomposition")
-        if control is None:
-            control = ExpSumFunction.zero(max(h * float(np.max(scheme.c)), h))
-        if not isinstance(control, ExpSumFunction):
-            raise ValueError("exact Peer start requires an exponential-sum control")
-        return np.stack([solve_ivp_exact(sys, dec, control, float(ci) * h)
-                         for ci in scheme.c])
-    if mode == "collocation":
-        ode = LinearOde(matrix=sys.matrix,
-                        forcing_vector=None if control is None else sys.forcing_vector)
-        _, stages = irk_step(_start_tableau(scheme), ode, 0.0, h, sys.psi, g_values=g_row0)
-        return stages
-    raise ValueError(f"unknown Peer start mode {mode!r}")
-
-
 def _step_size(scheme, N: int, T: float) -> float:
     """h = T / N, once N is a valid step count for ``scheme``.
 
@@ -568,14 +530,16 @@ def _step_size(scheme, N: int, T: float) -> float:
     return T / N
 
 
-def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
-           dec: SpectralDecomposition | None, peer_start: str) -> np.ndarray:
+def _sweep(scheme, sys: MolSystem, control, N: int, h: float, start) -> np.ndarray:
     """The forward recursion from y_0 = sys.psi over N steps of size h; returns y_N.
 
     Only the live state is kept: y_n for IRK, the stage block and its
-    derivatives for Peer.  A control of None means no forcing: the steps
-    skip the g b terms.  Non-finite control samples raise ValueError before
-    the first step.  N must have passed ``_step_size``.
+    derivatives for Peer.  A Peer sweep starts from the (s, m) block
+    ``start``, or for None from one collocation step on the scheme's own
+    nodes; an IRK sweep takes no start block.  A control of None means no
+    forcing: the steps skip the g b terms.  A bad start block and non-finite
+    control samples raise ValueError before the first step.  N must have
+    passed ``_step_size``.
     """
     if not isinstance(scheme, (IrkTableau, PeerScheme)):
         raise TypeError(f"unsupported method object {scheme!r}")
@@ -586,52 +550,59 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float,
         raise ValueError("control samples must not contain infs or NaNs")
 
     if isinstance(scheme, IrkTableau):
+        if start is not None:
+            raise ValueError(f"{scheme.name} is a one-step method and takes no start block")
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
         y = sys.psi
         for n in range(N):
-            y, _ = irk_step(scheme, ode, n * h, h, y, solver=solver, g_values=g_all[n])
+            y, _ = irk_step(scheme, ode, h, y, g_all[n], solver)
         return y
-    block = peer_start_block(scheme, sys, control, h, dec, peer_start, g_row0=g_all[0])
+    if start is None:
+        _, block = irk_step(_start_tableau(scheme), ode, h, sys.psi, g_all[0])
+    else:
+        block = np.asarray(start, dtype=float)
+        if block.shape != (scheme.s, sys.m):
+            raise ValueError(f"start block must have shape {(scheme.s, sys.m)}, "
+                             f"got {block.shape}")
     F = None                      # the first step forms F(Y_0) from g_all[0]
     for n in range(1, N):
-        block, F = peer_step(scheme, ode, n * h, h, block, prev_F=F,
-                             g_prev=g_all[n - 1], g_cur=g_all[n])
+        block, F = peer_step(scheme, ode, h, block, g_all[n - 1], g_all[n], F)
     return block[-1]
 
 
 def integrate_forward(method, sys: MolSystem, control, N: int, T: float,
-                      dec: SpectralDecomposition | None = None,
-                      peer_start: str = "exact") -> np.ndarray:
+                      start: np.ndarray | None = None) -> np.ndarray:
     """Integrate y' = M y + gamma e_m u(t) from y(0) = psi on N uniform steps.
 
-    Returns y_N, the (m,) approximation of y(T).  ``control`` may be an
-    ExpSumFunction (evaluated at the stage nodes), an (N, s) array of node
-    samples, or None for the homogeneous problem.  Peer methods take their
-    first stage block from the exact solution by default; a self-starting
-    collocation bootstrap is selected with peer_start="collocation".  N < 1,
-    or N < 2 for a Peer method, raises ValueError.  The intermediate states
-    are not kept; loop ``irk_step`` or ``peer_step`` to see them.
+    Returns y_N, the (m,) approximation of y(T).  ``control`` may be a
+    callable of time such as an ExpSumFunction (evaluated at the stage
+    nodes), an (N, s) array of node samples, or None for the homogeneous
+    problem.  A Peer method starts from ``start``, its (s, m) stage block
+    Y_0 with rows approximating y(c_i h), or for None from a self-starting
+    collocation bootstrap; a start given to an IRK method raises ValueError.
+    N < 1, or N < 2 for a Peer method, raises ValueError.  The intermediate
+    states are not kept; loop ``irk_step`` or ``peer_step`` to see them.
     """
     scheme = _forward_scheme(method)
     h = _step_size(scheme, N, T)
-    return _sweep(scheme, sys, control, N, h, dec, peer_start)
+    return _sweep(scheme, sys, control, N, h, start)
 
 
 def integrate_adjoint(method, sys: MolSystem, p_T: np.ndarray, N: int, T: float,
-                      dec: SpectralDecomposition | None = None,
-                      peer_start: str = "exact") -> np.ndarray:
+                      start: np.ndarray | None = None) -> np.ndarray:
     """Integrate the multiplier equation p' = -M p backward from p(T) = p_T.
 
     Returns p_0, the (m,) approximation of p(0).  In reversed time
     q(s) = p(T - s) solves q' = M q from q(0) = p_T, so this is the forward
-    recursion of ``integrate_forward``, Peer start and step-count check
+    recursion of ``integrate_forward``, start block and step-count check
     included, with no control, started at p_T and run with the method's
     adjoint-sweep scheme (IIIB for the Lobatto pair, the same scheme for the
-    self-adjoint Gauss method and for Peer schemes).
+    self-adjoint Gauss method and for Peer schemes).  A Peer ``start`` holds
+    q(c_i h) = p(T - c_i h) in its rows.
     """
     scheme = _adjoint_scheme(method)
     p_T = np.array(p_T, dtype=float)      # a copy: MolSystem makes psi read-only in place
     if p_T.shape != (sys.m,):
         raise ValueError("terminal multiplier dimension mismatch")
     h = _step_size(scheme, N, T)
-    return _sweep(scheme, replace(sys, psi=p_T), None, N, h, dec, peer_start)
+    return _sweep(scheme, replace(sys, psi=p_T), None, N, h, start)

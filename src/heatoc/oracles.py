@@ -13,10 +13,8 @@ exponentials (Van Loan, "Computing integrals involving the matrix
 exponential", IEEE TAC 23, 1978): an exponential-sum control solves a
 diagonal linear ODE, and an integral of expm(s K) v is the last column of the
 exponential of [[K, v], [0, 0]].  So the verify gate needs only
-``scipy.linalg.expm``.  Only ``q_quadratic_form``, which the tests call,
-integrates adaptively; it imports ``scipy.integrate`` (which pulls in
-``scipy.optimize``, ``scipy.special`` and ``scipy.sparse``) on first use, so
-neither importing this module nor ``run_verification`` loads that stack.
+``scipy.linalg.expm``, and neither importing this module nor
+``run_verification`` loads ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -103,20 +101,6 @@ def shooting_terminal(prob: OcProblem):
     lhs = eye + (sys.gamma**2 / prob.alpha) * G
     q = np.linalg.solve(lhs, expm(prob.T * M) @ sys.psi - prob.y_hat)
     return q + prob.y_hat, q
-
-
-def q_quadratic_form(prob: OcProblem, w: np.ndarray, tol: float = 1e-12) -> float:
-    """w^T Q w evaluated by adaptive quadrature of its integral representation."""
-    from scipy.integrate import quad
-
-    lam = prob.dec.lambdas
-    vm = prob.dec.boundary_components
-
-    def integrand(tau):
-        return float(np.sum(np.exp(lam * prob.T * tau) * vm * w)) ** 2
-
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    return prob.sys.gamma**2 * prob.T / prob.alpha * val
 
 
 def fd_gradient_check(method, prob: OcProblem, values: np.ndarray, N: int,

@@ -426,6 +426,7 @@ def test_cli_rejects_malformed_values_before_any_work(monkeypatch, capsys, argv,
     '{"deltas": [[1]]}', '{"m_values": 8}', '{"m_values": [8',
     '{"beta0": "x"}', '{"T": "1"}', '{"jobs": "2"}', '{"alpha": null}',
     '{"m_values": [8.5]}', '{"N_values": ["16"]}',
+    '[[1]]', '[{}]', '"abc"', '5', 'null',          # documents that are no JSON object
 ])
 def test_cli_rejects_malformed_config_file(tmp_path, work_calls, capsys, text):
     cfg_path = tmp_path / "cfg.json"

@@ -169,9 +169,9 @@ def test_peer_optimize_rejects_a_single_step():
 
 ENTRY_POINTS = {
     "integrate_forward": lambda method, prob, N: integrate_forward(
-        method, prob.sys, None, N, prob.T, peer_start="collocation"),
+        method, prob.sys, None, N, prob.T),
     "integrate_adjoint": lambda method, prob, N: integrate_adjoint(
-        method, prob.sys, prob.y_hat, N, prob.T, peer_start="collocation"),
+        method, prob.sys, prob.y_hat, N, prob.T),
     "discrete_objective": lambda method, prob, N: discrete_objective(
         method, prob, np.zeros((max(N, 0), method.forward.s)), N),
     "discrete_gradient": lambda method, prob, N: discrete_gradient(
@@ -264,7 +264,7 @@ def test_terminal_map_matches_forward_sweep(name, N, rng):
     scheme = get_method(name).forward
     u = rng.standard_normal((N, scheme.s))
     Jt, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
-    y_T = integrate_forward(scheme, prob.sys, u, N, prob.T, peer_start="collocation")
+    y_T = integrate_forward(scheme, prob.sys, u, N, prob.T)
     assert np.abs(y_free + u.ravel() @ Jt - y_T).max() <= 1e-12 * np.abs(y_T).max()
 
 
@@ -276,9 +276,9 @@ def reference_terminal_map(scheme, sys, h, N):
     Jt = np.empty((N, s, m))
     if isinstance(scheme, IrkTableau):
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        R = np.column_stack([irk_step(scheme, ode, 0.0, h, e, solver, zero_g)[0]
+        R = np.column_stack([irk_step(scheme, ode, h, e, zero_g, solver)[0]
                              for e in np.eye(m)])
-        Z = np.column_stack([irk_step(scheme, ode, 0.0, h, np.zeros(m), solver, g)[0]
+        Z = np.column_stack([irk_step(scheme, ode, h, np.zeros(m), g, solver)[0]
                              for g in units])
         for n in range(N - 1, -1, -1):
             Jt[n] = Z.T
@@ -286,14 +286,14 @@ def reference_terminal_map(scheme, sys, h, N):
         return Jt.reshape(N * s, m)
 
     def step(block, g_prev, g_cur):
-        return peer_step(scheme, ode, 0.0, h, block, g_prev=g_prev, g_cur=g_cur)[0].ravel()
+        return peer_step(scheme, ode, h, block, g_prev, g_cur)[0].ravel()
 
     zero_block = np.zeros((s, m))
     P = np.column_stack([step(e.reshape(s, m), zero_g, zero_g) for e in np.eye(s * m)])
     G_prev = np.column_stack([step(zero_block, g, zero_g) for g in units])
     G_cur = np.column_stack([step(zero_block, zero_g, g) for g in units])
-    W = np.column_stack([irk_step(_start_tableau(scheme), ode, 0.0, h, np.zeros(m),
-                                  g_values=g)[1].ravel() for g in units])
+    W = np.column_stack([irk_step(_start_tableau(scheme), ode, h, np.zeros(m), g)[1].ravel()
+                         for g in units])
     last = slice((s - 1) * m, s * m)
     Jt[N - 1] = G_cur[last].T
     Z = np.hstack([P @ G_cur + G_prev, P @ W + G_prev])
@@ -361,7 +361,7 @@ def reference_peer_backward(scheme, prob, values, N, y_T):
 
 def reference_gradient(scheme, prob, values, N):
     """(gradient, multipliers) of the reference transposed sweeps."""
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T, peer_start="collocation")
+    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T)
     backward = (reference_irk_backward if isinstance(scheme, IrkTableau)
                 else reference_peer_backward)
     return backward(scheme, prob, values, N, y_T)
@@ -401,7 +401,7 @@ def test_terminal_map_y_free_matches_zero_control_sweep(name, m, N):
     prob, _ = make_instance(m)
     scheme = get_method(name).forward
     _, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
-    ref = integrate_forward(scheme, prob.sys, None, N, prob.T, peer_start="collocation")
+    ref = integrate_forward(scheme, prob.sys, None, N, prob.T)
     assert np.abs(y_free - ref).max() <= 5e-12 * np.abs(ref).max()
 
 

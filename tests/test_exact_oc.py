@@ -18,7 +18,7 @@ from heatoc import (
 )
 from heatoc import exact_oc, spectrum
 from heatoc.oracles import (
-    dense_matrix, expm_adjoint, expm_state, q_quadratic_form, shooting_terminal,
+    dense_matrix, expm_adjoint, expm_state, shooting_terminal,
 )
 from conftest import make_instance
 
@@ -539,6 +539,18 @@ def test_Q_exactly_symmetric_and_alpha_scaling(instance8):
     bound = 1e-6 * prob.sys.gamma**2 * prob.T * np.max(vm**2)
     assert np.abs(Qbig).max() <= bound
     assert np.allclose(Qbig * 1e12, Q, rtol=1e-12)
+
+
+def q_quadratic_form(prob, w, tol=1e-12):
+    """w^T Q w evaluated by adaptive quadrature of its integral representation."""
+    lam = prob.dec.lambdas
+    vm = prob.dec.boundary_components
+
+    def integrand(tau):
+        return float(np.sum(np.exp(lam * prob.T * tau) * vm * w)) ** 2
+
+    val, _ = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
+    return prob.sys.gamma**2 * prob.T / prob.alpha * val
 
 
 def test_Q_quadratic_form_vs_quadrature(rng):

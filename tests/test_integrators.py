@@ -1,7 +1,9 @@
+import ast
 import copy
 import json
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from heatoc import (
     build_system, collocation, decompose, from_modal, gauss2, get_method,
     integrate_adjoint, integrate_forward, irk_step, load_peer_scheme,
     lobatto_iiia, lobatto_iiib, ones_profile, peer_step, peer_toy2,
-    solve_ivp_exact, stability_function,
+    stability_function,
 )
+from heatoc import integrators
+from heatoc.bench import _exact_start
 from heatoc.heat_mol import SHIFT_CACHE_SIZE
 from heatoc.integrators import (
     StageSystemSolver, _start_tableau, interpolatory_weights, solve_shifted,
@@ -26,9 +30,9 @@ def pade22(z):
     return (1 + z / 2 + z**2 / 12) / (1 - z / 2 + z**2 / 12)
 
 
-def scalar_ode(lam=0.0, forcing=None):
+def scalar_ode(lam=0.0):
     return LinearOde(matrix=TridiagonalMatrix(np.array([lam]), np.zeros(0)),
-                     forcing_vector=np.array([1.0]), control=forcing)
+                     forcing_vector=np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +79,7 @@ def test_a_stability_on_left_half_plane_grid():
 
 def test_scalar_gauss_step_matches_stability_function():
     lam, h = -7.3, 0.2
-    y1, _ = irk_step(gauss2(), scalar_ode(lam), 0.0, h, np.array([1.0]))
+    y1, _ = irk_step(gauss2(), scalar_ode(lam), h, np.array([1.0]), np.zeros(2))
     assert y1[0] == pytest.approx(pade22(h * lam).real, rel=1e-13)
 
 
@@ -87,7 +91,7 @@ def test_homogeneous_step_on_eigenvector_applies_stability_factor():
     for tab in (gauss2(), lobatto_iiia()):
         for k in (0, 3, 7):
             v = dec.vectors[:, k]
-            y1, _ = irk_step(tab, ode, 0.0, h, v)
+            y1, _ = irk_step(tab, ode, h, v, np.zeros(tab.s))
             factor = stability_function(tab, h * dec.lambdas[k]).real
             assert np.abs(y1 - factor * v).max() < 1e-12
 
@@ -98,11 +102,11 @@ def test_irk_step_against_dense_stage_system(factory, rng):
     sys = build_system(RobinBC.dirichlet(), 4, ones_profile)
     M = np.diag(sys.matrix.diagonal) + np.diag(sys.matrix.off, 1) + np.diag(sys.matrix.off, -1)
     control = lambda t: np.sin(3 * np.asarray(t)) + 1.0
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector, control=control)
+    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     h, y0 = 0.0125, rng.standard_normal(4)
-    y1, stages = irk_step(tab, ode, 0.0, h, y0)
-    s = tab.s
     g = control(tab.c * h)
+    y1, stages = irk_step(tab, ode, h, y0, g)
+    s = tab.s
     K = np.eye(s * 4) - h * np.kron(tab.A, M)
     rhs = np.tile(y0, s) + h * np.kron(tab.A @ g, sys.forcing_vector)
     Y = np.linalg.solve(K, rhs).reshape(s, 4)
@@ -229,9 +233,10 @@ def test_shifted_solve_error_contract():
 def test_forward_single_step_composition():
     sys = build_system(RobinBC.dirichlet(), 6, ones_profile)
     u = ExpSumFunction(np.array([1.0]), np.array([-2.0]), 1.0)
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector, control=u.value)
-    y1, _ = irk_step(gauss2(), ode, 0.0, 0.5, sys.psi)
-    y2, _ = irk_step(gauss2(), ode, 0.5, 0.5, y1)
+    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    c = gauss2().c
+    y1, _ = irk_step(gauss2(), ode, 0.5, sys.psi, u.value(0.0 + c * 0.5))
+    y2, _ = irk_step(gauss2(), ode, 0.5, y1, u.value(0.5 + c * 0.5))
     assert np.array_equal(integrate_forward(gauss2(), sys, u, 1, 0.5), y1)
     assert np.array_equal(integrate_forward(gauss2(), sys, u, 2, 1.0), y2)
 
@@ -264,8 +269,7 @@ def test_polynomial_exactness(name, degree):
     times = np.arange(9) / 8
     scale = max(np.abs(q(times)).max(), 1.0)
     for n in range(2 if name == "peer_toy2" else 1, 9):
-        y_n = integrate_forward(method, sys_like, control, n, times[n],
-                                peer_start="collocation")
+        y_n = integrate_forward(method, sys_like, control, n, times[n])
         assert abs(y_n[0] - q(times[n])) <= 1e-12 * scale, n
 
 
@@ -308,21 +312,21 @@ def test_forward_rejects_non_finite_control_samples(name, bad):
     samples = np.ones((16, method.forward.s))
     samples[5, -1] = bad
     with pytest.raises(ValueError, match="control samples"):
-        integrate_forward(method, sys, samples, 16, 1.0, peer_start="collocation")
+        integrate_forward(method, sys, samples, 16, 1.0)
 
 
 @pytest.mark.parametrize("control", ["none", "nodes"])
 @pytest.mark.parametrize("name", ["gauss2", "peer_toy2"])
 def test_sweeps_hold_o_of_m_memory(name, control):
-    # m = 250, N = 4096: the N + 1 states of one sweep would take 8.2 MB
+    # m = 250, N = 1024: the N + 1 states of one sweep would take 2.05 MB
     sys = build_system(RobinBC.dirichlet(), 250, ones_profile)
     method = get_method(name)
-    N = 4096
+    N = 1024
     u = None if control == "none" else np.ones((N, method.forward.s))
     tracemalloc.start()
     try:
-        y_T = integrate_forward(method, sys, u, N, 1.0, peer_start="collocation")
-        integrate_adjoint(method, sys, y_T, N, 1.0, peer_start="collocation")
+        y_T = integrate_forward(method, sys, u, N, 1.0)
+        integrate_adjoint(method, sys, y_T, N, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -343,13 +347,12 @@ def stepped_endpoint(scheme, sys, control, N, h):
     y = sys.psi
     if isinstance(scheme, IrkTableau):
         for n in range(N):
-            y = irk_step(scheme, ode, n * h, h, y, g_values=g[n])[0]
+            y = irk_step(scheme, ode, h, y, g[n])[0]
         return y
-    _, block = irk_step(collocation(scheme.c), ode, 0.0, h, y, g_values=g[0])
+    _, block = irk_step(collocation(scheme.c), ode, h, y, g[0])
     F = None
     for n in range(1, N):
-        block, F = peer_step(scheme, ode, n * h, h, block, prev_F=F,
-                             g_prev=g[n - 1], g_cur=g[n])
+        block, F = peer_step(scheme, ode, h, block, g[n - 1], g[n], prev_F=F)
     return block[-1]
 
 
@@ -367,12 +370,12 @@ def test_sweeps_equal_a_loop_of_public_steps_bitwise(name, m, rng):
         T_n = n * (T / N)
         for label, control in (("expsum", expsum), ("nodes", nodes[:n]), ("none", None)):
             sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
-            y_n = integrate_forward(method, sys, control, n, T_n, peer_start="collocation")
+            y_n = integrate_forward(method, sys, control, n, T_n)
             fresh = build_system(RobinBC(2.0, 0.5), m, ones_profile)    # no kept factors
             ref = stepped_endpoint(method.forward, fresh, control, n, T_n / n)
             assert np.array_equal(y_n, ref), (label, n)
         p_0 = integrate_adjoint(method, build_system(RobinBC(2.0, 0.5), m, ones_profile),
-                                p_T, n, T_n, peer_start="collocation")
+                                p_T, n, T_n)
         ref = stepped_endpoint(method.adjoint, build_system(RobinBC(2.0, 0.5), m, p_T),
                                None, n, T_n / n)
         assert np.array_equal(p_0, ref), n
@@ -415,10 +418,10 @@ def test_irk_step_stack_bitwise_equals_single_steps(factory, m, rng):
     states = rng.standard_normal((5, m))
     for forcing in (sys.forcing_vector, None):
         ode = LinearOde(matrix=sys.matrix, forcing_vector=forcing)
-        Y, stages = irk_step(tab, ode, 0.0, h, states, solver, g)
+        Y, stages = irk_step(tab, ode, h, states, g, solver)
         assert Y.shape == (5, m) and stages.shape == (5, tab.s, m)
         for y, y1, st in zip(states, Y, stages):
-            ref_y, ref_st = irk_step(tab, ode, 0.0, h, y, solver, g)
+            ref_y, ref_st = irk_step(tab, ode, h, y, g, solver)
             assert np.array_equal(y1, ref_y) and np.array_equal(st, ref_st)
 
 
@@ -432,13 +435,11 @@ def test_peer_step_stack_bitwise_equals_single_steps(m, rng):
     for forcing in (sys.forcing_vector, None):
         ode = LinearOde(matrix=sys.matrix, forcing_vector=forcing)
         for prev_F in (None, rng.standard_normal((5, 2, m))):
-            Y, F = peer_step(scheme, ode, 0.0, h, blocks, prev_F=prev_F,
-                             g_prev=g_prev, g_cur=g_cur)
+            Y, F = peer_step(scheme, ode, h, blocks, g_prev, g_cur, prev_F)
             assert Y.shape == F.shape == (5, 2, m)
             for k in range(5):
-                ref_Y, ref_F = peer_step(scheme, ode, 0.0, h, blocks[k],
-                                         prev_F=None if prev_F is None else prev_F[k],
-                                         g_prev=g_prev, g_cur=g_cur)
+                ref_Y, ref_F = peer_step(scheme, ode, h, blocks[k], g_prev, g_cur,
+                                         None if prev_F is None else prev_F[k])
                 assert np.array_equal(Y[k], ref_Y) and np.array_equal(F[k], ref_F)
 
 
@@ -451,20 +452,20 @@ def test_peer_step_rejects_derivatives_of_another_shape():
                           (np.ones((2, 8)), np.ones((4, 2, 8))),
                           (np.ones((2, 8)), np.ones((2, 7)))):
         with pytest.raises(ValueError, match="previous stage derivatives"):
-            peer_step(peer_toy2(), ode, 0.0, 0.1, block, prev_F=prev_F,
-                      g_prev=g, g_cur=g)
+            peer_step(peer_toy2(), ode, 0.1, block, g, g, prev_F)
 
 
 def test_steps_reject_states_that_are_not_a_stack():
     sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    g = np.zeros(2)
     for bad in (np.array([2.0]), np.zeros(7), np.zeros((8, 1)), np.zeros((2, 3, 8)),
                 np.float64(1.0)):
         with pytest.raises(ValueError, match="state must have shape"):
-            irk_step(gauss2(), ode, 0.0, 0.1, bad)
+            irk_step(gauss2(), ode, 0.1, bad, g)
     for bad in (np.zeros((2, 7)), np.zeros((3, 8)), np.zeros(16), np.zeros((1, 1, 2, 8))):
         with pytest.raises(ValueError, match="previous stage block"):
-            peer_step(peer_toy2(), ode, 0.1, 0.1, bad)
+            peer_step(peer_toy2(), ode, 0.1, bad, g, g)
     solver = StageSystemSolver(gauss2().A, 0.1, sys.matrix)
     for bad in (np.zeros(8), np.zeros((3, 8)), np.zeros((2, 7)), np.zeros((1, 1, 2, 8)),
                 np.zeros((0, 2, 8))):
@@ -477,12 +478,13 @@ def test_empty_stacks_raise_instead_of_reaching_lapack(m):
     # scipy's ?gttrs wrapper crashes the interpreter on an (m, 0) right-hand side
     sys = build_system(RobinBC.dirichlet(), m, ones_profile)
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    g = np.zeros(2)
     with pytest.raises(ValueError):
         solve_shifted(0.3, sys.matrix, np.zeros((m, 0)))
     with pytest.raises(ValueError):
-        irk_step(gauss2(), ode, 0.0, 0.1, np.zeros((0, m)))
+        irk_step(gauss2(), ode, 0.1, np.zeros((0, m)), g)
     with pytest.raises(ValueError):
-        peer_step(peer_toy2(), ode, 0.1, 0.1, np.zeros((0, 2, m)))
+        peer_step(peer_toy2(), ode, 0.1, np.zeros((0, 2, m)), g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +504,7 @@ def test_peer_step_constant_block_is_fixed_point():
     tri = TridiagonalMatrix(np.zeros(3), np.zeros(2))
     ode = LinearOde(matrix=tri)
     block = np.tile([1.7, -2.0, 0.3], (2, 1))
-    new_block, _ = peer_step(scheme, ode, 0.5, 0.125, block)
+    new_block, _ = peer_step(scheme, ode, 0.125, block, np.zeros(2), np.zeros(2))
     assert np.abs(new_block - block).max() < 1e-14
 
 
@@ -510,7 +512,7 @@ def test_peer_step_scalar_against_dense_stage_system():
     scheme = peer_toy2()
     lam, h = -4.0, 0.1
     prev = np.array([[0.9], [0.7]])
-    new_block, _ = peer_step(scheme, scalar_ode(lam), 0.2, h, prev)
+    new_block, _ = peer_step(scheme, scalar_ode(lam), h, prev, np.zeros(2), np.zeros(2))
     # dense solve of (I - h lam R) Y = (B + h lam A) Y_prev
     lhs = np.eye(2) - h * lam * scheme.R
     rhs = (scheme.B + h * lam * scheme.A) @ prev[:, 0]
@@ -522,7 +524,8 @@ def test_peer_forward_second_order_on_benchmark():
     y_exact = from_modal(prob.dec, sol.eta_T)
     errs = []
     for N in (32, 64, 128, 256):
-        y_N = integrate_forward(peer_toy2(), prob.sys, sol.control, N, 1.0, dec=prob.dec)
+        start = _exact_start(peer_toy2(), prob.sys, prob.dec, sol.control, 1.0 / N)
+        y_N = integrate_forward(peer_toy2(), prob.sys, sol.control, N, 1.0, start)
         errs.append(np.abs(y_N - y_exact).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders[-1] == pytest.approx(2.0, abs=0.35)
@@ -530,20 +533,31 @@ def test_peer_forward_second_order_on_benchmark():
 
 def test_peer_collocation_start_close_to_exact_start():
     prob, sol = make_instance(8)
-    a = integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0,
-                          dec=prob.dec, peer_start="exact")
-    b = integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0,
-                          peer_start="collocation")
+    start = _exact_start(peer_toy2(), prob.sys, prob.dec, sol.control, 1.0 / 64)
+    a = integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0, start)
+    b = integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0)
     assert np.abs(a - b).max() < 1e-4
-    with pytest.raises(ValueError):
-        integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0,
-                          peer_start="exact")   # decomposition missing
+
+
+def test_start_block_is_for_peer_methods_and_has_stage_shape():
+    sys = build_system(RobinBC.dirichlet(), 4, ones_profile)
+    block = np.ones((2, 4))
+    for name in ("gauss2", "lobatto3"):
+        with pytest.raises(ValueError, match="takes no start block"):
+            integrate_forward(get_method(name), sys, None, 4, 1.0, block)
+        with pytest.raises(ValueError, match="takes no start block"):
+            integrate_adjoint(get_method(name), sys, sys.psi, 4, 1.0, block)
+    for bad in (np.ones((3, 4)), np.ones((2, 5)), np.ones(8), np.ones((1, 2, 4))):
+        with pytest.raises(ValueError, match="start block must have shape"):
+            integrate_forward(peer_toy2(), sys, None, 4, 1.0, bad)
+        with pytest.raises(ValueError, match="start block must have shape"):
+            integrate_adjoint(peer_toy2(), sys, sys.psi, 4, 1.0, bad)
 
 
 def test_peer_requires_two_steps():
     sys = build_system(RobinBC.dirichlet(), 4, ones_profile)
     with pytest.raises(ValueError):
-        integrate_forward(peer_toy2(), sys, None, 1, 1.0, peer_start="collocation")
+        integrate_forward(peer_toy2(), sys, None, 1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +603,19 @@ def test_scheme_validation_errors():
     bad_c = dict(ok, c=np.array([0.5, 0.75]))
     with pytest.raises(ConfigError):
         PeerScheme(**bad_c)
+
+
+def test_load_rejects_formulations_other_than_bar(tmp_path):
+    doc = {"name": "x", "s": 2, "c": ["1/3", "1"],
+           "B": [["-1/8", "9/8"], ["-1/8", "9/8"]], "A": [["0", "0"], ["0", "0"]],
+           "R": [["1/4", "0"], ["7/12", "1/3"]]}
+    assert np.array_equal(load_peer_scheme(doc).R, peer_toy2().R)    # BAR when absent
+    assert np.array_equal(load_peer_scheme(dict(doc, formulation="BAR")).R, peer_toy2().R)
+    for other in ("ABR", "bar", None, 1):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(dict(doc, formulation=other)))
+        with pytest.raises(ConfigError, match="unsupported formulation"):
+            load_peer_scheme(path)
 
 
 def test_peer_dir_environment_lookup(tmp_path, monkeypatch):
@@ -639,31 +666,35 @@ def test_adjoint_converges_to_exact_flow(name, rng):
     exact0 = adjoint_exact(dec, p_T, 0.0, 1.0)
     method = get_method(name)
     errs = []
+    start_sys = build_system(sys.bc, 8, p_T.copy())
     for N in (16, 32, 64):
-        p_0 = integrate_adjoint(method, sys, p_T, N, 1.0, dec=dec)
+        start = _exact_start(method.adjoint, start_sys, dec, None, 1.0 / N)
+        p_0 = integrate_adjoint(method, sys, p_T, N, 1.0, start)
         errs.append(np.abs(p_0 - exact0).max())
     order = np.log2(errs[-2] / errs[-1])
     assert order >= (3.5 if method.order == 4 else 1.6)
 
 
 @pytest.mark.parametrize("N", [2, 3, 16])
-@pytest.mark.parametrize("name,peer_start", [
+@pytest.mark.parametrize("name,start", [
     ("gauss2", "exact"), ("lobatto3", "exact"),
     ("peer_toy2", "exact"), ("peer_toy2", "collocation"),
 ])
-def test_adjoint_is_reversed_homogeneous_forward_sweep(name, peer_start, N, rng):
+def test_adjoint_is_reversed_homogeneous_forward_sweep(name, start, N, rng):
+    # "exact" starts a Peer sweep from the closed-form block; one-step methods take none
     sys = build_system(RobinBC(2.0, 0.5), 8, ones_profile)
     dec = decompose(sys)
     p_T = rng.standard_normal(8)
     method = get_method(name)
+    start_sys = build_system(sys.bc, 8, p_T.copy())    # makes its psi read-only
     # every state p_{N-k} of an N-step grid on [0, 1], as the endpoint of k steps
     for k in range(2 if name == "peer_toy2" else 1, N + 1):
         T_k = k * (1.0 / N)
-        p = integrate_adjoint(method, sys, p_T, k, T_k, dec=dec, peer_start=peer_start)
+        block = (_exact_start(method.adjoint, start_sys, dec, None, T_k / k)
+                 if start == "exact" else None)
+        p = integrate_adjoint(method, sys, p_T, k, T_k, block)
         assert p_T.flags.writeable and p.shape == (8,)
-        start = build_system(sys.bc, 8, p_T.copy())    # makes its psi read-only
-        fwd = integrate_forward(method.adjoint, start, None, k, T_k, dec=dec,
-                                peer_start=peer_start)
+        fwd = integrate_forward(method.adjoint, start_sys, None, k, T_k, block)
         assert np.array_equal(p, fwd), k
 
 
@@ -673,3 +704,16 @@ def test_lobatto_pair_uses_iiib_for_adjoint():
     assert method.adjoint.name == "lobatto_iiib"
     g = get_method("gauss2")
     assert g.forward is g.adjoint
+
+
+def test_integrators_import_only_heat_mol_from_the_package():
+    # the exact solution judges the integrators, so they must not reach into it
+    tree = ast.parse(Path(integrators.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    relative = {node.module for node in imports if getattr(node, "level", 0) > 0}
+    absolute = {alias.name for node in imports if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in imports
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert relative == {"heat_mol"}
+    assert all(name.split(".")[0] != "heatoc" for name in absolute)
