@@ -506,16 +506,14 @@ def _start_tableau(scheme: PeerScheme) -> IrkTableau:
     return collocation(scheme.c, name=f"start({scheme.name})")
 
 
-def _node_values(control, N: int, s: int, c: np.ndarray, h: float):
-    """Control values at all stage nodes as an (N, s) array."""
+def _node_values(control, N: int, s: int) -> np.ndarray:
+    """The (N, s) control samples at the stage nodes; zeros for None."""
     if control is None:
         return np.zeros((N, s))
-    if isinstance(control, np.ndarray):
-        if control.shape != (N, s):
-            raise ValueError(f"node samples must have shape {(N, s)}, got {control.shape}")
-        return control
-    times = (np.arange(N)[:, None] + c[None, :]) * h
-    return np.asarray(control(times.ravel()), dtype=float).reshape(N, s)
+    if not isinstance(control, np.ndarray) or control.shape != (N, s):
+        got = getattr(control, "shape", type(control).__name__)
+        raise ValueError(f"node samples must be an array of shape {(N, s)}, got {got}")
+    return control
 
 
 def _step_size(scheme, N: int, T: float) -> float:
@@ -545,7 +543,7 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float, start) -> np.ndarr
         raise TypeError(f"unsupported method object {scheme!r}")
     ode = LinearOde(matrix=sys.matrix,
                     forcing_vector=None if control is None else sys.forcing_vector)
-    g_all = _node_values(control, N, scheme.s, scheme.c, h)
+    g_all = _node_values(control, N, scheme.s)
     if not np.isfinite(g_all).all():
         raise ValueError("control samples must not contain infs or NaNs")
 
@@ -574,14 +572,14 @@ def integrate_forward(method, sys: MolSystem, control, N: int, T: float,
                       start: np.ndarray | None = None) -> np.ndarray:
     """Integrate y' = M y + gamma e_m u(t) from y(0) = psi on N uniform steps.
 
-    Returns y_N, the (m,) approximation of y(T).  ``control`` may be a
-    callable of time such as an ExpSumFunction (evaluated at the stage
-    nodes), an (N, s) array of node samples, or None for the homogeneous
-    problem.  A Peer method starts from ``start``, its (s, m) stage block
-    Y_0 with rows approximating y(c_i h), or for None from a self-starting
-    collocation bootstrap; a start given to an IRK method raises ValueError.
-    N < 1, or N < 2 for a Peer method, raises ValueError.  The intermediate
-    states are not kept; loop ``irk_step`` or ``peer_step`` to see them.
+    Returns y_N, the (m,) approximation of y(T).  ``control`` is the (N, s)
+    array of samples u((n + c_i) h), h = T / N, at the stage nodes, or None
+    for the homogeneous problem.  A Peer method starts from ``start``, its
+    (s, m) stage block Y_0 with rows approximating y(c_i h), or for None from
+    a self-starting collocation bootstrap; a start given to an IRK method
+    raises ValueError.  N < 1, or N < 2 for a Peer method, raises
+    ValueError.  The intermediate states are not kept; loop ``irk_step`` or
+    ``peer_step`` to see them.
     """
     scheme = _forward_scheme(method)
     h = _step_size(scheme, N, T)

@@ -154,7 +154,8 @@ def run_verification(rng_seed: int = 2024) -> list[CheckResult]:
     # spectral correctness vs a dense symmetric eigensolver
     worst_lam, worst_res, worst_orth = 0.0, 0.0, 0.0
     for m in range(2, 13):
-        for bc in (RobinBC.dirichlet(), RobinBC.neumann(), RobinBC(1, 1), RobinBC(3, 1)):
+        for bc in (RobinBC.dirichlet(), RobinBC.neumann(), RobinBC(1, 1), RobinBC(3, 1),
+                   RobinBC(1e-14, 1), RobinBC(1, 1e-14)):
             sys = build_system(bc, m, ones_profile)
             dec = decompose(sys)
             lam_ref, _ = dense_eigendecomposition(sys)

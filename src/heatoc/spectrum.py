@@ -8,8 +8,8 @@ m first nonnegative solutions of
 
 Dirichlet data has the explicit solutions omega_k = (k - 1/2) pi, Neumann data
 omega_k = (k - 1) pi.  For general Robin data the k-th frequency lies in the
-bracket ((k-1) pi, (k-1/2) pi) and is found by a monotone fixed-point
-iteration with a bisection fallback.  The eigenvectors are sampled cosines,
+bracket ((k-1) pi, (k-1/2) pi) and all m brackets are bisected at once,
+down to adjacent doubles.  The eigenvectors are sampled cosines,
 orthonormal with an explicit normalization constant.
 """
 
@@ -22,8 +22,6 @@ import numpy as np
 
 from .heat_mol import MolSystem, _readonly
 
-FREQ_TOL = 1e-14
-MAX_FIXED_POINT_ITERS = 200
 # live_product rounds its column count up to a multiple of this, so that a
 # cut keeps the BLAS kernel's grouping of each dot product.  With OpenBLAS
 # on an AVX-512 Xeon, a cut product of random weights lost the full
@@ -63,71 +61,37 @@ class SpectralDecomposition:
         return self.vectors[-1, :]
 
 
-def _bisect_frequency(k: int, m: int, rho: float) -> float:
-    # root of tan(w) tan(w/(2m)) = rho inside ((k-1) pi, (k-1/2) pi)
-    def resid(w: float) -> float:
-        return math.tan(w) * math.tan(w / (2 * m)) - rho
-
-    lo = (k - 1) * math.pi
-    hi = (k - 0.5) * math.pi
-    # nudge off the endpoints where tan vanishes / blows up
-    span = hi - lo
-    lo_in, hi_in = lo + 1e-15 * max(1.0, lo), hi - 1e-15 * max(1.0, hi)
-    flo = resid(lo_in)
-    for _ in range(200):
-        mid = 0.5 * (lo_in + hi_in)
-        if mid <= lo_in or mid >= hi_in:
-            break
-        fmid = resid(mid)
-        if flo * fmid <= 0:
-            hi_in = mid
-        else:
-            lo_in, flo = mid, fmid
-        if hi_in - lo_in <= FREQ_TOL:
-            break
-    return 0.5 * (lo_in + hi_in)
-
-
-def _fixed_point_frequency(k: int, m: int, rho: float) -> float:
-    # omega <- (k-1) pi + arctan(rho * cot(omega / (2m))), starting from
-    # max(1, (k-1) pi); falls back to bisection if the iteration stalls,
-    # leaves its bracket, or fails to contract.
-    base = (k - 1) * math.pi
-    hi = (k - 0.5) * math.pi
-    omega = max(1.0, base)
-    prev_step = math.inf
-    for _ in range(MAX_FIXED_POINT_ITERS):
-        t = math.tan(omega / (2 * m))
-        if t <= 0:
-            return _bisect_frequency(k, m, rho)
-        new = base + math.atan(rho / t)
-        if not (base < new <= hi):
-            return _bisect_frequency(k, m, rho)
-        step = abs(new - omega)
-        omega = new
-        if step <= FREQ_TOL:
-            return omega
-        if step >= prev_step:
-            return _bisect_frequency(k, m, rho)
-        prev_step = step
-    return _bisect_frequency(k, m, rho)
-
-
 def solve_frequencies(sys: MolSystem) -> np.ndarray:
     """Solve the frequency equation for all m frequencies of the system.
 
     Returns the strictly increasing frequencies omega_1 < ... < omega_m < m*pi.
+    Dirichlet and Neumann data take their closed forms.  For Robin data the
+    residual tan(w) tan(w/(2m)) - rho rises from -rho to +inf on each
+    bracket ((k-1) pi, (k-1/2) pi), so its sign alone drives one vectorized
+    bisection of all m brackets.  A bracket stops moving once no double lies
+    strictly inside it, and the loop ends when none does: no tolerance, no
+    iteration cap, and 50 to 80 passes in the cases tried.  The upper end
+    is returned, so omega_k > (k-1) pi, and omega_k tends to the Dirichlet
+    value as beta1 -> 0.
     """
     m, bc = sys.m, sys.bc
     k = np.arange(1, m + 1)
     if bc.is_dirichlet:
-        omegas = (k - 0.5) * np.pi
-    elif bc.is_neumann:
-        omegas = (k - 1.0) * np.pi
-    else:
-        rho = bc.beta0 / (2 * m * bc.beta1)
-        omegas = np.array([_fixed_point_frequency(int(kk), m, rho) for kk in k])
-    return omegas
+        return (k - 0.5) * np.pi
+    if bc.is_neumann:
+        return (k - 1.0) * np.pi
+    rho = bc.beta0 / (2 * m * bc.beta1)
+    lo, hi = (k - 1.0) * np.pi, (k - 0.5) * np.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return hi
+        below = np.tan(mid) * np.tan(mid / (2 * m)) < rho
+        # a converged bracket stays put: its mid would be an end, and the
+        # left end (k-1) pi, never tested, can read as above the root
+        lo = np.where(inside & below, mid, lo)
+        hi = np.where(inside & ~below, mid, hi)
 
 
 def decompose(sys: MolSystem) -> SpectralDecomposition:

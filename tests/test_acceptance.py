@@ -88,7 +88,8 @@ def test_criterion_1_spectral_correctness():
     start = time.perf_counter()
     worst = {"lam": 0.0, "resid": 0.0, "orth": 0.0}
     for m in range(2, 13):
-        for bc in (RobinBC.dirichlet(), RobinBC.neumann(), RobinBC(1, 1), RobinBC(3, 1)):
+        for bc in (RobinBC.dirichlet(), RobinBC.neumann(), RobinBC(1, 1), RobinBC(3, 1),
+                   RobinBC(1e-14, 1), RobinBC(1, 1e-14)):
             sys = build_system(bc, m, ones_profile)
             dec = decompose(sys)
             lam_ref, _ = dense_eigendecomposition(sys)

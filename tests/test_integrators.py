@@ -35,6 +35,12 @@ def scalar_ode(lam=0.0):
                      forcing_vector=np.array([1.0]))
 
 
+def node_samples(control, scheme, N, T):
+    """The (N, s) samples of a control at the stage nodes (n + c_i) h, h = T / N."""
+    times = (np.arange(N)[:, None] + scheme.c[None, :]) * (T / N)
+    return control(times.ravel()).reshape(N, scheme.s)
+
+
 # ---------------------------------------------------------------------------
 # tableaus
 # ---------------------------------------------------------------------------
@@ -237,8 +243,10 @@ def test_forward_single_step_composition():
     c = gauss2().c
     y1, _ = irk_step(gauss2(), ode, 0.5, sys.psi, u.value(0.0 + c * 0.5))
     y2, _ = irk_step(gauss2(), ode, 0.5, y1, u.value(0.5 + c * 0.5))
-    assert np.array_equal(integrate_forward(gauss2(), sys, u, 1, 0.5), y1)
-    assert np.array_equal(integrate_forward(gauss2(), sys, u, 2, 1.0), y2)
+    assert np.array_equal(
+        integrate_forward(gauss2(), sys, node_samples(u, gauss2(), 1, 0.5), 1, 0.5), y1)
+    assert np.array_equal(
+        integrate_forward(gauss2(), sys, node_samples(u, gauss2(), 2, 1.0), 2, 1.0), y2)
 
 
 def test_forward_homogeneous_fourth_order_decay():
@@ -264,11 +272,11 @@ def test_polynomial_exactness(name, degree):
     tri = TridiagonalMatrix(np.array([0.0]), np.zeros(0))
     sys_like = MolSystem(m=1, xi=1.0, bc=RobinBC.dirichlet(), theta=3.0, gamma=1.0,
                          grid=np.array([0.5]), psi=np.array([q(0.0)]), matrix=tri)
-    control = lambda t: dq(np.asarray(t))
     # every state y_n of an 8-step grid on [0, 1], as the endpoint of n steps
     times = np.arange(9) / 8
     scale = max(np.abs(q(times)).max(), 1.0)
     for n in range(2 if name == "peer_toy2" else 1, 9):
+        control = node_samples(dq, method.forward, n, times[n])
         y_n = integrate_forward(method, sys_like, control, n, times[n])
         assert abs(y_n[0] - q(times[n])) <= 1e-12 * scale, n
 
@@ -277,30 +285,27 @@ def test_forward_benchmark_error_shrinks_from_coarsest_to_finest():
     # m=250 with the exact control: N = 2^11 must improve on N = 2^4
     prob, sol = make_instance(250)
     y_exact = from_modal(prob.dec, sol.eta_T)
-    coarse = integrate_forward(gauss2(), prob.sys, sol.control, 2**4, 1.0)
-    fine = integrate_forward(gauss2(), prob.sys, sol.control, 2**11, 1.0)
+    coarse, fine = (integrate_forward(gauss2(), prob.sys,
+                                      node_samples(sol.control, gauss2(), N, 1.0), N, 1.0)
+                    for N in (2**4, 2**11))
     err_coarse = np.abs(coarse - y_exact).max()
     err_fine = np.abs(fine - y_exact).max()
     assert np.isfinite(err_fine)
     assert err_fine < err_coarse
 
 
-def test_forward_node_samples_match_callable():
-    sys = build_system(RobinBC.dirichlet(), 5, ones_profile)
-    u = ExpSumFunction(np.array([0.7]), np.array([-3.0]), 1.0)
-    N = 8
-    tab = gauss2()
-    times = (np.arange(N)[:, None] + tab.c[None, :]) / N
-    samples = u.value(times.ravel()).reshape(N, 2)
-    t1 = integrate_forward(tab, sys, u, N, 1.0)
-    t2 = integrate_forward(tab, sys, samples, N, 1.0)
-    assert np.abs(t1 - t2).max() < 1e-15
-
-
 def test_forward_rejects_bad_sample_shape():
     sys = build_system(RobinBC.dirichlet(), 5, ones_profile)
     with pytest.raises(ValueError):
         integrate_forward(gauss2(), sys, np.zeros((4, 3)), 4, 1.0)
+
+
+def test_forward_rejects_a_callable_control():
+    # the caller samples the control at the stage nodes; a function is not sampled
+    sys = build_system(RobinBC.dirichlet(), 5, ones_profile)
+    u = ExpSumFunction(np.array([0.7]), np.array([-3.0]), 1.0)
+    with pytest.raises(ValueError, match="node samples"):
+        integrate_forward(gauss2(), sys, u, 4, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -337,13 +342,7 @@ def stepped_endpoint(scheme, sys, control, N, h):
     """y_N of N public irk_step / peer_step calls, each IRK step with its own solver."""
     ode = LinearOde(matrix=sys.matrix,
                     forcing_vector=None if control is None else sys.forcing_vector)
-    if control is None:
-        g = np.zeros((N, scheme.s))
-    elif isinstance(control, np.ndarray):
-        g = control
-    else:
-        times = (np.arange(N)[:, None] + scheme.c[None, :]) * h
-        g = control(times.ravel()).reshape(N, scheme.s)
+    g = np.zeros((N, scheme.s)) if control is None else control
     y = sys.psi
     if isinstance(scheme, IrkTableau):
         for n in range(N):
@@ -368,7 +367,8 @@ def test_sweeps_equal_a_loop_of_public_steps_bitwise(name, m, rng):
     p_T = rng.standard_normal(m)
     for n in range(2 if name == "peer_toy2" else 1, N + 1):
         T_n = n * (T / N)
-        for label, control in (("expsum", expsum), ("nodes", nodes[:n]), ("none", None)):
+        for label, control in (("expsum", node_samples(expsum, method.forward, n, T_n)),
+                               ("nodes", nodes[:n]), ("none", None)):
             sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
             y_n = integrate_forward(method, sys, control, n, T_n)
             fresh = build_system(RobinBC(2.0, 0.5), m, ones_profile)    # no kept factors
@@ -525,7 +525,8 @@ def test_peer_forward_second_order_on_benchmark():
     errs = []
     for N in (32, 64, 128, 256):
         start = _exact_start(peer_toy2(), prob.sys, prob.dec, sol.control, 1.0 / N)
-        y_N = integrate_forward(peer_toy2(), prob.sys, sol.control, N, 1.0, start)
+        u = node_samples(sol.control, peer_toy2(), N, 1.0)
+        y_N = integrate_forward(peer_toy2(), prob.sys, u, N, 1.0, start)
         errs.append(np.abs(y_N - y_exact).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders[-1] == pytest.approx(2.0, abs=0.35)
@@ -534,8 +535,9 @@ def test_peer_forward_second_order_on_benchmark():
 def test_peer_collocation_start_close_to_exact_start():
     prob, sol = make_instance(8)
     start = _exact_start(peer_toy2(), prob.sys, prob.dec, sol.control, 1.0 / 64)
-    a = integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0, start)
-    b = integrate_forward(peer_toy2(), prob.sys, sol.control, 64, 1.0)
+    u = node_samples(sol.control, peer_toy2(), 64, 1.0)
+    a = integrate_forward(peer_toy2(), prob.sys, u, 64, 1.0, start)
+    b = integrate_forward(peer_toy2(), prob.sys, u, 64, 1.0)
     assert np.abs(a - b).max() < 1e-4
 
 

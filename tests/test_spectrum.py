@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,65 @@ def test_frequency_interlacing(m, beta0, beta1):
     assert np.all(om < (k - 0.5) * np.pi)   # right endpoint only for beta1 = 0
     assert np.all(np.diff(om) > 0)
     assert om[-1] < m * np.pi
+
+
+def mpmath_frequency(k, m, rho):
+    """k-th root of tan(w) tan(w/(2m)) = rho by a 30-digit bisection of its bracket."""
+    with mpmath.workdps(30):
+        lo, hi = (k - 1) * mpmath.pi, (k - mpmath.mpf(0.5)) * mpmath.pi
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if mpmath.tan(mid) * mpmath.tan(mid / (2 * m)) < rho:
+                lo = mid
+            else:
+                hi = mid
+        return float(hi)
+
+
+@pytest.mark.parametrize("m,beta0,beta1,ks", [
+    (6, 1e-14, 1.0, range(1, 7)),
+    (12, 3.0, 1.0, range(1, 13)),
+    (250, 1.0, 1.0, (1, 2, 125, 249, 250)),
+    (250, 1e-6, 1.0, (1, 2, 125, 249, 250)),
+    (250, 0.01, 50.0, (1, 2, 125, 249, 250)),
+])
+def test_robin_frequencies_within_two_ulp_of_mpmath(m, beta0, beta1, ks):
+    om = solve_frequencies(build_system(RobinBC(beta0, beta1), m, ones_profile))
+    rho = beta0 / (2 * m * beta1)
+    for k in ks:
+        ref = mpmath_frequency(k, m, rho)
+        assert abs(om[k - 1] - ref) <= 2 * np.spacing(ref), k
+
+
+def eigenpair_residual(sys, dec):
+    """max_k ||M v_k - lambda_k v_k||_inf through the O(m) tridiagonal product."""
+    VT = dec.vectors.T
+    return np.abs(sys.matrix.apply(VT) - VT * dec.lambdas[:, None]).max()
+
+
+@pytest.mark.parametrize("m,beta0", [(8, 1e-14), (100, 1e-12), (100, 1e-10), (500, 1e-8),
+                                     (2000, 1e-6)])
+def test_near_neumann_eigenpairs(m, beta0):
+    # the roots just above (k-1) pi must land neither at (k-1/2) pi nor on
+    # (k-1) pi itself (m = 100, beta0 = 1e-12 has roots within an ulp of it)
+    sys = build_system(RobinBC(beta0, 1.0), m, ones_profile)
+    dec = decompose(sys)
+    assert np.all(dec.omegas > np.arange(m) * np.pi)
+    assert eigenpair_residual(sys, dec) <= 1e-10 * m**2
+    if m <= 500:                  # V^T V at m = 2000 is too slow here
+        gram = dec.vectors.T @ dec.vectors - np.eye(m)
+        assert np.abs(gram).max() <= 1e-12 * m
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 60), log_ratio=st.floats(-14.0, 14.0))
+def test_robin_frequencies_bracketed_with_eigenpairs(m, log_ratio):
+    sys = build_system(RobinBC(10.0**log_ratio, 1.0), m, ones_profile)
+    dec = decompose(sys)
+    k = np.arange(1, m + 1)
+    assert np.all(dec.omegas > (k - 1) * np.pi)
+    assert np.all(dec.omegas < (k - 0.5) * np.pi)
+    assert eigenpair_residual(sys, dec) <= 1e-10 * m**2
 
 
 def test_decompose_dirichlet_m2_against_dense():
