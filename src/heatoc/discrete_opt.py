@@ -10,12 +10,13 @@ objective are the defining contract).
 
 The scheme is linear and time-invariant, so the terminal state is affine in
 the control, y_T = y_free + J u.  ``optimize`` builds J once per call from the
-method's own steps, stepping TERMINAL_MAP_COLUMNS unit vectors at once and
-carrying y_free through the same propagator loop, reduces the optimality
-system to the m terminal multipliers instead of the N s control values and
-solves it with one Cholesky factorization.  The matrix-free gradient above,
-one forward sweep without stages and one transposed sweep, certifies the
-control it returns.
+method's own steps, with y_free in the same loop: for IRK through the dense
+propagator R, stepping TERMINAL_MAP_COLUMNS unit vectors at once; for Peer by
+stepping one stack of 2 s + 1 stage blocks, so no (s m)^2 matrix is formed.
+It reduces the optimality system to the m terminal multipliers instead of
+the N s control values and solves it with one Cholesky factorization.  The
+matrix-free gradient above, one forward sweep without stages and one
+transposed sweep, certifies the control it returns.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .integrators import (
     _forward_scheme, _start_tableau, _step_size,
 )
 
-# Unit vectors that ``_terminal_map`` steps as one stack, which bounds its
-# temporaries to O(TERMINAL_MAP_COLUMNS s m).
+# Unit states that ``_terminal_map`` steps as one stack to build the IRK
+# propagator R, which bounds its temporaries to O(TERMINAL_MAP_COLUMNS s m).
 TERMINAL_MAP_COLUMNS = 64
 
 
@@ -143,7 +144,7 @@ def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, h: float
     Wb, lam_b = np.empty((N, tab.s)), np.empty(N)
     lam = y_T - prob.y_hat
     for n in range(N - 1, -1, -1):
-        W = solve(h * np.outer(tab.b, apply(lam)))
+        W = solve(h * (tab.b[:, None] * apply(lam)))
         Wb[n] = W @ bvec
         lam_b[n] = lam @ bvec
         lam = lam + W.sum(axis=0)
@@ -220,13 +221,14 @@ def _propagator(step, n: int) -> np.ndarray:
 def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     """The terminal map y_T = y_free + J u, returned as (J^T, y_free).
 
-    J is built by applying the method's own steps to unit vectors, stacked
-    TERMINAL_MAP_COLUMNS at a time; each item of a stacked step is bitwise
-    its single step, so J u agrees with a forward sweep up to roundoff and
-    the eigenbasis of M is not used.  Row n * s + i of the (N * s, m) J^T
-    is dy_T / du_ni.  y_free, the terminal state for u = 0 (Peer with the
-    collocation start), rides in the same loop as its own vector under the
-    propagator that builds J.  N must have passed ``_step_size``.
+    J is built by applying the method's own steps to unit controls, and
+    each item of a stacked step is bitwise its single step, so J u agrees
+    with a forward sweep up to roundoff and the eigenbasis of M is not
+    used.  Row n * s + i of the (N * s, m) J^T is dy_T / du_ni.  y_free is
+    the terminal state for u = 0 (Peer with the collocation start).  For
+    IRK both come from the dense propagator R, stepped TERMINAL_MAP_COLUMNS
+    unit states at a time; for Peer from one stack of 2 s + 1 stage blocks
+    stepped N - 2 times.  N must have passed ``_step_size``.
     """
     m, s = sys.m, scheme.s
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
@@ -245,34 +247,31 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
             free = R @ free
         return Jt.reshape(N * s, m), free
 
-    # Peer: the state is the stage block Y_n (flattened, s * m) with
-    # Y_0 = S psi + W g_0 from the collocation start and, for n >= 1,
+    # Peer: Y_0 = S psi + W g_0 from the collocation start and, for n >= 1,
     # Y_n = P Y_{n-1} + G_prev g_{n-1} + G_cur g_n; y_T is the last stage of
     # Y_{N-1}.  So g_n reaches Y_{n+1} through H = P G_cur + G_prev for
-    # n >= 1 and through H_0 = P W + G_prev for n = 0, the last control
-    # row only through G_cur, and y_free is the last stage of P^(N-1) S psi.
-    zero_block = np.zeros((s, m))
-
-    def step(block, g_prev, g_cur):
-        out = peer_step(scheme, ode, h, block.reshape(-1, s, m), g_prev, g_cur)[0]
-        return out.reshape(block.shape)
-
+    # n >= 1 and through H_0 = P W + G_prev for n = 0, the last control row
+    # only through G_cur, and y_free is the last stage of P^(N-1) S psi.
+    # The stack Z holds H, H_0 and P S psi, and each homogeneous step
+    # applies P to all 2 s + 1 blocks, carrying their stage derivatives.
     start = _start_tableau(scheme)
-    P = _propagator(lambda Y: step(Y, zero_g, zero_g), s * m)
-    G_prev = np.column_stack([step(zero_block, g, zero_g).ravel() for g in units])
-    G_cur = np.column_stack([step(zero_block, zero_g, g).ravel() for g in units])
-    W = np.column_stack([irk_step(start, ode, h, np.zeros(m), g)[1].ravel()
-                         for g in units])
-    free = P @ irk_step(start, ode, h, sys.psi, zero_g)[1].ravel()
-    last = slice((s - 1) * m, s * m)
-    Jt[N - 1] = G_cur[last].T
-    Z = np.hstack([P @ G_cur + G_prev, P @ W + G_prev])
+    zero_block = np.zeros((s, m))
+    Z = np.empty((2 * s + 1, s, m))
+    for j, g in enumerate(units):
+        G_cur, F_cur = peer_step(scheme, ode, h, zero_block, zero_g, g)
+        Jt[N - 1, j] = G_cur[-1]
+        Z[j] = peer_step(scheme, ode, h, G_cur, g, zero_g, F_cur)[0]
+        W = irk_step(start, ode, h, np.zeros(m), g)[1]
+        Z[s + j] = peer_step(scheme, ode, h, W, g, zero_g)[0]
+    Y0 = irk_step(start, ode, h, sys.psi, zero_g)[1]
+    Z[2 * s] = peer_step(scheme, ode, h, Y0, zero_g, zero_g)[0]
+    free_ode = LinearOde(matrix=sys.matrix)
+    F = None                      # the first step forms F(Z) = M Z itself
     for n in range(N - 2, 0, -1):
-        Jt[n] = Z[last, :s].T
-        Z = P @ Z
-        free = P @ free
-    Jt[0] = Z[last, s:].T
-    return Jt.reshape(N * s, m), free[last]
+        Jt[n] = Z[:s, -1]
+        Z, F = peer_step(scheme, free_ode, h, Z, zero_g, zero_g, F)
+    Jt[0] = Z[s:2 * s, -1]
+    return Jt.reshape(N * s, m), Z[2 * s, -1]
 
 
 def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,

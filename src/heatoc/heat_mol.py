@@ -132,15 +132,16 @@ class TridiagonalMatrix:
         five ufunc calls over its (rows, m) matrix, which is the product of
         one vector at a time by construction.
         """
+        m = self.m
         v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != (self.m,):
-            raise ValueError(f"expected last axis of length {self.m}, got shape {v.shape}")
+        if v.shape[-1:] != (m,):
+            raise ValueError(f"expected last axis of length {m}, got shape {v.shape}")
         rows = math.prod(v.shape[:-1])
         if rows <= APPLY_ROWS:
             return self._apply_rows(v.reshape(-1), rows).reshape(v.shape)
-        V = v.reshape(rows, self.m)
+        V = v.reshape(rows, m)
         r = np.multiply(self.diagonal, V, order="C")
-        if self.m > 1:
+        if m > 1:
             r[:, :-1] += self.off * V[:, 1:]
             r[:, 1:] += self.off * V[:, :-1]
         return r.reshape(v.shape)
@@ -196,7 +197,7 @@ class TridiagonalMatrix:
             raise ValueError("right-hand side must not contain infs or NaNs")
         if z == 0:
             return rhs.copy()
-        complex_ = np.iscomplexobj(z) or np.iscomplexobj(rhs)
+        complex_ = rhs.dtype.kind == "c" or np.iscomplexobj(z)
         factors = self._shift_factors(z, complex_)
         if factors is None:
             return _solve_unfactored(*self._shifted_bands(z), rhs, complex_)

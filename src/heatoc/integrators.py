@@ -395,15 +395,19 @@ class StageSystemSolver:
             shifts = [self.h * mu for mu in self.mu]
             self._shifts = [(i, z, self.tri._shift_factors(z, True))
                             for i, z in enumerate(shifts) if z != 0]
-        # Z[i] holds the rows of shift i, (m,) or (K, m), C-contiguous: a
-        # copy for K > 1, the product itself for a block or a stack of one.
-        Z = np.ascontiguousarray((self.Sinv @ rhs.astype(complex)).swapaxes(0, -2))
+        # Z[i] holds the rows of shift i, (m,) or (K, m), C-contiguous: the
+        # product itself for a block or a stack of one, a copy for K > 1.
+        Z = self.Sinv @ rhs.astype(complex)
+        if rhs.ndim == 3:
+            Z = np.ascontiguousarray(Z.swapaxes(0, 1))
         for i, z, factors in self._shifts:
             if factors is None:
                 Z[i] = self.tri.solve_shift(z, Z[i].T).T
             else:           # Z[i].T is Fortran-ordered (m, K): solved in place
                 zgttrs(*factors, Z[i].T, overwrite_b=1)
-        return np.ascontiguousarray((self.S @ Z.swapaxes(0, -2)).real)
+        if rhs.ndim == 3:
+            Z = Z.swapaxes(0, 1)
+        return np.ascontiguousarray((self.S @ Z).real)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +437,14 @@ def irk_step(tab: IrkTableau, ode: LinearOde, h: float, y_n: np.ndarray,
         solver = StageSystemSolver(tab.A, h, ode.matrix)
     g = np.asarray(g_values, dtype=float)
     if ode.forcing_vector is not None:
-        rhs = y_n[..., None, :] + h * np.outer(tab.A @ g, ode.forcing_vector)
+        rhs = y_n[..., None, :] + h * ((tab.A @ g)[:, None] * ode.forcing_vector)
     else:
         rhs = np.empty(y_n.shape[:-1] + (tab.s, m))
         rhs[:] = y_n[..., None, :]
     stages = solver.solve_stacked(rhs)
     F = ode.matrix.apply(stages)
     if ode.forcing_vector is not None:
-        F += np.outer(g, ode.forcing_vector)
+        F += g[:, None] * ode.forcing_vector
     return y_n + h * (tab.b @ F), stages
 
 

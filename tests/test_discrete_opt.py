@@ -269,7 +269,8 @@ def test_terminal_map_matches_forward_sweep(name, N, rng):
 
 
 def reference_terminal_map(scheme, sys, h, N):
-    """J^T from one single-vector step per unit vector, the build before stacked steps."""
+    """(J^T, y_free) from single steps: IRK through a propagator built one
+    unit vector at a time, Peer by stepping each of its 2 s + 1 blocks alone."""
     m, s = sys.m, scheme.s
     ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     units, zero_g = np.eye(s), np.zeros(s)
@@ -280,28 +281,73 @@ def reference_terminal_map(scheme, sys, h, N):
                              for e in np.eye(m)])
         Z = np.column_stack([irk_step(scheme, ode, h, np.zeros(m), g, solver)[0]
                              for g in units])
+        free = sys.psi
         for n in range(N - 1, -1, -1):
             Jt[n] = Z.T
             Z = R @ Z
-        return Jt.reshape(N * s, m)
+            free = R @ free
+        return Jt.reshape(N * s, m), free
+
+    free_ode = LinearOde(matrix=sys.matrix)
+    start = _start_tableau(scheme)
+
+    def last_stages(block, k):
+        """Last stages of P^i block, i = 0..k - 1, and P^k block itself;
+        homogeneous single steps carrying F."""
+        rows, F = [], None
+        for _ in range(k):
+            rows.append(block[-1])
+            block, F = peer_step(scheme, free_ode, h, block, zero_g, zero_g, F)
+        return rows, block
+
+    for j, g in enumerate(units):
+        G_cur, F_cur = peer_step(scheme, ode, h, np.zeros((s, m)), zero_g, g)
+        Jt[N - 1, j] = G_cur[-1]
+        # g_n for 0 < n < N - 1 reaches y_T as the last stage of P^(N-2-n) H
+        H = peer_step(scheme, ode, h, G_cur, g, zero_g, F_cur)[0]
+        for n, row in zip(range(N - 2, 0, -1), last_stages(H, N - 2)[0]):
+            Jt[n, j] = row
+        # g_0 reaches y_T as the last stage of P^(N-2) H_0
+        W = irk_step(start, ode, h, np.zeros(m), g)[1]
+        H_0 = peer_step(scheme, ode, h, W, g, zero_g)[0]
+        Jt[0, j] = last_stages(H_0, N - 2)[1][-1]
+    Y_0 = irk_step(start, ode, h, sys.psi, zero_g)[1]
+    free = last_stages(peer_step(scheme, ode, h, Y_0, zero_g, zero_g)[0], N - 2)[1][-1]
+    return Jt.reshape(N * s, m), free
+
+
+def dense_propagator_terminal_map(scheme, sys, h, N):
+    """(J^T, y_free) of a Peer scheme through the dense (s m)^2 propagator P.
+
+    Y_n = P Y_{n-1} + G_prev g_{n-1} + G_cur g_n with Y_0 = S psi + W g_0,
+    every operator built from single steps on unit vectors; J^T follows by
+    products with P.
+    """
+    m, s = sys.m, scheme.s
+    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
+    units, zero_g = np.eye(s), np.zeros(s)
+    Jt = np.empty((N, s, m))
 
     def step(block, g_prev, g_cur):
         return peer_step(scheme, ode, h, block, g_prev, g_cur)[0].ravel()
 
     zero_block = np.zeros((s, m))
+    start = _start_tableau(scheme)
     P = np.column_stack([step(e.reshape(s, m), zero_g, zero_g) for e in np.eye(s * m)])
     G_prev = np.column_stack([step(zero_block, g, zero_g) for g in units])
     G_cur = np.column_stack([step(zero_block, zero_g, g) for g in units])
-    W = np.column_stack([irk_step(_start_tableau(scheme), ode, h, np.zeros(m), g)[1].ravel()
+    W = np.column_stack([irk_step(start, ode, h, np.zeros(m), g)[1].ravel()
                          for g in units])
+    free = P @ irk_step(start, ode, h, sys.psi, zero_g)[1].ravel()
     last = slice((s - 1) * m, s * m)
     Jt[N - 1] = G_cur[last].T
     Z = np.hstack([P @ G_cur + G_prev, P @ W + G_prev])
     for n in range(N - 2, 0, -1):
         Jt[n] = Z[last, :s].T
         Z = P @ Z
+        free = P @ free
     Jt[0] = Z[last, s:].T
-    return Jt.reshape(N * s, m)
+    return Jt.reshape(N * s, m), free[last]
 
 
 def reference_irk_backward(tab, prob, values, N, y_T):
@@ -386,8 +432,24 @@ def test_terminal_map_bitwise_equals_column_by_column_build(name, m):
     scheme = get_method(name).forward
     for N in (2, 3, 16):
         h = prob.T / N
-        Jt, _ = _terminal_map(scheme, prob.sys, h, N)
-        assert np.array_equal(Jt, reference_terminal_map(scheme, prob.sys, h, N)), N
+        Jt, y_free = _terminal_map(scheme, prob.sys, h, N)
+        ref_Jt, ref_free = reference_terminal_map(scheme, prob.sys, h, N)
+        assert np.array_equal(Jt, ref_Jt), N
+        assert np.array_equal(y_free, ref_free), N
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 70])
+@pytest.mark.parametrize("N", [2, 3, 16])
+def test_peer_terminal_map_matches_dense_propagator_build(m, N):
+    # the stepped stack and the dense (s m)^2 propagator are two groupings
+    # of the same linear map; they agree up to roundoff
+    prob, _ = make_instance(m)
+    scheme = peer_toy2()
+    h = prob.T / N
+    Jt, y_free = _terminal_map(scheme, prob.sys, h, N)
+    dense_Jt, dense_free = dense_propagator_terminal_map(scheme, prob.sys, h, N)
+    assert np.abs(Jt - dense_Jt).max() <= 1e-13 * np.abs(dense_Jt).max()
+    assert np.abs(y_free - dense_free).max() <= 1e-13 * np.abs(dense_free).max()
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -405,21 +467,32 @@ def test_terminal_map_y_free_matches_zero_control_sweep(name, m, N):
     assert np.abs(y_free - ref).max() <= 5e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("name", METHODS)
-def test_terminal_map_temporaries_stay_near_the_result(name):
-    # m = 250, N = 256: the result is N s m floats, the propagator (s m)^2.
-    # A stack of TERMINAL_MAP_COLUMNS unit vectors keeps the peak at 2.9-4.3
-    # results; stepping all s m of them as one stack reaches 7.5-12.7
-    prob, _ = make_instance(250)
-    scheme = get_method(name).forward
-    N = 256
+def terminal_map_peak(scheme, m, N):
+    """(tracemalloc peak of ``_terminal_map``, bytes of its J^T)."""
+    prob, _ = make_instance(m)
     tracemalloc.start()
     try:
         Jt, _ = _terminal_map(scheme, prob.sys, prob.T / N, N)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * Jt.nbytes
+    return peak, Jt.nbytes
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_terminal_map_temporaries_stay_near_the_result(name):
+    # m = 250, N = 256: the result is N s m floats, the IRK propagator m^2.
+    # A stack of TERMINAL_MAP_COLUMNS unit vectors keeps the IRK peak at
+    # 2.9-3.2 results; stepping all m of them as one stack reaches 7.5-7.8
+    peak, nbytes = terminal_map_peak(get_method(name).forward, 250, 256)
+    assert peak < 6 * nbytes
+
+
+def test_peer_terminal_map_holds_no_propagator():
+    # m = 250, N = 256: the stepped stack of 2 s + 1 blocks keeps the peak
+    # at 1.2 results, where an (s m)^2 propagator alone would take 1.95
+    peak, nbytes = terminal_map_peak(peer_toy2(), 250, 256)
+    assert peak < 2 * nbytes
 
 
 @pytest.mark.parametrize("name, stage_rate", [("gauss2", 3.0), ("lobatto3", 2.0)])
