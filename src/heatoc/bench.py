@@ -26,7 +26,7 @@ from . import __version__
 from .heat_mol import ConfigError, RobinBC, build_system, ones_profile
 from .spectrum import decompose, from_modal
 from .exact_oc import (
-    ExpSumFunction, OcProblem, adjoint_exact, check_target, solve_ivp_exact, sparse_target,
+    OcProblem, adjoint_exact, check_target, solve_ivp_exact, sparse_target,
 )
 from .discrete_opt import OptimizerConfig, optimize
 from .integrators import PeerScheme, get_method, integrate_forward, integrate_adjoint
@@ -207,7 +207,8 @@ def attach_orders(rows: list[ReportRow], skip: set | None = None) -> list[Report
 @functools.lru_cache(maxsize=8)
 def benchmark_instance(m: int, beta0: float, beta1: float, T: float, alpha: float,
                        deltas: tuple[tuple[int, float], ...]):
-    """System, decomposition, problem and exact solution for one instance."""
+    """Problem and exact solution of one sparse-target instance: the one
+    instance builder of the cells, the verify gate and ``heatoc exact``."""
     sys = build_system(RobinBC(beta0, beta1), m, ones_profile)
     dec = decompose(sys)
     y_hat, sol = sparse_target(sys, dec, T=T, alpha=alpha, deltas=deltas)
@@ -215,49 +216,45 @@ def benchmark_instance(m: int, beta0: float, beta1: float, T: float, alpha: floa
     return prob, sol
 
 
-def _exact_start(scheme, sys, dec, control, h: float):
+def _exact_start(scheme, state, h: float):
     """The exact first stage block of a Peer sweep, None for a one-step scheme.
 
-    Row i is the closed-form state y(c_i h) of ``sys`` under ``control``, or
-    of the homogeneous problem for None.
+    Row i is ``state(c_i h)``, the closed-form solution at the i-th node.
     """
     if not isinstance(scheme, PeerScheme):
         return None
-    if control is None:
-        control = ExpSumFunction.zero(max(h * float(np.max(scheme.c)), h))
-    return np.stack([solve_ivp_exact(sys, dec, control, float(ci) * h) for ci in scheme.c])
+    return np.stack([state(float(ci) * h) for ci in scheme.c])
 
 
 def _scenario1_cell(args) -> tuple[list[ReportRow], bool]:
-    method_name, m, N, beta0, beta1, T, alpha, deltas, peer_dir = args
-    prob, sol = benchmark_instance(m, beta0, beta1, T, alpha, deltas)
-    method = get_method(method_name, peer_dir)
-    y_T_exact = from_modal(prob.dec, sol.eta_T)
-    p_0_exact = adjoint_exact(prob.dec, sol.p_T, 0.0, T)
+    cfg, method, m, N = args
+    prob, sol = benchmark_instance(m, cfg.beta0, cfg.beta1, cfg.T, cfg.alpha, cfg.deltas)
+    T, sys, dec = cfg.T, prob.sys, prob.dec
+    y_T_exact = from_modal(dec, sol.eta_T)
+    p_0_exact = adjoint_exact(dec, sol.p_T, 0.0, T)
     # Peer sweeps start from the exact solution at their first nodes: the
     # cell measures the method's order, not its starter
     h = T / N
-    start = _exact_start(method.forward, prob.sys, prob.dec, sol.control, h)
+    start = _exact_start(method.forward, lambda t: solve_ivp_exact(sys, dec, sol.control, t), h)
     times = (np.arange(N)[:, None] + method.forward.c[None, :]) * h
     u = sol.control(times.ravel()).reshape(times.shape)
-    y_T = integrate_forward(method, prob.sys, u, N, T, start)
+    y_T = integrate_forward(method, sys, u, N, T, start)
     err_y = float(np.abs(y_T - y_T_exact).max())
     p_T = y_T - prob.y_hat
-    start = _exact_start(method.adjoint, dataclasses.replace(prob.sys, psi=p_T),
-                         prob.dec, None, h)
-    p_0 = integrate_adjoint(method, prob.sys, p_T, N, T, start)
+    # q(t) = p(T - t) = e^(t M) p_T, the backward flow from p_T over time t
+    start = _exact_start(method.adjoint, lambda t: adjoint_exact(dec, p_T, 0.0, t), h)
+    p_0 = integrate_adjoint(method, sys, p_T, N, T, start)
     err_p = float(np.abs(p_0 - p_0_exact).max())
-    return [ReportRow(method_name, m, N, "yT_err_inf", err_y),
-            ReportRow(method_name, m, N, "p0_err_inf", err_p)], True
+    return [ReportRow(method.name, m, N, "yT_err_inf", err_y),
+            ReportRow(method.name, m, N, "p0_err_inf", err_p)], True
 
 
 def _scenario2_cell(args) -> tuple[list[ReportRow], bool]:
-    method_name, m, N, beta0, beta1, T, alpha, deltas, peer_dir, grad_tol = args
-    prob, sol = benchmark_instance(m, beta0, beta1, T, alpha, deltas)
-    method = get_method(method_name, peer_dir)
-    result = optimize(method, prob, OptimizerConfig(grad_tol=grad_tol), N,
+    cfg, method, m, N = args
+    prob, sol = benchmark_instance(m, cfg.beta0, cfg.beta1, cfg.T, cfg.alpha, cfg.deltas)
+    result = optimize(method, prob, OptimizerConfig(grad_tol=cfg.grad_tol), N,
                       exact_control=sol.control)
-    return [ReportRow(method_name, m, N, "u_nodes_err_inf", result.control_error)], \
+    return [ReportRow(method.name, m, N, "u_nodes_err_inf", result.control_error)], \
         result.converged
 
 
@@ -284,22 +281,22 @@ def _base_metadata(cfg: ExperimentConfig) -> dict[str, str]:
     }
 
 
-def _run_grid(cfg: ExperimentConfig, cell, extra: tuple, on_partial) -> ConvergenceReport:
-    """Run ``cell`` on every (method, m, N) of the grid; a cell returns (rows,
-    converged).  When a cell raises, ``on_partial`` gets the rows so far."""
+def _run_grid(cfg: ExperimentConfig, cell, on_partial) -> ConvergenceReport:
+    """Run ``cell`` on (cfg, method, m, N) for every grid point, each method
+    looked up once; a cell returns (rows, converged).  When a cell raises,
+    ``on_partial`` gets the rows so far."""
     cfg.validate()
-    for name in cfg.methods:
-        get_method(name, cfg.peer_dir)   # fail fast on missing coefficients
-    argses = [(name, m, N, cfg.beta0, cfg.beta1, cfg.T, cfg.alpha, cfg.deltas,
-               cfg.peer_dir) + extra
-              for name in cfg.methods for m in cfg.m_values for N in cfg.N_values]
+    methods = [get_method(name, cfg.peer_dir) for name in cfg.methods]
+    argses = [(cfg, method, m, N)
+              for method in methods for m in cfg.m_values for N in cfg.N_values]
     rows: list[ReportRow] = []
     non_converged: set = set()
     try:
         for args, (cell_rows, converged) in zip(argses, _pool_iter(cfg.jobs, cell, argses)):
             rows.extend(cell_rows)
             if not converged:
-                non_converged.add(args[:3])
+                _, method, m, N = args
+                non_converged.add((method.name, m, N))
     except Exception:
         if on_partial is not None and rows:
             partial = ConvergenceReport(rows=attach_orders(rows, skip=non_converged),
@@ -317,12 +314,12 @@ def _run_grid(cfg: ExperimentConfig, cell, extra: tuple, on_partial) -> Converge
 
 def run_scenario1(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
     """Decoupled study: forward with the exact control, backward from y_h(T) - y_hat."""
-    return _run_grid(cfg, _scenario1_cell, (), on_partial)
+    return _run_grid(cfg, _scenario1_cell, on_partial)
 
 
 def run_scenario2(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
     """Fully coupled study: discrete optimization per cell, node-wise control error."""
-    return _run_grid(cfg, _scenario2_cell, (cfg.grad_tol,), on_partial)
+    return _run_grid(cfg, _scenario2_cell, on_partial)
 
 
 # ---------------------------------------------------------------------------

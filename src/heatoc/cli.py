@@ -15,9 +15,10 @@ import numpy as np
 
 from .heat_mol import ConfigError, RobinBC, build_system, ones_profile
 from .spectrum import decompose
-from .exact_oc import OcProblem, adjoint_exact, check_target, sparse_target
+from .exact_oc import adjoint_exact
 from .bench import (
-    ExperimentConfig, emit_report, render_csv, run_scenario1, run_scenario2,
+    DEFAULT_DELTAS, ExperimentConfig, benchmark_instance, emit_report, render_csv,
+    run_scenario1, run_scenario2,
 )
 from .integrators import MissingPeerCoefficientsError, NumericalError
 from .oracles import run_verification
@@ -78,9 +79,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    sys_ = build_system(RobinBC(args.beta0, args.beta1), args.m, ones_profile)
-    deltas = _parse_deltas(args.deltas)
-    check_target(sys_.m, args.T, args.alpha, deltas)
+    deltas = DEFAULT_DELTAS if args.deltas is None else _parse_deltas(args.deltas)
+    ExperimentConfig(m_values=(args.m,), beta0=args.beta0, beta1=args.beta1, T=args.T,
+                     alpha=args.alpha, deltas=deltas).validate()
     times = (np.array(_parse_list(args.times, float, "numbers"))
              if args.times else np.linspace(0.0, args.T, 11))
     if not np.isfinite(times).all():
@@ -91,15 +92,14 @@ def _cmd_exact(args) -> int:
         code = _run_verify_gate()
         if code:
             return code
-    dec = decompose(sys_)
-    y_hat, sol = sparse_target(sys_, dec, T=args.T, alpha=args.alpha, deltas=deltas)
-    prob = OcProblem(sys=sys_, dec=dec, T=args.T, alpha=args.alpha, y_hat=y_hat)
+    prob, sol = benchmark_instance(args.m, args.beta0, args.beta1, args.T, args.alpha,
+                                   deltas)
     y_T = prob.dec.vectors @ sol.eta_T
-    p_0 = adjoint_exact(dec, sol.p_T, 0.0, args.T)
+    p_0 = adjoint_exact(prob.dec, sol.p_T, 0.0, args.T)
     lines = ["quantity,key,value"]
-    for j in range(sys_.m):
+    for j in range(args.m):
         lines.append(f"yT,{j + 1},{y_T[j]:.17g}")
-    for j in range(sys_.m):
+    for j in range(args.m):
         lines.append(f"p0,{j + 1},{p_0[j]:.17g}")
     for t in times:
         lines.append(f"u,{t:.17g},{sol.control.value(float(t)):.17g}")
@@ -158,8 +158,8 @@ def build_parser() -> _Parser:
     p.add_argument("--beta1", type=float, default=0.0)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--deltas", default="1:0.013333333333333334,2:0.013333333333333334",
-                   help="comma list of index:value pairs, 1-based mode indices")
+    p.add_argument("--deltas", default=None, help="comma list of index:value pairs, "
+                   "1-based mode indices (default: the benchmark's 1:1/75,2:1/75)")
     p.add_argument("--times", default=None, help="comma list of control sample times")
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true")

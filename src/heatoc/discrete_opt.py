@@ -31,7 +31,7 @@ from .exact_oc import OcProblem, objective
 from .integrators import (
     IrkTableau, LinearOde, PeerScheme, StageSystemSolver,
     integrate_forward, irk_step, peer_step, solve_shifted,
-    _forward_scheme, _start_tableau, _step_size,
+    _forward_scheme, _step_size,
 )
 
 # Unit states that ``_terminal_map`` steps as one stack to build the IRK
@@ -129,6 +129,14 @@ def discrete_objective(method, prob: OcProblem, values: np.ndarray, N: int) -> f
     return objective(prob, y_T, values, w_full)
 
 
+def _matmul_fixed_order(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x @ A summed elementwise in the order j = 0..s-1, so no BLAS kernel sets its bits."""
+    acc = x[..., 0, None] * A[0]
+    for j in range(1, A.shape[0]):
+        acc += x[..., j, None] * A[j]
+    return acc
+
+
 def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, h: float,
                   y_T: np.ndarray) -> np.ndarray:
     """Exact transpose sweep for an IRK forward map; returns the gradient.
@@ -149,7 +157,8 @@ def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, h: float
         lam_b[n] = lam @ bvec
         lam = lam + W.sum(axis=0)
     w = control_quadrature_weights(tab)
-    return prob.alpha * h * w * values + h * (Wb @ tab.A) + h * tab.b * lam_b[:, None]
+    return (prob.alpha * h * w * values + h * _matmul_fixed_order(Wb, tab.A)
+            + h * tab.b * lam_b[:, None])
 
 
 def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, h: float,
@@ -181,12 +190,12 @@ def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, h: f
         G = BT @ W + h * (AT @ MW)
 
     # transpose of the collocation starting step
-    tab = _start_tableau(scheme)
-    W0 = StageSystemSolver(tab.A.T, h, sys.matrix).solve_stacked(G)
+    start = scheme.start_tableau
+    W0 = StageSystemSolver(start.A.T, h, sys.matrix).solve_stacked(G)
     grad = prob.alpha * h * control_quadrature_weights(scheme)[None, :] * values
-    grad[:-1] += h * (Wb[1:] @ scheme.A)
-    grad[1:] += h * (Wb[1:] @ scheme.R)
-    grad[0] += h * (tab.A.T @ (W0 @ bvec))
+    grad[:-1] += h * _matmul_fixed_order(Wb[1:], scheme.A)
+    grad[1:] += h * _matmul_fixed_order(Wb[1:], scheme.R)
+    grad[0] += h * _matmul_fixed_order(W0 @ bvec, start.A)
     return grad
 
 
@@ -254,7 +263,7 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     # only through G_cur, and y_free is the last stage of P^(N-1) S psi.
     # The stack Z holds H, H_0 and P S psi, and each homogeneous step
     # applies P to all 2 s + 1 blocks, carrying their stage derivatives.
-    start = _start_tableau(scheme)
+    start = scheme.start_tableau
     zero_block = np.zeros((s, m))
     Z = np.empty((2 * s + 1, s, m))
     for j, g in enumerate(units):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,6 +170,8 @@ class PeerScheme:
     All s stages of a block approximate the solution at t_n + c_i h.  R is
     lower triangular so the implicit stage solves proceed stage by stage; the
     last node must be c_s = 1 so the final stage provides the step endpoint.
+    ``start_tableau`` is the collocation tableau on the nodes c, built once:
+    one step of it is the self-starting bootstrap of a sweep.
     """
 
     name: str
@@ -178,10 +180,13 @@ class PeerScheme:
     A: np.ndarray
     R: np.ndarray
     order: int | None = None
+    start_tableau: IrkTableau = field(init=False, repr=False)
 
     def __post_init__(self):
         for attr in ("c", "B", "A", "R"):
             object.__setattr__(self, attr, _readonly(getattr(self, attr)))
+            if not np.isfinite(getattr(self, attr)).all():
+                raise ConfigError(f"Peer scheme {self.name}: {attr} must be finite")
         s = self.c.shape[0]
         for attr in ("B", "A", "R"):
             if getattr(self, attr).shape != (s, s):
@@ -195,6 +200,8 @@ class PeerScheme:
             raise ConfigError(f"Peer scheme {self.name}: nodes must be distinct")
         if abs(self.c[-1] - 1.0) > 1e-12:
             raise ConfigError(f"Peer scheme {self.name}: last node must be 1 (step endpoint)")
+        object.__setattr__(self, "start_tableau",
+                           collocation(self.c, name=f"start({self.name})"))
 
     @property
     def s(self) -> int:
@@ -505,11 +512,6 @@ def _adjoint_scheme(method):
     return method.adjoint if isinstance(method, MethodSpec) else method
 
 
-def _start_tableau(scheme: PeerScheme) -> IrkTableau:
-    """Collocation tableau on a Peer scheme's nodes; one step of it starts the scheme."""
-    return collocation(scheme.c, name=f"start({scheme.name})")
-
-
 def _node_values(control, N: int, s: int) -> np.ndarray:
     """The (N, s) control samples at the stage nodes; zeros for None."""
     if control is None:
@@ -560,7 +562,7 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float, start) -> np.ndarr
             y, _ = irk_step(scheme, ode, h, y, g_all[n], solver)
         return y
     if start is None:
-        _, block = irk_step(_start_tableau(scheme), ode, h, sys.psi, g_all[0])
+        _, block = irk_step(scheme.start_tableau, ode, h, sys.psi, g_all[0])
     else:
         block = np.asarray(start, dtype=float)
         if block.shape != (scheme.s, sys.m):

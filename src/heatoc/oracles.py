@@ -27,11 +27,11 @@ from scipy.linalg import expm
 from .heat_mol import MolSystem, RobinBC, build_system, ones_profile
 from .spectrum import decompose
 from .exact_oc import (
-    ExpSumFunction, OcProblem, adjoint_exact, build_Q, sparse_target,
-    solve_ivp_exact, solve_terminal,
+    ExpSumFunction, OcProblem, adjoint_exact, build_Q, solve_ivp_exact, solve_terminal,
 )
 from .discrete_opt import discrete_objective, discrete_gradient
 from .integrators import _forward_scheme, get_method
+from .bench import DEFAULT_DELTAS, benchmark_instance
 
 
 def dense_matrix(sys: MolSystem) -> np.ndarray:
@@ -134,15 +134,6 @@ class CheckResult:
     detail: str
 
 
-def _bench_instance(m: int):
-    sys = build_system(RobinBC.dirichlet(), m, ones_profile)
-    dec = decompose(sys)
-    y_hat, sol = sparse_target(sys, dec, T=1.0, alpha=1.0,
-                               deltas=[(1, 1 / 75), (2, 1 / 75)])
-    prob = OcProblem(sys=sys, dec=dec, T=1.0, alpha=1.0, y_hat=y_hat)
-    return prob, sol
-
-
 def run_verification(rng_seed: int = 2024) -> list[CheckResult]:
     """Desk-scale oracle suite; every check is independent of the code it checks."""
     rng = np.random.default_rng(rng_seed)
@@ -168,8 +159,8 @@ def run_verification(rng_seed: int = 2024) -> list[CheckResult]:
     record("eigenvector residuals (scaled)", worst_res, 1e-10)
     record("eigenvector orthonormality", worst_orth, 1e-12)
 
-    # exact state and multiplier vs dense (augmented) matrix exponentials
-    prob, sol = _bench_instance(8)
+    # exact state and multiplier vs dense (augmented) matrix exponentials, m = 8
+    prob, sol = benchmark_instance(8, 1.0, 0.0, 1.0, 1.0, DEFAULT_DELTAS)
     sys, dec, T = prob.sys, prob.dec, prob.T
     worst_y, worst_p = 0.0, 0.0
     for _ in range(20):

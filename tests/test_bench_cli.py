@@ -6,7 +6,7 @@ import pytest
 
 from heatoc import (
     ConfigError, ConvergenceReport, ExperimentConfig, ReportRow, emit_report,
-    render_csv, render_gnuplot, render_table, run_scenario1, run_scenario2,
+    get_method, render_csv, render_gnuplot, render_table, run_scenario1, run_scenario2,
 )
 from heatoc.bench import attach_orders
 from heatoc.cli import main
@@ -201,8 +201,10 @@ def test_scenario1_cell_holds_no_trajectory():
     # lobatto3, m=500, N=2048: one (N+1) x m trajectory is 8.2 MB, and the
     # sweeps keep only their live states (a 0.7 MB peak)
     import heatoc.bench as bench
-    args = ("lobatto3", 500, 2048, 1.0, 0.0, 1.0, 1.0, bench.DEFAULT_DELTAS, None)
-    bench.benchmark_instance(500, *args[3:8])     # the cached instance is not the cell's
+    cfg = small_cfg(m_values=(500,), methods=("lobatto3",), N_values=(2048,))
+    args = (cfg, get_method("lobatto3"), 500, 2048)
+    # the cached instance is not the cell's
+    bench.benchmark_instance(500, cfg.beta0, cfg.beta1, cfg.T, cfg.alpha, cfg.deltas)
     tracemalloc.start()
     try:
         bench._scenario1_cell(args)
@@ -266,6 +268,16 @@ def test_missing_peer_fails_fast():
     from heatoc import MissingPeerCoefficientsError
     with pytest.raises(MissingPeerCoefficientsError):
         run_scenario1(small_cfg(methods=("gauss2", "AP4o43bdf")))
+
+
+def test_scenario1_loads_each_peer_file_once(monkeypatch):
+    import heatoc.integrators as integrators
+    loads = []
+    load = integrators.load_peer_scheme
+    monkeypatch.setattr(integrators, "load_peer_scheme",
+                        lambda source: loads.append(source) or load(source))
+    run_scenario1(small_cfg(methods=("gauss2", "peer_toy2"), N_values=(16, 32, 64)))
+    assert len(loads) == 1
 
 
 def test_scenario2_huge_penalty_drives_controls_to_zero():
@@ -420,6 +432,18 @@ def test_cli_rejects_malformed_values_before_any_work(monkeypatch, capsys, argv,
     assert main([*argv, *verify]) == 1
     assert "[heatoc] config error:" in capsys.readouterr().err
     assert calls == []
+
+
+def test_cli_rejects_non_finite_peer_coefficients_before_any_cell(tmp_path, work_calls,
+                                                                  capsys):
+    from heatoc.integrators import _packaged_peer_dir
+    text = (_packaged_peer_dir() / "peer_toy2.json").read_text()
+    (tmp_path / "bad.json").write_text(
+        text.replace('"peer_toy2"', '"bad"').replace('"7/12"', "NaN"))
+    assert main(["scenario1", "--m", "4", "--N", "4,8", "--methods", "bad",
+                 "--peer-dir", str(tmp_path)]) == 1
+    assert "[heatoc] config error: Peer scheme bad: R must be finite" in capsys.readouterr().err
+    assert work_calls == []
 
 
 @pytest.mark.parametrize("text", [

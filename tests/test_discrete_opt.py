@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,7 @@ from heatoc import (
 )
 from heatoc.discrete_opt import TERMINAL_MAP_COLUMNS, _terminal_map
 from heatoc.integrators import (
-    IrkTableau, LinearOde, StageSystemSolver, _start_tableau, irk_step, peer_step,
-    solve_shifted,
+    IrkTableau, LinearOde, StageSystemSolver, irk_step, peer_step, solve_shifted,
 )
 from heatoc.oracles import fd_gradient_check
 from conftest import make_instance
@@ -289,7 +292,7 @@ def reference_terminal_map(scheme, sys, h, N):
         return Jt.reshape(N * s, m), free
 
     free_ode = LinearOde(matrix=sys.matrix)
-    start = _start_tableau(scheme)
+    start = scheme.start_tableau
 
     def last_stages(block, k):
         """Last stages of P^i block, i = 0..k - 1, and P^k block itself;
@@ -332,7 +335,7 @@ def dense_propagator_terminal_map(scheme, sys, h, N):
         return peer_step(scheme, ode, h, block, g_prev, g_cur)[0].ravel()
 
     zero_block = np.zeros((s, m))
-    start = _start_tableau(scheme)
+    start = scheme.start_tableau
     P = np.column_stack([step(e.reshape(s, m), zero_g, zero_g) for e in np.eye(s * m)])
     G_prev = np.column_stack([step(zero_block, g, zero_g) for g in units])
     G_cur = np.column_stack([step(zero_block, zero_g, g) for g in units])
@@ -348,6 +351,15 @@ def dense_propagator_terminal_map(scheme, sys, h, N):
         free = P @ free
     Jt[0] = Z[last, s:].T
     return Jt.reshape(N * s, m), free[last]
+
+
+def row_times(wb, A):
+    """wb @ A for one row wb, summed over j in increasing order, one product
+    and one add per term: the order the bitwise contract fixes."""
+    acc = wb[0] * A[0]
+    for j in range(1, A.shape[0]):
+        acc = acc + wb[j] * A[j]
+    return acc
 
 
 def reference_irk_backward(tab, prob, values, N, y_T):
@@ -366,7 +378,7 @@ def reference_irk_backward(tab, prob, values, N, y_T):
         rhs = h * np.outer(tab.b, sys.matrix.apply(lam))
         W = solver_t.solve_stacked(rhs)
         grad[n] = prob.alpha * h * w * values[n] \
-            + h * (tab.A.T @ (W @ bvec)) + h * tab.b * (lam @ bvec)
+            + h * row_times(W @ bvec, tab.A) + h * tab.b * (lam @ bvec)
         lam = lam + W.sum(axis=0)
         multipliers[n] = lam
     return grad, multipliers
@@ -395,13 +407,13 @@ def reference_peer_backward(scheme, prob, values, N, y_T):
             MW[i] = sys.matrix.apply(W[i])
         duals[n] = W
         wb = W @ bvec
-        grad[n] += h * (scheme.R.T @ wb)
-        grad[n - 1] += h * (scheme.A.T @ wb)
+        grad[n] += h * row_times(wb, scheme.R)
+        grad[n - 1] += h * row_times(wb, scheme.A)
         G = scheme.B.T @ W + h * (scheme.A.T @ MW)
-    tab = _start_tableau(scheme)
+    tab = scheme.start_tableau
     W0 = StageSystemSolver(tab.A.T, h, sys.matrix).solve_stacked(G)
     duals[0] = W0
-    grad[0] += h * (tab.A.T @ (W0 @ bvec))
+    grad[0] += h * row_times(W0 @ bvec, tab.A)
     return grad, duals
 
 
@@ -422,6 +434,42 @@ def test_gradient_bitwise_equals_step_by_step_reference(name, m, N, rng):
     values = rng.standard_normal((N, scheme.s))
     assert np.array_equal(discrete_gradient(scheme, prob, values, N),
                           reference_gradient(scheme, prob, values, N)[0])
+
+
+def _haswell_kernel_unavailable() -> str | None:
+    """Why OPENBLAS_CORETYPE=Haswell cannot be forced here, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS"
+    if "openblas" not in blas.lower():
+        return f"numpy's BLAS is {blas}, not OpenBLAS"
+    try:
+        cpu = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return "no /proc/cpuinfo"
+    if " avx2" not in cpu:
+        return "the CPU has no AVX2, so the Haswell kernel would crash"
+    return None
+
+
+def test_bitwise_contracts_hold_under_the_haswell_blas_kernel():
+    # the bitwise tests, rerun in a child that forces OpenBLAS's AVX2 kernel;
+    # only the child's environment changes
+    reason = _haswell_kernel_unavailable()
+    if reason:
+        pytest.skip(reason)
+    import heatoc
+    src = str(Path(heatoc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "bitwise and not blas_kernel", str(Path(__file__).parent)],
+        env=env, capture_output=True, text=True, timeout=600)
+    summary = child.stdout.strip().splitlines()[-1:]
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-2000:]
+    assert "passed" in summary[0] and "failed" not in summary[0], summary
 
 
 @pytest.mark.parametrize("name", METHODS)

@@ -15,14 +15,12 @@ from heatoc import (
     build_system, collocation, decompose, from_modal, gauss2, get_method,
     integrate_adjoint, integrate_forward, irk_step, load_peer_scheme,
     lobatto_iiia, lobatto_iiib, ones_profile, peer_step, peer_toy2,
-    stability_function,
+    solve_ivp_exact, stability_function,
 )
 from heatoc import integrators
 from heatoc.bench import _exact_start
 from heatoc.heat_mol import SHIFT_CACHE_SIZE
-from heatoc.integrators import (
-    StageSystemSolver, _start_tableau, interpolatory_weights, solve_shifted,
-)
+from heatoc.integrators import StageSystemSolver, interpolatory_weights, solve_shifted
 from conftest import make_instance
 
 
@@ -156,8 +154,8 @@ STAGE_COUPLINGS = {
     "gauss2": gauss2().A, "gauss2^T": gauss2().A.T,
     "lobatto_iiia": lobatto_iiia().A, "lobatto_iiia^T": lobatto_iiia().A.T,
     "lobatto_iiib": lobatto_iiib().A, "lobatto_iiib^T": lobatto_iiib().A.T,
-    "peer_start": _start_tableau(peer_toy2()).A,
-    "peer_start^T": _start_tableau(peer_toy2()).A.T,
+    "peer_start": peer_toy2().start_tableau.A,
+    "peer_start^T": peer_toy2().start_tableau.A.T,
 }
 
 
@@ -407,7 +405,7 @@ def test_solve_stacked_bitwise_equals_a_loop_of_blocks(m, rng):
 
 
 @pytest.mark.parametrize("factory", [gauss2, lobatto_iiia, lobatto_iiib,
-                                     lambda: _start_tableau(peer_toy2())])
+                                     lambda: peer_toy2().start_tableau])
 @pytest.mark.parametrize("m", [2, 8])
 def test_irk_step_stack_bitwise_equals_single_steps(factory, m, rng):
     tab = factory()
@@ -519,12 +517,16 @@ def test_peer_step_scalar_against_dense_stage_system():
     assert np.abs(new_block[:, 0] - np.linalg.solve(lhs, rhs)).max() < 1e-14
 
 
+def exact_state(prob, sol):
+    return lambda t: solve_ivp_exact(prob.sys, prob.dec, sol.control, t)
+
+
 def test_peer_forward_second_order_on_benchmark():
     prob, sol = make_instance(8)
     y_exact = from_modal(prob.dec, sol.eta_T)
     errs = []
     for N in (32, 64, 128, 256):
-        start = _exact_start(peer_toy2(), prob.sys, prob.dec, sol.control, 1.0 / N)
+        start = _exact_start(peer_toy2(), exact_state(prob, sol), 1.0 / N)
         u = node_samples(sol.control, peer_toy2(), N, 1.0)
         y_N = integrate_forward(peer_toy2(), prob.sys, u, N, 1.0, start)
         errs.append(np.abs(y_N - y_exact).max())
@@ -534,7 +536,7 @@ def test_peer_forward_second_order_on_benchmark():
 
 def test_peer_collocation_start_close_to_exact_start():
     prob, sol = make_instance(8)
-    start = _exact_start(peer_toy2(), prob.sys, prob.dec, sol.control, 1.0 / 64)
+    start = _exact_start(peer_toy2(), exact_state(prob, sol), 1.0 / 64)
     u = node_samples(sol.control, peer_toy2(), 64, 1.0)
     a = integrate_forward(peer_toy2(), prob.sys, u, 64, 1.0, start)
     b = integrate_forward(peer_toy2(), prob.sys, u, 64, 1.0)
@@ -607,6 +609,30 @@ def test_scheme_validation_errors():
         PeerScheme(**bad_c)
 
 
+@pytest.mark.parametrize("token", ["NaN", "1e400"])        # 1e400 reads as inf
+@pytest.mark.parametrize("key,where", [
+    ("c", (0,)), ("B", (0, 1)), ("A", (1, 0)), ("R", (0, 0)), ("R", (1, 0)), ("R", (1, 1)),
+])
+def test_load_rejects_non_finite_coefficients(tmp_path, key, where, token):
+    doc = json.loads((integrators._packaged_peer_dir() / "peer_toy2.json").read_text())
+    entry = doc[key]
+    for i in where[:-1]:
+        entry = entry[i]
+    entry[where[-1]] = "@"
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_peer_scheme(path)
+
+
+def test_peer_start_tableau_is_collocation_on_the_nodes():
+    scheme = peer_toy2()
+    tab = collocation(scheme.c)
+    assert np.array_equal(scheme.start_tableau.A, tab.A)
+    assert np.array_equal(scheme.start_tableau.c, scheme.c)
+    assert scheme.start_tableau is scheme.start_tableau    # built once
+
+
 def test_load_rejects_formulations_other_than_bar(tmp_path):
     doc = {"name": "x", "s": 2, "c": ["1/3", "1"],
            "B": [["-1/8", "9/8"], ["-1/8", "9/8"]], "A": [["0", "0"], ["0", "0"]],
@@ -668,9 +694,9 @@ def test_adjoint_converges_to_exact_flow(name, rng):
     exact0 = adjoint_exact(dec, p_T, 0.0, 1.0)
     method = get_method(name)
     errs = []
-    start_sys = build_system(sys.bc, 8, p_T.copy())
     for N in (16, 32, 64):
-        start = _exact_start(method.adjoint, start_sys, dec, None, 1.0 / N)
+        start = _exact_start(method.adjoint, lambda t: adjoint_exact(dec, p_T, 0.0, t),
+                             1.0 / N)
         p_0 = integrate_adjoint(method, sys, p_T, N, 1.0, start)
         errs.append(np.abs(p_0 - exact0).max())
     order = np.log2(errs[-2] / errs[-1])
@@ -692,7 +718,8 @@ def test_adjoint_is_reversed_homogeneous_forward_sweep(name, start, N, rng):
     # every state p_{N-k} of an N-step grid on [0, 1], as the endpoint of k steps
     for k in range(2 if name == "peer_toy2" else 1, N + 1):
         T_k = k * (1.0 / N)
-        block = (_exact_start(method.adjoint, start_sys, dec, None, T_k / k)
+        block = (_exact_start(method.adjoint, lambda t: adjoint_exact(dec, p_T, 0.0, t),
+                              T_k / k)
                  if start == "exact" else None)
         p = integrate_adjoint(method, sys, p_T, k, T_k, block)
         assert p_T.flags.writeable and p.shape == (8,)
