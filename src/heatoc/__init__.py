@@ -12,7 +12,7 @@ from .spectrum import (
 )
 from .exact_oc import (
     ExactOcSolution, ExpSumFunction, OcProblem, adjoint_exact, build_Q,
-    exact_objective, objective, phi1, solve_ivp_exact, solve_terminal,
+    exact_objective, phi1, solve_ivp_exact, solve_terminal,
     sparse_target,
 )
 from .integrators import (
@@ -23,7 +23,8 @@ from .integrators import (
 )
 from .discrete_opt import (
     DiscreteControl, OptimizationResult, OptimizerConfig,
-    control_quadrature_weights, discrete_gradient, discrete_objective, optimize,
+    control_quadrature_weights, discrete_gradient, discrete_objective, objective,
+    optimize,
 )
 from .bench import (
     ConvergenceReport, ExperimentConfig, ReportRow, benchmark_instance,

@@ -20,7 +20,7 @@ from .bench import (
     DEFAULT_DELTAS, ExperimentConfig, benchmark_instance, emit_report, render_csv,
     run_scenario1, run_scenario2,
 )
-from .integrators import MissingPeerCoefficientsError, NumericalError
+from .integrators import MissingPeerCoefficientsError, NumericalError, get_method
 from .oracles import run_verification
 
 
@@ -122,6 +122,8 @@ def _cmd_scenario(args, runner) -> int:
     if getattr(args, "grad_tol", None) is not None:
         overrides["grad_tol"] = args.grad_tol
     cfg = cfg.with_overrides(**overrides).validate()
+    for name in cfg.methods:        # a missing or malformed Peer file exits before the gate
+        get_method(name, cfg.peer_dir)
     if args.verify or cfg.verify:
         code = _run_verify_gate()
         if code:

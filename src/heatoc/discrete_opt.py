@@ -22,17 +22,20 @@ transposed sweep, certifies the control it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .heat_mol import ConfigError, MolSystem
-from .exact_oc import OcProblem, objective
 from .integrators import (
     IrkTableau, LinearOde, PeerScheme, StageSystemSolver,
     integrate_forward, irk_step, peer_step, solve_shifted,
     _forward_scheme, _step_size,
 )
+
+if TYPE_CHECKING:
+    from .exact_oc import OcProblem
 
 # Unit states that ``_terminal_map`` steps as one stack to build the IRK
 # propagator R, which bounds its temporaries to O(TERMINAL_MAP_COLUMNS s m).
@@ -102,7 +105,7 @@ def control_quadrature_weights(method) -> np.ndarray:
     if isinstance(scheme, IrkTableau):
         w = scheme.b.copy()
     elif isinstance(scheme, PeerScheme):
-        w = scheme.quadrature_weights()
+        w = scheme.start_tableau.b.copy()
     else:
         raise TypeError(f"unsupported method object {scheme!r}")
     if np.any(w <= 0):
@@ -117,6 +120,23 @@ def _check_shape(values: np.ndarray, N: int, s: int) -> np.ndarray:
     if values.shape != (N, s):
         raise ValueError(f"control grid mismatch: expected {(N, s)}, got {values.shape}")
     return values
+
+
+def objective(prob: OcProblem, y_T: np.ndarray, control_values: np.ndarray,
+              quadrature_weights: np.ndarray) -> float:
+    """Tracking-plus-penalty objective with a supplied control quadrature.
+
+    C = 1/2 ||y_T - y_hat||_2^2 + alpha/2 * sum(w * u^2) where the weights
+    come from the discrete control grid in use.
+    """
+    y_T = np.asarray(y_T, dtype=float)
+    u = np.asarray(control_values, dtype=float)
+    w = np.asarray(quadrature_weights, dtype=float)
+    if y_T.shape != (prob.sys.m,):
+        raise ValueError("terminal state dimension mismatch")
+    if u.shape != w.shape:
+        raise ValueError(f"control samples {u.shape} and weights {w.shape} differ in shape")
+    return 0.5 * float(np.sum((y_T - prob.y_hat) ** 2)) + 0.5 * prob.alpha * float(np.sum(w * u**2))
 
 
 def discrete_objective(method, prob: OcProblem, values: np.ndarray, N: int) -> float:
@@ -212,21 +232,6 @@ def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np
     return backward(scheme, prob, values, h, y_T)
 
 
-def _propagator(step, n: int) -> np.ndarray:
-    """The n x n matrix with columns step(e_j) for the unit vectors e_j of R^n.
-
-    ``step`` maps a (k, n) stack of states to the (k, n) stack of their
-    images; the unit vectors go through it TERMINAL_MAP_COLUMNS at a time.
-    """
-    P = np.empty((n, n))
-    for start in range(0, n, TERMINAL_MAP_COLUMNS):
-        k = min(TERMINAL_MAP_COLUMNS, n - start)
-        units = np.zeros((k, n))
-        units[np.arange(k), start + np.arange(k)] = 1.0
-        P[:, start:start + k] = step(units).T
-    return P
-
-
 def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     """The terminal map y_T = y_free + J u, returned as (J^T, y_free).
 
@@ -246,7 +251,12 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     if isinstance(scheme, IrkTableau):
         # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V and y_free = R^N psi
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        R = _propagator(lambda Y: irk_step(scheme, ode, h, Y, zero_g, solver)[0], m)
+        R = np.empty((m, m))       # column j is the step of the unit state e_j
+        for j0 in range(0, m, TERMINAL_MAP_COLUMNS):
+            k = min(TERMINAL_MAP_COLUMNS, m - j0)
+            E = np.zeros((k, m))
+            E[np.arange(k), j0 + np.arange(k)] = 1.0
+            R[:, j0:j0 + k] = irk_step(scheme, ode, h, E, zero_g, solver)[0].T
         Z = np.column_stack([irk_step(scheme, ode, h, np.zeros(m), g, solver)[0]
                              for g in units])
         free = sys.psi

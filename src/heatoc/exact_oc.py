@@ -402,23 +402,6 @@ def sparse_target(sys: MolSystem, dec: SpectralDecomposition, T: float,
     return y_hat, ExactOcSolution(eta_T=eta_T, p_T=p_T, control=control)
 
 
-def objective(prob: OcProblem, y_T: np.ndarray, control_values: np.ndarray,
-              quadrature_weights: np.ndarray) -> float:
-    """Tracking-plus-penalty objective with a supplied control quadrature.
-
-    C = 1/2 ||y_T - y_hat||_2^2 + alpha/2 * sum(w * u^2) where the weights
-    come from the discrete control grid in use.
-    """
-    y_T = np.asarray(y_T, dtype=float)
-    u = np.asarray(control_values, dtype=float)
-    w = np.asarray(quadrature_weights, dtype=float)
-    if y_T.shape != (prob.sys.m,):
-        raise ValueError("terminal state dimension mismatch")
-    if u.shape != w.shape:
-        raise ValueError(f"control samples {u.shape} and weights {w.shape} differ in shape")
-    return 0.5 * float(np.sum((y_T - prob.y_hat) ** 2)) + 0.5 * prob.alpha * float(np.sum(w * u**2))
-
-
 def exact_objective(prob: OcProblem, sol: ExactOcSolution) -> float:
     """Objective value of an exact solution, with the penalty in closed form."""
     y_T = from_modal(prob.dec, sol.eta_T)

@@ -241,9 +241,7 @@ class MolSystem:
     """Semi-discrete heat system y' = M y + gamma * e_m * u(t), y(0) = psi."""
 
     m: int
-    xi: float
     bc: RobinBC
-    theta: float
     gamma: float
     grid: np.ndarray
     psi: np.ndarray
@@ -298,8 +296,7 @@ def build_system(bc: RobinBC, m: int, initial_profile) -> MolSystem:
     diagonal[0] = -1.0
     diagonal[-1] = -theta
     matrix = TridiagonalMatrix(diagonal / xi**2, np.full(m - 1, 1.0 / xi**2))
-    return MolSystem(m=m, xi=xi, bc=bc, theta=theta, gamma=gamma,
-                     grid=grid, psi=psi, matrix=matrix)
+    return MolSystem(m=m, bc=bc, gamma=gamma, grid=grid, psi=psi, matrix=matrix)
 
 
 def ones_profile(x: float) -> float:

@@ -23,7 +23,6 @@ never enters one.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +32,6 @@ from scipy.linalg.lapack import zgttrs
 
 from .heat_mol import ConfigError, TridiagonalMatrix, MolSystem, _readonly
 
-PEER_DIR_ENV = "HEATOC_PEER_DIR"
 ORDER4_TOL = 1e-13
 
 
@@ -207,10 +205,6 @@ class PeerScheme:
     def s(self) -> int:
         return self.c.shape[0]
 
-    def quadrature_weights(self) -> np.ndarray:
-        """Per-step control quadrature weights induced by the node set."""
-        return interpolatory_weights(self.c)
-
 
 def _parse_entry(x, where: str) -> float:
     if x is None:
@@ -269,14 +263,10 @@ def _packaged_peer_dir() -> Path:
 def find_peer_scheme(name: str, peer_dir: str | None = None) -> PeerScheme:
     """Locate a Peer coefficient file by scheme name.
 
-    Searches, in order: the explicit directory, the directory named by the
-    HEATOC_PEER_DIR environment variable, and the files shipped with the
-    package.
+    Searches, in order: the explicit directory and the files shipped with
+    the package.
     """
-    candidates = []
-    for d in (peer_dir, os.environ.get(PEER_DIR_ENV)):
-        if d:
-            candidates.append(Path(d) / f"{name}.json")
+    candidates = [Path(peer_dir) / f"{name}.json"] if peer_dir else []
     candidates.append(_packaged_peer_dir() / f"{name}.json")
     for path in candidates:
         if path.exists():

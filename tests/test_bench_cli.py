@@ -440,9 +440,24 @@ def test_cli_rejects_non_finite_peer_coefficients_before_any_cell(tmp_path, work
     text = (_packaged_peer_dir() / "peer_toy2.json").read_text()
     (tmp_path / "bad.json").write_text(
         text.replace('"peer_toy2"', '"bad"').replace('"7/12"', "NaN"))
-    assert main(["scenario1", "--m", "4", "--N", "4,8", "--methods", "bad",
-                 "--peer-dir", str(tmp_path)]) == 1
-    assert "[heatoc] config error: Peer scheme bad: R must be finite" in capsys.readouterr().err
+    for command in ("scenario1", "scenario2"):
+        for verify in ([], ["--verify"]):
+            assert main([command, "--m", "4", "--N", "4,8", "--methods", "bad",
+                         "--peer-dir", str(tmp_path), *verify]) == 1
+            err = capsys.readouterr().err
+            assert "[heatoc] config error: Peer scheme bad: R must be finite" in err
+    assert work_calls == []
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize("command", ["scenario1", "scenario2"])
+def test_cli_missing_peer_file_exits_3_before_any_work(work_calls, capsys, command, verify):
+    assert main([command, "--m", "4", "--N", "4,8", "--methods", "gauss2,AP4o43bdf",
+                 *verify]) == 3
+    captured = capsys.readouterr()
+    assert "[heatoc] missing Peer coefficients: no coefficient file AP4o43bdf.json" \
+        in captured.err
+    assert captured.out == ""
     assert work_calls == []
 
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import subprocess
@@ -14,6 +15,7 @@ from heatoc import (
     from_modal, gauss2, get_method, integrate_adjoint, integrate_forward, optimize,
     peer_toy2,
 )
+from heatoc import discrete_opt
 from heatoc.discrete_opt import TERMINAL_MAP_COLUMNS, _terminal_map
 from heatoc.integrators import (
     IrkTableau, LinearOde, StageSystemSolver, irk_step, peer_step, solve_shifted,
@@ -577,3 +579,15 @@ def test_discrete_optimality_system_order_when_nonstiff(name, stage_rate):
     for key, e in errs.items():
         orders = [np.log2(a / c) for a, c in zip(e, e[1:])]
         assert all(abs(o - rates[key]) <= 0.5 for o in orders), (key, orders)
+
+
+def test_discrete_opt_imports_nothing_from_exact_oc_at_run_time():
+    # the closed-form layer judges the discrete one; OcProblem is only an annotation
+    tree = ast.parse(Path(discrete_opt.__file__).read_text())
+    guarded = {id(node) for stmt in tree.body
+               if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING"
+               for node in ast.walk(stmt)}
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                and id(node) not in guarded}
+    assert relative == {"heat_mol", "integrators"}

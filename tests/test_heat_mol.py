@@ -194,7 +194,7 @@ def test_matrix_negative_semidefinite(m, bc, seed):
     v = gen.standard_normal(m)
     quad = sys.matrix.apply(v) @ v
     assert quad <= 1e-9 * (v @ v) * m**2
-    if sys.theta > 1.0 + 1e-12:
+    if robin_coefficients(bc, m)[0] > 1.0 + 1e-12:
         assert quad < 0.0
 
 

@@ -12,7 +12,7 @@ from scipy.linalg import solve_banded
 from heatoc import (
     ConfigError, ExpSumFunction, IrkTableau, LinearOde, MissingPeerCoefficientsError,
     NumericalError, PeerScheme, RobinBC, TridiagonalMatrix, adjoint_exact,
-    build_system, collocation, decompose, from_modal, gauss2, get_method,
+    build_system, collocation, control_quadrature_weights, decompose, from_modal, gauss2, get_method,
     integrate_adjoint, integrate_forward, irk_step, load_peer_scheme,
     lobatto_iiia, lobatto_iiib, ones_profile, peer_step, peer_toy2,
     solve_ivp_exact, stability_function,
@@ -268,7 +268,7 @@ def test_polynomial_exactness(name, degree):
     method = get_method(name)
     from heatoc.heat_mol import MolSystem
     tri = TridiagonalMatrix(np.array([0.0]), np.zeros(0))
-    sys_like = MolSystem(m=1, xi=1.0, bc=RobinBC.dirichlet(), theta=3.0, gamma=1.0,
+    sys_like = MolSystem(m=1, bc=RobinBC.dirichlet(), gamma=1.0,
                          grid=np.array([0.5]), psi=np.array([q(0.0)]), matrix=tri)
     # every state y_n of an 8-step grid on [0, 1], as the endpoint of n steps
     times = np.arange(9) / 8
@@ -492,7 +492,7 @@ def test_empty_stacks_raise_instead_of_reaching_lapack(m):
 def test_toy_scheme_preconsistency_and_weights():
     scheme = peer_toy2()
     assert np.abs(scheme.B @ np.ones(2) - 1.0).max() <= 1e-13
-    assert np.allclose(scheme.quadrature_weights(), [0.75, 0.25])
+    assert np.allclose(control_quadrature_weights(scheme), [0.75, 0.25])
     assert np.allclose(interpolatory_weights(np.array([0.0, 0.5, 1.0])),
                        [1 / 6, 2 / 3, 1 / 6])
 
@@ -646,17 +646,18 @@ def test_load_rejects_formulations_other_than_bar(tmp_path):
             load_peer_scheme(path)
 
 
-def test_peer_dir_environment_lookup(tmp_path, monkeypatch):
+def test_peer_dir_lookup(tmp_path):
     scheme = peer_toy2()
-    doc = {"name": "env_scheme", "s": 2, "c": ["1/3", "1"],
+    doc = {"name": "dir_scheme", "s": 2, "c": ["1/3", "1"],
            "B": [["-1/8", "9/8"], ["-1/8", "9/8"]],
            "A": [["0", "0"], ["0", "0"]],
            "R": [["1/4", "0"], ["7/12", "1/3"]], "formulation": "BAR", "order": 2}
-    (tmp_path / "env_scheme.json").write_text(json.dumps(doc))
-    monkeypatch.setenv("HEATOC_PEER_DIR", str(tmp_path))
-    method = get_method("env_scheme")
+    (tmp_path / "dir_scheme.json").write_text(json.dumps(doc))
+    method = get_method("dir_scheme", str(tmp_path))
     assert isinstance(method.forward, PeerScheme)
     assert np.array_equal(method.forward.B, scheme.B)
+    with pytest.raises(MissingPeerCoefficientsError):
+        get_method("dir_scheme")          # only the explicit directory holds it
 
 
 def test_missing_scheme_raises():
