@@ -26,7 +26,13 @@ Eliminating the control through the stationarity relation
 u = -(gamma/alpha) p_m reduces the optimality system to a linear equation
 (I + Q) eta(T) = exp(T Lambda) eta(0) + Q V^T y_hat for the terminal modal
 coefficients, with a positive semi-definite matrix Q, so a unique solution
-always exists.
+always exists.  Q is the controllability Gramian of (M, gamma e_m) in the
+eigenbasis; its eigenvalues decay geometrically, so ``solve_terminal``
+factors it by a diagonal-pivoted Cholesky, column by column, until the
+trace of the remainder is at most the unit roundoff 2^-53, which moves the
+solve by at most 2^-53 times the norm of its right-hand side.  It never
+forms an m x m array; ``build_Q`` forms the whole Q for the verify gate and
+the tests.
 """
 
 from __future__ import annotations
@@ -273,14 +279,17 @@ def adjoint_exact(dec: SpectralDecomposition, p_T: np.ndarray, t: float,
                   horizon: float) -> np.ndarray:
     """Exact multiplier p(t) = e^((T - t) M) p_T of the backward flow p' = -M p.
 
-    The modal vector V^T p_T is kept on ``dec``, keyed by the bytes of p_T,
-    so a run of calls with one p_T makes one m x m product for the
-    transform.  A p_T changed in place has other bytes and is transformed
-    again.  The way back to the grid goes through ``from_modal``, which
-    reads only the eigenvectors up to the last nonzero weight
-    exp(lambda (T - t)) V^T p_T: the modes decay like exp(-(k pi)^2 (T - t)),
-    so away from t = T a call reads a handful of columns of V, not m, and
-    the result is bitwise that of the full product.
+    The modal vectors V^T p_T of the two most recently used multipliers are
+    kept on ``dec``, keyed by the bytes of p_T, so a run of calls with one
+    p_T makes one m x m product for the transform, and so does a run that
+    alternates two (a Peer scenario-1 cell's exact start transforms its
+    numerical p_T between the cell's uses of the exact one).  A p_T changed
+    in place has other bytes and is transformed again.  The way back to the
+    grid goes through ``from_modal``, which reads only the eigenvectors up
+    to the last nonzero weight exp(lambda (T - t)) V^T p_T: the modes decay
+    like exp(-(k pi)^2 (T - t)), so away from t = T a call reads a handful
+    of columns of V, not m, and the result is bitwise that of the full
+    product.
     """
     if not 0.0 <= t <= horizon:
         raise ValueError(f"time {t} outside [0, {horizon}]")
@@ -288,16 +297,19 @@ def adjoint_exact(dec: SpectralDecomposition, p_T: np.ndarray, t: float,
     if p_T.shape != (dec.m,):
         raise ValueError(f"expected vector of length {dec.m}, got shape {p_T.shape}")
     key = p_T.tobytes()
-    modal = dec._modal.get(key)
+    modal = dec._modal.pop(key, None)
     if modal is None:
         modal = to_modal(dec, p_T)
-        dec._modal.clear()
-        dec._modal[key] = modal
+    dec._modal[key] = modal                 # the most recent entry last
+    if len(dec._modal) > 2:
+        del dec._modal[next(iter(dec._modal))]
     return from_modal(dec, np.exp(dec.lambdas * (horizon - t)) * modal)
 
 
 def build_Q(prob: OcProblem) -> np.ndarray:
-    """Positive semi-definite coupling matrix of the terminal linear system.
+    """Positive semi-definite coupling matrix of the terminal linear system,
+    as one m x m array, for the verify gate's PSD check and the test
+    oracles; ``solve_terminal`` generates only the columns it pivots on.
 
     q_kl = (gamma^2 T / alpha) v_m[k] phi1((lambda_k + lambda_l) T) v_m[l].
     Exactly symmetric by construction.  Built BUILD_Q_ROWS rows at a time:
@@ -317,31 +329,72 @@ def build_Q(prob: OcProblem) -> np.ndarray:
     return Q
 
 
+def _gramian_factor(prob: OcProblem) -> np.ndarray:
+    """L^T, r rows of length m, of a diagonal-pivoted Cholesky factorization
+    Q = L L^T + E.
+
+    Q is the controllability Gramian of (M, gamma e_m) in the eigenbasis, and
+    its eigenvalues decay geometrically, so a few dozen columns capture it.
+    Column p of Q, (gamma^2 T / alpha) v_m v_m[p] phi1((lambda + lambda_p) T),
+    costs O(m); each step takes the largest residual diagonal entry as its
+    pivot.  The loop stops once the trace of the remainder E, the sum of the
+    residual diagonal, is at most the unit roundoff 2^-53, or at r = m.  E
+    is positive semi-definite, so ||E||_2 <= trace(E) <= 2^-53.  The buffer
+    doubles as the rank grows, so no m x m array is formed.
+    """
+    vm, lam, T = prob.dec.boundary_components, prob.dec.lambdas, prob.T
+    scale = prob.sys.gamma**2 * T / prob.alpha
+    m = lam.shape[0]
+    residual = vm * vm * scale * phi1((lam + lam) * T)   # build_Q's operation order
+    Lt = np.empty((1, m))
+    r = 0
+    while r < m and residual.sum() > 2.0**-53:
+        p = int(np.argmax(residual))
+        if r == Lt.shape[0]:
+            Lt = np.concatenate([Lt, np.empty((min(r, m - r), m))])
+        col = vm * vm[p] * scale * phi1((lam + lam[p]) * T)
+        col -= Lt[:r].T @ Lt[:r, p]
+        col /= math.sqrt(residual[p])
+        Lt[r] = col
+        residual -= col * col
+        residual[p] = 0.0
+        r += 1
+    return Lt[:r]
+
+
 def solve_terminal(prob: OcProblem) -> ExactOcSolution:
     """Solve the optimality system for the terminal state and optimal control.
 
-    Solves (I + Q) eta(T) = exp(T Lambda) eta(0) + Q V^T y_hat with a
-    symmetric positive-definite Cholesky factorization, then reconstructs the
-    terminal multiplier p(T) = V eta(T) - y_hat and the optimal control
-    u(t) = -(gamma/alpha) sum_l <v_l, p(T)> v_m[l] exp(lambda_l (T - t)).
-    The right-hand side is formed from Q first; then 1 is added to Q's
-    diagonal and I + Q is factored in Q's own buffer, so Q is the only
-    m x m array held.
+    With t = V^T y_hat the system (I + Q) eta(T) = exp(T Lambda) eta(0) + Q t
+    is solved in the form
+
+        eta(T) = t + (I + Q)^-1 (exp(T Lambda) eta(0) - t),
+
+    whose right-hand side does not carry Q t: for a small penalty weight Q is
+    large, and forming Q t then solving cancelled digits (1e-5 relative at
+    Dirichlet, alpha = 1e-6, m = 500).  The correction (I + Q)^-1 b is the
+    modal multiplier p(T), so p(T) = V (I + Q)^-1 b, and the optimal control
+    is u(t) = -(gamma/alpha) sum_l <v_l, p(T)> v_m[l] exp(lambda_l (T - t)).
+
+    Q is never formed.  Its pivoted Cholesky factor Q ~ L L^T
+    (``_gramian_factor``, r columns; r = 39 to 54 at m = 2000 over the
+    boundary types, penalties and horizons tried) gives
+    (I + L L^T)^-1 b = b - L (I + L^T L)^-1 L^T b by Woodbury, with an r x r
+    Cholesky factorization.  The dropped remainder E has trace at most 2^-53,
+    and (I + Q)^-1 and (I + L L^T)^-1 both have norm at most 1, so the
+    solve moves by at most 2^-53 ||b||.  Beside V the solve holds O(r m)
+    memory, and its cost is O(r^2 m) plus the three m x m matrix-vector
+    products of the modal transforms.
     """
     dec, sys = prob.dec, prob.sys
-    Q = build_Q(prob)
-    eta0 = to_modal(dec, sys.psi)
     target_modal = to_modal(dec, prob.y_hat)
-    rhs = np.exp(dec.lambdas * prob.T) * eta0 + Q @ target_modal
-    Q.flat[::dec.m + 1] += 1.0   # I + Q: off the diagonal, 0 + q is q for every q != 0
-    try:
-        # I + Q is exactly symmetric, so its transpose is the same matrix in
-        # the column order LAPACK factors in place.
-        cho = scipy.linalg.cho_factor(Q.T, lower=True, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:  # cannot happen for alpha > 0
-        raise RuntimeError("internal error: terminal system I + Q not positive definite") from exc
-    eta_T = scipy.linalg.cho_solve(cho, rhs)
-    p_modal = eta_T - target_modal
+    b = np.exp(dec.lambdas * prob.T) * to_modal(dec, sys.psi) - target_modal
+    Lt = _gramian_factor(prob)
+    inner = Lt @ Lt.T
+    inner.flat[::Lt.shape[0] + 1] += 1.0
+    # I + L^T L has eigenvalues >= 1, so the factorization cannot fail
+    p_modal = b - Lt.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(inner), Lt @ b)
+    eta_T = target_modal + p_modal
     p_T = from_modal(dec, p_modal)
     control = ExpSumFunction(
         coefficients=-(sys.gamma / prob.alpha) * p_modal * dec.boundary_components,

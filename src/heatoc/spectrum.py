@@ -35,8 +35,8 @@ LIVE_COLUMNS_STEP = 16
 class SpectralDecomposition:
     """Eigenpairs M = V diag(lambdas) V^T with orthonormal columns of V.
 
-    ``adjoint_exact`` keeps its last modal vector V^T p_T in ``_modal``,
-    keyed by the bytes of p_T: one entry, a plain array in a dict, so the
+    ``adjoint_exact`` keeps its two most recent modal vectors V^T p_T in
+    ``_modal``, keyed by the bytes of p_T: plain arrays in a dict, so the
     decomposition still pickles and copies, and it takes no part in repr.
     Decompositions compare by identity.
     """
