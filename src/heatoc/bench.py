@@ -16,6 +16,7 @@ import datetime
 import functools
 import hashlib
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -314,12 +315,12 @@ def _run_grid(cfg: ExperimentConfig, cell, on_partial) -> ConvergenceReport:
 
 def run_scenario1(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
     """Decoupled study: forward with the exact control, backward from y_h(T) - y_hat."""
-    return _run_grid(cfg, _scenario1_cell, on_partial)
+    return _run_grid(dataclasses.replace(cfg, scenario=1), _scenario1_cell, on_partial)
 
 
 def run_scenario2(cfg: ExperimentConfig, on_partial=None) -> ConvergenceReport:
     """Fully coupled study: discrete optimization per cell, node-wise control error."""
-    return _run_grid(cfg, _scenario2_cell, on_partial)
+    return _run_grid(dataclasses.replace(cfg, scenario=2), _scenario2_cell, on_partial)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +352,20 @@ def render_table(report: ConvergenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _datablock_names(by_metric) -> dict[tuple[str, str, int], str]:
+    """gnuplot datablock name of each (metric, method, m) series: the key
+    joined as metric_method_m<m> with every character outside
+    [A-Za-z0-9_] mapped to _, and _ appended until the name is unique."""
+    names: dict[tuple[str, str, int], str] = {}
+    for metric, series in sorted(by_metric.items()):
+        for method, m in sorted(series):
+            name = re.sub(r"[^A-Za-z0-9_]", "_", f"{metric}_{method}_m{m}")
+            while name in names.values():
+                name += "_"
+            names[metric, method, m] = name
+    return names
+
+
 def render_gnuplot(report: ConvergenceReport) -> str:
     """Self-contained gnuplot script reproducing the log-log error plots."""
     by_metric: dict[str, dict[tuple[str, int], list[ReportRow]]] = {}
@@ -363,10 +378,10 @@ def render_gnuplot(report: ConvergenceReport) -> str:
         "set key bottom left",
         "set grid",
     ]
+    names = _datablock_names(by_metric)
     for metric, series in sorted(by_metric.items()):
         for (method, m), rows in sorted(series.items()):
-            tag = f"{metric}_{method}_m{m}".replace("-", "_")
-            lines.append(f"${tag} << EOD")
+            lines.append(f"${names[metric, method, m]} << EOD")
             for r in sorted(rows, key=lambda r: r.N):
                 lines.append(f"{r.N} {r.error:.17g}")
             lines.append("EOD")
@@ -374,8 +389,7 @@ def render_gnuplot(report: ConvergenceReport) -> str:
         lines.append(f"set ylabel '{metric}'")
         plots = []
         for (method, m) in sorted(series):
-            tag = f"{metric}_{method}_m{m}".replace("-", "_")
-            plots.append(f"${tag} using 1:2 with linespoints title '{method} m={m}'")
+            plots.append(f"${names[metric, method, m]} using 1:2 with linespoints title '{method} m={m}'")
         lines.append("plot " + ", \\\n     ".join(plots))
         lines.append("pause -1 'press enter for next plot'")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .heat_mol import ConfigError, RobinBC, build_system, ones_profile
-from .spectrum import decompose
+from .spectrum import decompose, from_modal
 from .exact_oc import adjoint_exact
 from .bench import (
     DEFAULT_DELTAS, ExperimentConfig, benchmark_instance, emit_report, render_csv,
@@ -94,7 +94,7 @@ def _cmd_exact(args) -> int:
             return code
     prob, sol = benchmark_instance(args.m, args.beta0, args.beta1, args.T, args.alpha,
                                    deltas)
-    y_T = prob.dec.vectors @ sol.eta_T
+    y_T = from_modal(prob.dec, sol.eta_T)
     p_0 = adjoint_exact(prob.dec, sol.p_T, 0.0, args.T)
     lines = ["quantity,key,value"]
     for j in range(args.m):
@@ -117,7 +117,6 @@ def _cmd_scenario(args, runner) -> int:
         out_dir=args.out,
         jobs=args.jobs,
         peer_dir=args.peer_dir,
-        scenario=1 if runner is run_scenario1 else 2,
     )
     if getattr(args, "grad_tol", None) is not None:
         overrides["grad_tol"] = args.grad_tol

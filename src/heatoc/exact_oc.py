@@ -32,7 +32,11 @@ factors it by a diagonal-pivoted Cholesky, column by column, until the
 trace of the remainder is at most the unit roundoff 2^-53, which moves the
 solve by at most 2^-53 times the norm of its right-hand side.  It never
 forms an m x m array; ``build_Q`` forms the whole Q for the verify gate and
-the tests.
+the tests.  Both take the columns of Q from ``_gramian_column``;
+``solve_terminal`` and ``sparse_target`` both build their solution with
+``_optimum``; and every transform to the eigenbasis goes through
+``to_modal``, whose two-entry cache makes psi cost one m x m product per
+instance.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ PHI1_SERIES_THRESHOLD = 1e-4
 # Shifts lambda_k + mu_l closer to zero than this stay on the phi1 form in
 # solve_ivp_exact: the Cauchy form divides by the shift.
 CAUCHY_GUARD_SHIFT = 1.0
-# Rows of Q that build_Q evaluates at once.
-BUILD_Q_ROWS = 128
 # Times that ExpSumFunction.value evaluates at once.
 EXP_SUM_ROWS = 128
 
@@ -279,30 +281,16 @@ def adjoint_exact(dec: SpectralDecomposition, p_T: np.ndarray, t: float,
                   horizon: float) -> np.ndarray:
     """Exact multiplier p(t) = e^((T - t) M) p_T of the backward flow p' = -M p.
 
-    The modal vectors V^T p_T of the two most recently used multipliers are
-    kept on ``dec``, keyed by the bytes of p_T, so a run of calls with one
-    p_T makes one m x m product for the transform, and so does a run that
-    alternates two (a Peer scenario-1 cell's exact start transforms its
-    numerical p_T between the cell's uses of the exact one).  A p_T changed
-    in place has other bytes and is transformed again.  The way back to the
-    grid goes through ``from_modal``, which reads only the eigenvectors up
-    to the last nonzero weight exp(lambda (T - t)) V^T p_T: the modes decay
-    like exp(-(k pi)^2 (T - t)), so away from t = T a call reads a handful
-    of columns of V, not m, and the result is bitwise that of the full
-    product.
+    The transform V^T p_T comes from ``to_modal``, whose cache makes a run
+    of calls with one p_T cost one m x m product.  The way back to the grid
+    goes through ``from_modal``, which reads only the eigenvectors up to the
+    last nonzero weight exp(lambda (T - t)) V^T p_T: the modes decay like
+    exp(-(k pi)^2 (T - t)), so away from t = T a call reads a handful of
+    columns of V, not m, and the result is bitwise that of the full product.
     """
     if not 0.0 <= t <= horizon:
         raise ValueError(f"time {t} outside [0, {horizon}]")
-    p_T = np.asarray(p_T, dtype=float)
-    if p_T.shape != (dec.m,):
-        raise ValueError(f"expected vector of length {dec.m}, got shape {p_T.shape}")
-    key = p_T.tobytes()
-    modal = dec._modal.pop(key, None)
-    if modal is None:
-        modal = to_modal(dec, p_T)
-    dec._modal[key] = modal                 # the most recent entry last
-    if len(dec._modal) > 2:
-        del dec._modal[next(iter(dec._modal))]
+    modal = to_modal(dec, p_T)
     return from_modal(dec, np.exp(dec.lambdas * (horizon - t)) * modal)
 
 
@@ -312,21 +300,21 @@ def build_Q(prob: OcProblem) -> np.ndarray:
     oracles; ``solve_terminal`` generates only the columns it pivots on.
 
     q_kl = (gamma^2 T / alpha) v_m[k] phi1((lambda_k + lambda_l) T) v_m[l].
-    Exactly symmetric by construction.  Built BUILD_Q_ROWS rows at a time:
-    each row block is written straight into Q as v_m[k] v_m[l], then scaled
-    and multiplied by phi1 in place, the operation order of
-    ``scale * outer(v_m, v_m) * phi1(z)``.  So the phi1 temporaries stay a
-    fraction of the m x m result.
+    Filled from ``_gramian_column`` one column at a time, so beside the
+    result only O(m) temporaries are held.  Exactly symmetric: the entries
+    k, l and l, k are the same products of the same factors.
     """
-    vm, lam = prob.dec.boundary_components, prob.dec.lambdas
-    scale = prob.sys.gamma**2 * prob.T / prob.alpha
-    Q = np.empty((lam.shape[0],) * 2)
-    for start in range(0, lam.shape[0], BUILD_Q_ROWS):
-        rows = slice(start, start + BUILD_Q_ROWS)
-        block = np.multiply.outer(vm[rows], vm, out=Q[rows])
-        block *= scale
-        block *= phi1(np.add.outer(lam[rows], lam) * prob.T)
+    Q = np.empty((prob.dec.m,) * 2)
+    for p in range(prob.dec.m):
+        Q[p] = _gramian_column(prob, p)     # row p is column p
     return Q
+
+
+def _gramian_column(prob: OcProblem, p: int) -> np.ndarray:
+    """Column p of Q, (gamma^2 T / alpha) v_m v_m[p] phi1((lambda + lambda_p) T),
+    in O(m)."""
+    vm, lam, T = prob.dec.boundary_components, prob.dec.lambdas, prob.T
+    return vm * vm[p] * (prob.sys.gamma**2 * T / prob.alpha) * phi1((lam + lam[p]) * T)
 
 
 def _gramian_factor(prob: OcProblem) -> np.ndarray:
@@ -335,24 +323,24 @@ def _gramian_factor(prob: OcProblem) -> np.ndarray:
 
     Q is the controllability Gramian of (M, gamma e_m) in the eigenbasis, and
     its eigenvalues decay geometrically, so a few dozen columns capture it.
-    Column p of Q, (gamma^2 T / alpha) v_m v_m[p] phi1((lambda + lambda_p) T),
-    costs O(m); each step takes the largest residual diagonal entry as its
-    pivot.  The loop stops once the trace of the remainder E, the sum of the
-    residual diagonal, is at most the unit roundoff 2^-53, or at r = m.  E
-    is positive semi-definite, so ||E||_2 <= trace(E) <= 2^-53.  The buffer
-    doubles as the rank grows, so no m x m array is formed.
+    Each step takes the largest residual diagonal entry as its pivot p and
+    generates column p of Q (``_gramian_column``) in O(m).  The loop stops
+    once the trace of the remainder E, the sum of the residual diagonal, is
+    at most the unit roundoff 2^-53, or at r = m.  E is positive
+    semi-definite, so ||E||_2 <= trace(E) <= 2^-53.  The buffer doubles as
+    the rank grows, so no m x m array is formed.
     """
     vm, lam, T = prob.dec.boundary_components, prob.dec.lambdas, prob.T
     scale = prob.sys.gamma**2 * T / prob.alpha
     m = lam.shape[0]
-    residual = vm * vm * scale * phi1((lam + lam) * T)   # build_Q's operation order
+    residual = vm * vm * scale * phi1((lam + lam) * T)   # _gramian_column's order
     Lt = np.empty((1, m))
     r = 0
     while r < m and residual.sum() > 2.0**-53:
         p = int(np.argmax(residual))
         if r == Lt.shape[0]:
             Lt = np.concatenate([Lt, np.empty((min(r, m - r), m))])
-        col = vm * vm[p] * scale * phi1((lam + lam[p]) * T)
+        col = _gramian_column(prob, p)
         col -= Lt[:r].T @ Lt[:r, p]
         col /= math.sqrt(residual[p])
         Lt[r] = col
@@ -383,8 +371,9 @@ def solve_terminal(prob: OcProblem) -> ExactOcSolution:
     Cholesky factorization.  The dropped remainder E has trace at most 2^-53,
     and (I + Q)^-1 and (I + L L^T)^-1 both have norm at most 1, so the
     solve moves by at most 2^-53 ||b||.  Beside V the solve holds O(r m)
-    memory, and its cost is O(r^2 m) plus the three m x m matrix-vector
-    products of the modal transforms.
+    memory, and its cost is O(r^2 m) plus at most three m x m
+    matrix-vector products: V^T y_hat and V^T psi (``to_modal``, which may
+    hold them already) and V p(T).
     """
     dec, sys = prob.dec, prob.sys
     target_modal = to_modal(dec, prob.y_hat)
@@ -394,14 +383,17 @@ def solve_terminal(prob: OcProblem) -> ExactOcSolution:
     inner.flat[::Lt.shape[0] + 1] += 1.0
     # I + L^T L has eigenvalues >= 1, so the factorization cannot fail
     p_modal = b - Lt.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(inner), Lt @ b)
-    eta_T = target_modal + p_modal
-    p_T = from_modal(dec, p_modal)
-    control = ExpSumFunction(
-        coefficients=-(sys.gamma / prob.alpha) * p_modal * dec.boundary_components,
-        rates=dec.lambdas,
-        horizon=prob.T,
-    )
-    return ExactOcSolution(eta_T=eta_T, p_T=p_T, control=control)
+    return _optimum(sys, dec, prob.T, prob.alpha, target_modal + p_modal, p_modal)
+
+
+def _optimum(sys: MolSystem, dec: SpectralDecomposition, T: float, alpha: float,
+             eta_T: np.ndarray, p_modal: np.ndarray) -> ExactOcSolution:
+    """The optimum with terminal modal state eta_T and modal multiplier
+    p_modal = V^T p(T): p(T) = V p_modal, and the control
+    u(t) = -(gamma/alpha) sum_l p_modal[l] v_m[l] exp(lambda_l (T - t))."""
+    control = ExpSumFunction(-(sys.gamma / alpha) * p_modal * dec.boundary_components,
+                             dec.lambdas, T)
+    return ExactOcSolution(eta_T=eta_T, p_T=from_modal(dec, p_modal), control=control)
 
 
 def check_target(m: int, T: float, alpha: float, deltas) -> tuple[list[int], np.ndarray]:
@@ -445,14 +437,8 @@ def sparse_target(sys: MolSystem, dec: SpectralDecomposition, T: float,
     cols = np.flatnonzero(delta_vec)
     coupling = phi1(np.add.outer(lam, lam[cols]) * T) @ (delta_vec[cols] * vm[cols])
     eta_T = np.exp(lam * T) * eta0 - (sys.gamma**2 * T / alpha) * vm * coupling
-    p_T = from_modal(dec, delta_vec)
-    y_hat = from_modal(dec, eta_T) - p_T
-    control = ExpSumFunction(
-        coefficients=-(sys.gamma / alpha) * delta_vec * vm,
-        rates=lam,
-        horizon=T,
-    )
-    return y_hat, ExactOcSolution(eta_T=eta_T, p_T=p_T, control=control)
+    sol = _optimum(sys, dec, T, alpha, eta_T, delta_vec)
+    return from_modal(dec, sol.eta_T) - sol.p_T, sol
 
 
 def exact_objective(prob: OcProblem, sol: ExactOcSolution) -> float:

@@ -35,10 +35,10 @@ LIVE_COLUMNS_STEP = 16
 class SpectralDecomposition:
     """Eigenpairs M = V diag(lambdas) V^T with orthonormal columns of V.
 
-    ``adjoint_exact`` keeps its two most recent modal vectors V^T p_T in
-    ``_modal``, keyed by the bytes of p_T: plain arrays in a dict, so the
-    decomposition still pickles and copies, and it takes no part in repr.
-    Decompositions compare by identity.
+    ``to_modal`` keeps its two most recent results V^T w in ``_modal``,
+    keyed by the bytes of w: plain arrays in a dict, so the decomposition
+    still pickles and copies, and it takes no part in repr.  Decompositions
+    compare by identity.
     """
 
     omegas: np.ndarray
@@ -143,11 +143,27 @@ def live_product(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def to_modal(dec: SpectralDecomposition, w: np.ndarray) -> np.ndarray:
-    """Coefficients V^T w of a vector in the eigenbasis."""
+    """Coefficients V^T w of a vector in the eigenbasis, read-only.
+
+    The two most recently used results are kept on ``dec``, keyed by the
+    bytes of w, so a run of calls that alternates two vectors makes one
+    m x m product for each: a cell transforms psi in ``sparse_target``,
+    ``solve_terminal`` and the plan of ``solve_ivp_exact``, and a Peer
+    scenario-1 cell's exact start transforms its numerical p_T between the
+    cell's uses of the exact one.  A vector changed in place has other
+    bytes and is transformed again.
+    """
     w = np.asarray(w, dtype=float)
     if w.shape != (dec.m,):
         raise ValueError(f"expected vector of length {dec.m}, got shape {w.shape}")
-    return dec.vectors.T @ w
+    key = w.tobytes()
+    modal = dec._modal.pop(key, None)
+    if modal is None:
+        modal = _readonly(dec.vectors.T @ w)
+    dec._modal[key] = modal                 # the most recent entry last
+    if len(dec._modal) > 2:
+        del dec._modal[next(iter(dec._modal))]
+    return modal
 
 
 def from_modal(dec: SpectralDecomposition, eta: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,20 @@ def test_gnuplot_contains_inline_data():
     assert "$yT_err_inf_gauss2_m8 << EOD" in text
     assert "16 0.5" in text
     assert "plot" in text
+
+
+def test_gnuplot_datablock_names_are_identifiers():
+    rows = [ReportRow(method, 4, 16, "p0_err_inf", 0.5)
+            for method in ("peer.v2", "a-b", "a_b", "gauss2")]
+    lines = render_gnuplot(ConvergenceReport(rows=rows)).splitlines()
+    blocks = [ln for ln in lines if ln.startswith("$")]
+    assert len(blocks) == 4
+    assert all(re.fullmatch(r"\$[A-Za-z0-9_]+ << EOD", ln) for ln in blocks)
+    names = [ln.split()[0] for ln in blocks]
+    assert len(set(names)) == 4                 # a-b and a_b stay apart
+    assert "$p0_err_inf_peer_v2_m4" in names and "$p0_err_inf_gauss2_m4" in names
+    plotted = re.findall(r"(\$\S+) using", "\n".join(lines))
+    assert sorted(plotted) == sorted(names)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +250,18 @@ def test_partial_flush_on_failure(monkeypatch, scenario, runner, rows_per_cell):
     assert len(partials) == 1
     assert partials[0].metadata["incomplete"] == "true"
     assert len(partials[0].rows) == 2 * rows_per_cell
+
+
+@pytest.mark.parametrize("runner,scenario", [(run_scenario1, 2), (run_scenario2, 1)],
+                         ids=["scenario1", "scenario2"])
+def test_each_runner_labels_its_own_study(runner, scenario):
+    # the config names the other study; the report must still name the one run
+    cfg = small_cfg(scenario=scenario, m_values=(8,), N_values=(4, 8))
+    report = runner(cfg)
+    run = 3 - scenario
+    assert report.metadata["scenario"] == str(run)
+    assert f"# scenario={run}\n" in render_csv(report)
+    assert report.metadata["config_hash"] == cfg.with_overrides(scenario=run).config_hash()
 
 
 def test_scenario2_small_run_marks_convergence():

@@ -401,41 +401,68 @@ def uncached_adjoint(dec, p_T, t, horizon):
     return from_modal(dec, np.exp(dec.lambdas * (horizon - t)) * (dec.vectors.T @ p_T))
 
 
-def test_adjoint_transforms_each_multiplier_once(monkeypatch):
+def count_transforms(dec):
+    """From here on, record the bytes of each vector w that an m x m
+    product V^T w transforms.  V^T is the one view of V, F- and not
+    C-contiguous, that the exact layer multiplies by; the products by V in
+    ``from_modal`` and all other arithmetic on V run as before."""
+    transformed = []
+
+    class CountedVectors(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            a = inputs[0]
+            if (ufunc is np.matmul and a is self and a.flags.f_contiguous
+                    and not a.flags.c_contiguous):
+                transformed.append(np.asarray(inputs[1]).tobytes())
+            plain = tuple(x.view(np.ndarray) if isinstance(x, CountedVectors) else x
+                          for x in inputs)
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    object.__setattr__(dec, "vectors", dec.vectors.view(CountedVectors))
+    return transformed
+
+
+def test_adjoint_transforms_each_multiplier_once():
     prob, _ = make_instance(64, bc=RobinBC(1.0, 1.0))
     dec, p_T = prob.dec, solve_terminal(prob).p_T
-    calls, to_modal = [], exact_oc.to_modal
-
-    def counted(d, w):
-        calls.append(1)
-        return to_modal(d, w)
-
-    monkeypatch.setattr(exact_oc, "to_modal", counted)
-    for t in np.linspace(0.0, 1.0, 65):
-        assert bitwise_equal(adjoint_exact(dec, p_T, float(t), 1.0),
-                             uncached_adjoint(dec, p_T, t, 1.0))
+    times = np.linspace(0.0, 1.0, 65)
+    refs = [uncached_adjoint(dec, p_T, t, 1.0) for t in times]
+    products = count_transforms(dec)
+    for t, ref in zip(times, refs):
+        assert bitwise_equal(adjoint_exact(dec, p_T, float(t), 1.0), ref)
     adjoint_exact(dec, p_T.copy(), 0.5, 1.0)      # a copy has the same bytes
-    assert len(calls) == 1
+    assert len(products) == 1
 
 
-def test_adjoint_keeps_the_two_most_recent_multipliers(monkeypatch, rng):
+def test_adjoint_keeps_the_two_most_recent_multipliers(rng):
     dec = decompose(build_system(RobinBC(1.0, 1.0), 16, ones_profile))
     a, b, c = rng.standard_normal((3, 16))
-    calls, to_modal = [], exact_oc.to_modal
-
-    def counted(d, w):
-        calls.append(w.tobytes())
-        return to_modal(d, w)
-
-    monkeypatch.setattr(exact_oc, "to_modal", counted)
-    for t in np.linspace(0.0, 1.0, 9):
-        for p_T in (a, b):
-            assert bitwise_equal(adjoint_exact(dec, p_T, float(t), 1.0),
-                                 uncached_adjoint(dec, p_T, t, 1.0))
-    assert calls == [a.tobytes(), b.tobytes()]
+    times = np.linspace(0.0, 1.0, 9)
+    refs = [[uncached_adjoint(dec, p_T, t, 1.0) for p_T in (a, b)] for t in times]
+    products = count_transforms(dec)
+    for t, pair in zip(times, refs):
+        for p_T, ref in zip((a, b), pair):
+            assert bitwise_equal(adjoint_exact(dec, p_T, float(t), 1.0), ref)
+    assert products == [a.tobytes(), b.tobytes()]
     for p_T in (a, c, a, b):                   # c evicts b, the least recent
         adjoint_exact(dec, p_T, 0.5, 1.0)
-    assert calls[2:] == [c.tobytes(), b.tobytes()]
+    assert products[2:] == [c.tobytes(), b.tobytes()]
+
+
+def test_robin_cell_transforms_each_vector_once():
+    # perfbench's robin_cell order: psi is transformed by sparse_target,
+    # solve_terminal and the solve_ivp_exact plan, but costs one product
+    sys = build_system(RobinBC(1.0, 1.0), 40, ones_profile)
+    dec = decompose(sys)
+    products = count_transforms(dec)
+    y_hat, _ = sparse_target(sys, dec, T=1.0, alpha=1.0, deltas=BENCH_DELTAS)
+    sol = solve_terminal(OcProblem(sys=sys, dec=dec, T=1.0, alpha=1.0, y_hat=y_hat))
+    times = np.linspace(0.0, 1.0, 9)
+    for t in times:
+        solve_ivp_exact(sys, dec, sol.control, float(t))
+    for t in times:
+        adjoint_exact(dec, sol.p_T, float(t), 1.0)
+    assert products == [sys.psi.tobytes(), y_hat.tobytes(), sol.p_T.tobytes()]
 
 
 def test_adjoint_sees_a_multiplier_changed_in_place(rng):
@@ -590,13 +617,13 @@ def test_Q_positive_semidefinite_sampled(instance8, rng):
         assert w @ Q @ w >= -1e-12 * (w @ w)
 
 
-def test_Q_row_blocks_equal_the_whole_matrix_form(monkeypatch):
-    prob, _ = make_instance(8, bc=RobinBC(1.0, 1.0))
-    vm, lam = prob.dec.boundary_components, prob.dec.lambdas
-    whole = (prob.sys.gamma**2 * prob.T / prob.alpha) * np.outer(vm, vm) \
-        * phi1(np.add.outer(lam, lam) * prob.T)
-    monkeypatch.setattr(exact_oc, "BUILD_Q_ROWS", 3)      # a ragged last block
-    assert np.array_equal(build_Q(prob), whole)
+def test_Q_row_blocks_equal_the_whole_matrix_form():
+    for m in (8, 70):
+        prob, _ = make_instance(m, bc=RobinBC(1.0, 1.0))
+        vm, lam = prob.dec.boundary_components, prob.dec.lambdas
+        whole = (prob.sys.gamma**2 * prob.T / prob.alpha) * np.outer(vm, vm) \
+            * phi1(np.add.outer(lam, lam) * prob.T)
+        assert bitwise_equal(build_Q(prob), whole)
 
 
 def test_build_Q_temporaries_stay_below_the_result():

@@ -215,6 +215,17 @@ def test_to_modal_matches_explicit_assembly():
     assert np.abs(to_modal(dec, np.ones(m)) - expected).max() < 1e-13
 
 
+def test_cached_modal_vector_is_read_only(rng):
+    dec = decompose(build_system(RobinBC(1.0, 1.0), 8, ones_profile))
+    w = rng.standard_normal(8)
+    first = to_modal(dec, w)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    hit = to_modal(dec, w.copy())               # same bytes: the cached array
+    assert hit is first and not hit.flags.writeable
+
+
 def test_modal_dimension_mismatch():
     dec = decompose(build_system(RobinBC.dirichlet(), 4, ones_profile))
     with pytest.raises(ValueError):
