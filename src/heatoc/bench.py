@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .heat_mol import ConfigError, RobinBC, build_system, ones_profile
+from .heat_mol import ConfigError, RobinBC, build_system, ones_profile, _unique_keys
 from .spectrum import decompose, from_modal
 from .exact_oc import (
     OcProblem, adjoint_exact, check_target, solve_ivp_exact, sparse_target,
@@ -136,7 +136,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
         try:
-            doc = json.loads(Path(source).read_text()) if not isinstance(source, dict) else source
+            doc = (source if isinstance(source, dict)
+                   else json.loads(Path(source).read_text(), object_pairs_hook=_unique_keys))
             if not isinstance(doc, dict):
                 raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
             kwargs = {}
@@ -158,9 +159,10 @@ class ExperimentConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     def config_hash(self) -> str:
-        """Hash of every field but ``out_dir`` and ``jobs``, which change no data row."""
+        """Hash of every field but ``out_dir``, ``jobs`` and ``verify``, which
+        change no data row."""
         doc = dataclasses.asdict(self)
-        del doc["out_dir"], doc["jobs"]
+        del doc["out_dir"], doc["jobs"], doc["verify"]
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 

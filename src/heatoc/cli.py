@@ -88,12 +88,12 @@ def _cmd_exact(args) -> int:
         raise ConfigError("control sample times must be finite")
     if ((times < 0.0) | (times > args.T)).any():
         raise ConfigError(f"control sample times must lie in [0, {args.T:g}]")
+    prob, sol = benchmark_instance(args.m, args.beta0, args.beta1, args.T, args.alpha,
+                                   deltas)
     if args.verify:
         code = _run_verify_gate()
         if code:
             return code
-    prob, sol = benchmark_instance(args.m, args.beta0, args.beta1, args.T, args.alpha,
-                                   deltas)
     y_T = from_modal(prob.dec, sol.eta_T)
     p_0 = adjoint_exact(prob.dec, sol.p_T, 0.0, args.T)
     lines = ["quantity,key,value"]
@@ -117,13 +117,18 @@ def _cmd_scenario(args, runner) -> int:
         out_dir=args.out,
         jobs=args.jobs,
         peer_dir=args.peer_dir,
+        verify=args.verify or None,
     )
     if getattr(args, "grad_tol", None) is not None:
         overrides["grad_tol"] = args.grad_tol
     cfg = cfg.with_overrides(**overrides).validate()
-    for name in cfg.methods:        # a missing or malformed Peer file exits before the gate
+    # a missing or malformed Peer file, or an instance that overflows, exits
+    # before the gate
+    for name in cfg.methods:
         get_method(name, cfg.peer_dir)
-    if args.verify or cfg.verify:
+    for m in cfg.m_values:
+        benchmark_instance(m, cfg.beta0, cfg.beta1, cfg.T, cfg.alpha, cfg.deltas)
+    if cfg.verify:
         code = _run_verify_gate()
         if code:
             return code

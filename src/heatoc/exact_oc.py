@@ -424,7 +424,9 @@ def sparse_target(sys: MolSystem, dec: SpectralDecomposition, T: float,
     p(t) = sum_l delta_l exp(lambda_l (T - t)) v_l fixes the optimal control
     and the terminal state in closed form, and the matching target is
     y_hat = y(T) - sum_l delta_l v_l.  Invalid inputs raise ConfigError
-    (``check_target``).
+    (``check_target``), and so does an instance whose y_hat, eta(T) or
+    control coefficients are not finite in double precision, such as a
+    penalty weight small enough that gamma / alpha overflows.
     """
     indices, values = check_target(sys.m, T, alpha, deltas)
     delta_vec = np.zeros(sys.m)
@@ -435,10 +437,15 @@ def sparse_target(sys: MolSystem, dec: SpectralDecomposition, T: float,
     vm = dec.boundary_components
     eta0 = to_modal(dec, sys.psi)
     cols = np.flatnonzero(delta_vec)
-    coupling = phi1(np.add.outer(lam, lam[cols]) * T) @ (delta_vec[cols] * vm[cols])
-    eta_T = np.exp(lam * T) * eta0 - (sys.gamma**2 * T / alpha) * vm * coupling
-    sol = _optimum(sys, dec, T, alpha, eta_T, delta_vec)
-    return from_modal(dec, sol.eta_T) - sol.p_T, sol
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = phi1(np.add.outer(lam, lam[cols]) * T) @ (delta_vec[cols] * vm[cols])
+        eta_T = np.exp(lam * T) * eta0 - (sys.gamma**2 * T / alpha) * vm * coupling
+        sol = _optimum(sys, dec, T, alpha, eta_T, delta_vec)
+        y_hat = from_modal(dec, sol.eta_T) - sol.p_T
+    if not all(np.isfinite(a).all() for a in (y_hat, eta_T, sol.control.coefficients)):
+        raise ConfigError(f"the exact solution overflows in double precision at m = {sys.m}, "
+                          f"T = {T:g}, alpha = {alpha:g}, deltas = {list(deltas)}")
+    return y_hat, sol
 
 
 def exact_objective(prob: OcProblem, sol: ExactOcSolution) -> float:

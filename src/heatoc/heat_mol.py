@@ -22,13 +22,21 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, zgtsv, zgttrf, zgttrs
 
 # Shifts whose factors one matrix keeps; a sweep uses at most a handful.
 SHIFT_CACHE_SIZE = 8
-# Vectors of a stack that ``TridiagonalMatrix.apply`` multiplies as one flat
-# vector; a matrix tiles its bands to a row count on the first such product.
-APPLY_ROWS = 4
 
 
 class ConfigError(ValueError):
     """Invalid problem or experiment configuration."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: the object as a dict, or
+    ConfigError naming a key that it repeats, where ``json.loads`` would
+    keep the last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"repeated key {max(keys, key=keys.count)!r} in a JSON object")
+    return doc
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -95,16 +103,16 @@ class TridiagonalMatrix:
 
     The bands are read-only, so the LU factors of a shifted matrix I - z M
     are derived data: ``solve_shift`` keeps those of the last
-    SHIFT_CACHE_SIZE shifts, and ``apply`` keeps the bands tiled to each
-    row count 0..APPLY_ROWS it has met.  Both are plain arrays in dicts, so
-    the matrix still pickles and copies, and they take no part in repr.
+    SHIFT_CACHE_SIZE shifts, and ``apply`` keeps one pair of bands tiled to
+    the tallest stack it has multiplied.  Both are plain arrays, so the
+    matrix still pickles and copies, and they take no part in repr.
     Matrices compare by identity.
     """
 
     diagonal: np.ndarray
     off: np.ndarray
     _factors: dict = field(default_factory=dict, init=False, repr=False)
-    _tiled: dict = field(default_factory=dict, init=False, repr=False)
+    _tile: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diagonal", _readonly(self.diagonal))
@@ -122,60 +130,51 @@ class TridiagonalMatrix:
         ``v`` is a vector of length m or a stack of them, such as an (s, m)
         stage block; M acts on the last axis.  Each entry is
         (d v + o v_next) + o v_prev with neighbours from its own vector
-        only.  Up to APPLY_ROWS vectors are taken as one flat vector (a copy
-        if the stack is not C-contiguous) against the bands tiled to that
-        many rows, so a stage block costs five ufunc calls, not five per
-        vector.  The products that cross a row end are set to -0.0, which
-        adds nothing to any value (a signed zero, inf and NaN included), so
-        the result is bitwise that of one vector at a time and no entry
-        leaks into the next vector.  A larger stack is one pass of the same
-        five ufunc calls over its (rows, m) matrix, which is the product of
-        one vector at a time by construction.
+        only.  A single vector multiplies against the bands themselves.  A
+        stack is taken as one flat vector (a copy if it is not
+        C-contiguous) against the bands laid end to end once per row, so
+        any stack costs five ufunc calls, not five per vector.  The
+        products that cross a row end are set to -0.0, which adds nothing
+        to any value (a signed zero, inf and NaN included), so the result
+        is bitwise that of one vector at a time and no entry leaks into
+        the next vector.
         """
         m = self.m
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (m,):
             raise ValueError(f"expected last axis of length {m}, got shape {v.shape}")
         rows = math.prod(v.shape[:-1])
-        if rows <= APPLY_ROWS:
-            return self._apply_rows(v.reshape(-1), rows).reshape(v.shape)
-        V = v.reshape(rows, m)
-        r = np.multiply(self.diagonal, V, order="C")
+        flat = v.reshape(-1)
+        d, off = (self.diagonal, self.off) if rows == 1 else self._tiled(rows, m)
+        r = d * flat
         if m > 1:
-            r[:, :-1] += self.off * V[:, 1:]
-            r[:, 1:] += self.off * V[:, :-1]
-        return r.reshape(v.shape)
-
-    def _apply_rows(self, v: np.ndarray, k: int) -> np.ndarray:
-        """``apply`` on k <= APPLY_ROWS vectors laid end to end in ``v``."""
-        m = self.m
-        bands = self._tiled.get(k)
-        if bands is None:
-            bands = self._tiled[k] = self._tile_bands(k)
-        d, off = bands
-        r = d * v
-        if m > 1:
-            p = off * v[1:]
-            if k > 1:
+            p = off * flat[1:]
+            if rows > 1:
                 p[m - 1::m] = -0.0
             r[:-1] += p
-            np.multiply(off, v[:-1], out=p)
-            if k > 1:
+            np.multiply(off, flat[:-1], out=p)
+            if rows > 1:
                 p[m - 1::m] = -0.0
             r[1:] += p
-        return r
+        return r.reshape(v.shape)
 
-    def _tile_bands(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The bands laid end to end k times, for ``_apply_rows``.
+    def _tiled(self, rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The bands laid end to end ``rows`` times, for ``apply``.
 
-        The entry that couples two rows is 1.0: its products are replaced
-        by -0.0, and 1.0 keeps them from overflowing or turning inf into a
-        NaN with a warning.  One row needs no tiling.
+        A stack taller than the kept tile re-tiles it to its own height, a
+        shorter one takes a slice.  The entry that couples two rows is 1.0:
+        its products are replaced by -0.0, and 1.0 keeps them from
+        overflowing or turning inf into a NaN with a warning.
         """
-        if k == 1:
-            return self.diagonal, self.off
-        return (_readonly(np.tile(self.diagonal, k)),
-                _readonly(np.tile(np.append(self.off, 1.0), k)[:-1]))
+        n = rows * m
+        tile = self._tile
+        if tile is None or tile[0].shape[0] < n:
+            tile = (_readonly(np.tile(self.diagonal, rows)),
+                    _readonly(np.tile(np.append(self.off, 1.0), rows)[:-1]))
+            object.__setattr__(self, "_tile", tile)
+        if tile[0].shape[0] == n:
+            return tile
+        return tile[0][:n], tile[1][:n - 1 if n else 0]
 
     def solve_shift(self, z, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - z M) x = rhs for a scalar shift z.

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import zgttrs
 
-from .heat_mol import ConfigError, TridiagonalMatrix, MolSystem, _readonly
+from .heat_mol import ConfigError, TridiagonalMatrix, MolSystem, _readonly, _unique_keys
 
 ORDER4_TOL = 1e-13
 
@@ -229,13 +229,12 @@ def load_peer_scheme(source) -> PeerScheme:
 
     Matrix entries are exact decimal or rational strings ("0.25", "7/12");
     plain numbers are accepted too.  Entries equal to null mark a placeholder
-    file and raise MissingPeerCoefficientsError.
+    file and raise MissingPeerCoefficientsError; a file that is no JSON, or
+    that repeats a key, raises ConfigError.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        doc = json.loads(Path(source).read_text())
     try:
+        doc = (source if isinstance(source, dict)
+               else json.loads(Path(source).read_text(), object_pairs_hook=_unique_keys))
         name = doc["name"]
         s = int(doc["s"])
         c = np.array([_parse_entry(x, f"c[{i}]") for i, x in enumerate(doc["c"])])

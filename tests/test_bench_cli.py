@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,11 +128,13 @@ def test_config_validation_errors():
 
 
 def test_config_hash_ignores_out_dir_and_jobs():
-    # neither changes a data row, so one experiment has one hash
+    # none of out_dir, jobs and verify changes a data row, so one experiment
+    # has one hash
     cfg = small_cfg()
     assert cfg.with_overrides(out_dir="a").config_hash() == \
         cfg.with_overrides(out_dir="b").config_hash()
     assert cfg.with_overrides(jobs=1).config_hash() == cfg.with_overrides(jobs=2).config_hash()
+    assert cfg.with_overrides(verify=True).config_hash() == cfg.config_hash()
     assert cfg.with_overrides(T=2.0).config_hash() != cfg.config_hash()
     assert '"out_dir": "a"' in cfg.with_overrides(out_dir="a").canonical_json()
 
@@ -397,8 +400,9 @@ def work_calls(monkeypatch):
     import heatoc.cli as cli
     calls = []
     instance = bench.benchmark_instance
-    monkeypatch.setattr(bench, "benchmark_instance",
-                        lambda *a: calls.append("instance") or instance(*a))
+    for module in (bench, cli):
+        monkeypatch.setattr(module, "benchmark_instance",
+                            lambda *a: calls.append("instance") or instance(*a))
     monkeypatch.setattr(cli, "run_verification", lambda: calls.append("verify") or [])
     return calls
 
@@ -553,3 +557,75 @@ def test_cli_verify_failure_maps_to_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_verification",
                         lambda: [CheckResult("synthetic", True, "ok")])
     assert main(["verify"]) == 0
+
+
+def test_cli_verify_routes_write_one_config_hash(tmp_path, work_calls):
+    base = {"m_values": [4], "N_values": [4, 8], "methods": ["gauss2"]}
+    hashes, data = set(), set()
+    for in_config, flag in ((False, []), (True, []), (False, ["--verify"]),
+                            (True, ["--verify"])):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(base, verify=True) if in_config else base))
+        out = tmp_path / f"out_{in_config}_{bool(flag)}"
+        assert main(["scenario1", "--config", str(cfg_path), "--out", str(out), *flag]) == 0
+        text = (out / "report.csv").read_text()
+        hashes.add(re.search(r"# config_hash=(\w+)", text).group(1))
+        data.add(tuple(data_rows(text)))
+    assert len(hashes) == 1 and len(data) == 1
+    assert work_calls.count("verify") == 3
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize("argv", [
+    ["exact", "--m", "4", "--alpha", "1e-320"],
+    ["exact", "--m", "4", "--deltas", "1:1e308"],
+    ["scenario1", "--config", "{cfg}"],
+    ["scenario2", "--config", "{cfg}"],
+], ids=lambda a: " ".join(a))
+def test_cli_rejects_an_instance_that_overflows_before_the_gate(tmp_path, work_calls,
+                                                                capsys, argv, verify):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": 1e-320, "m_values": [4], "N_values": [4, 8],
+                                    "methods": ["gauss2"]}))
+    argv = [a.format(cfg=cfg_path) for a in argv]
+    out = tmp_path / "out"
+    if argv[0] != "exact":
+        argv += ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, *verify]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("[heatoc] config error: the exact solution overflows")
+    assert not out.exists()
+    assert work_calls == ["instance"]
+
+
+@pytest.mark.parametrize("command", ["scenario1", "scenario2"])
+def test_cli_rejects_a_repeated_config_key(tmp_path, work_calls, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"T": 1, "T": 2, "m_values": [4], "N_values": [4, 8], '
+                        '"methods": ["gauss2"]}')
+    with pytest.raises(ConfigError, match="repeated key 'T'"):
+        ExperimentConfig.from_json(cfg_path)
+    assert main([command, "--config", str(cfg_path), "--verify"]) == 1
+    assert "repeated key 'T'" in capsys.readouterr().err
+    assert work_calls == []
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.replace('"formulation"', '"R": [["1", "0"], ["0", "1"]], "formulation"'),
+     "repeated key 'R'"),
+    (lambda t: t[:40], "malformed Peer coefficient document"),
+], ids=["repeated-key", "no-json"])
+def test_cli_rejects_a_malformed_peer_file(tmp_path, work_calls, capsys, edit, message):
+    from heatoc.integrators import _packaged_peer_dir
+    text = (_packaged_peer_dir() / "peer_toy2.json").read_text()
+    (tmp_path / "bad.json").write_text(edit(text.replace('"peer_toy2"', '"bad"')))
+    for command in ("scenario1", "scenario2"):
+        assert main([command, "--m", "4", "--N", "4,8", "--methods", "bad",
+                     "--peer-dir", str(tmp_path), "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[heatoc] config error:") and message in err
+    assert work_calls == []

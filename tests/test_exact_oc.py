@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, quad_vec
 
 from heatoc import (
-    ExpSumFunction, OcProblem, RobinBC, adjoint_exact, build_Q,
+    ConfigError, ExpSumFunction, OcProblem, RobinBC, adjoint_exact, build_Q,
     build_system, decompose, exact_objective, from_modal, objective,
     ones_profile, phi1, solve_ivp_exact, solve_terminal, sparse_target,
 )
@@ -800,6 +801,19 @@ def test_sparse_target_validates_indices():
         sparse_target(sys, dec, 1.0, 1.0, [(0, 0.1)])
     with pytest.raises(ValueError):
         sparse_target(sys, dec, 1.0, 1.0, [(5, 0.1)])
+
+
+@pytest.mark.parametrize("alpha,deltas", [
+    (1e-320, BENCH_DELTAS),            # gamma / alpha overflows
+    (1.0, [(1, 1e308)]),               # eta(T) and the control overflow
+])
+def test_sparse_target_rejects_an_instance_that_overflows(alpha, deltas):
+    sys = build_system(RobinBC.dirichlet(), 4, ones_profile)
+    dec = decompose(sys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="overflows in double precision"):
+            sparse_target(sys, dec, 1.0, alpha, deltas)
 
 
 # ---------------------------------------------------------------------------

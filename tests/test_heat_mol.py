@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heatoc import (
-    ConfigError, DiscreteControl, ExpSumFunction, RobinBC, TridiagonalMatrix,
-    build_system, decompose, gauss2, ones_profile, peer_toy2,
-    robin_coefficients,
+    ConfigError, DiscreteControl, ExperimentConfig, ExpSumFunction, RobinBC,
+    TridiagonalMatrix, build_system, decompose, gauss2, ones_profile, peer_toy2,
+    robin_coefficients, run_scenario1, run_scenario2,
 )
-from heatoc.heat_mol import APPLY_ROWS
 from conftest import make_instance
 
 
@@ -131,28 +130,56 @@ def test_apply_flat_stack_bitwise_equals_vector_by_vector(m, rng):
     stacks += [rng.standard_normal((k, m)) for k in (1, 2, 3, 4, 5, 9)]
     stacks += [rng.standard_normal((2, 3, m)), np.zeros((0, m))]
     stacks += [(rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))).real,
-               rng.standard_normal((6, 2 * m))[::2, ::2]]       # not C-contiguous
+               rng.standard_normal((6, 2 * m))[::2, ::2],       # not C-contiguous
+               rng.standard_normal((10, 2 * m))[::2, 1::2]]     # a strided (5, m) view
     stacks += [rng.choice([0.0, -0.0], size=(4, m)),              # exact zero sums
                rng.choice([0.0, -0.0, 1.0, -1.0], size=(3, m))]
+    # the terminal maps' stack heights, then shorter stacks on the tile
+    stacks += [rng.standard_normal((64, 3, m)), rng.standard_normal((58, 2, m))]
+    stacks += [rng.standard_normal((k, m)) for k in (192, 7, 192, 2, 1, 0, 116)]
     for v in stacks:
         assert bitwise_equal(tri.apply(v), vector_by_vector_apply(tri, v)), v.shape
         assert tri.apply(v).flags.c_contiguous
 
 
 def test_apply_tiles_bands_on_first_stacked_use(rng):
-    # a matrix that never multiplies a stack holds no tiled bands
+    # a matrix that multiplies single vectors only holds no tiled bands
     tri = build_system(RobinBC.dirichlet(), 2000, ones_profile).matrix
-    assert tri._tiled == {}
+    assert tri._tile is None
     tri.apply(rng.standard_normal(2000))
-    d, off = tri._tiled[1]
-    assert d is tri.diagonal and off is tri.off and len(tri._tiled) == 1
+    tri.apply(rng.standard_normal((1, 2000)))
+    assert tri._tile is None
+    # the tile grows to the tallest stack met ...
     tri.apply(rng.standard_normal((3, 2000)))
-    assert sorted(tri._tiled) == [1, 3] and tri._tiled[3][0].shape == (6000,)
-    # a stack of more than APPLY_ROWS rows is one pass over its rows and
-    # tiles nothing
-    tri.apply(rng.standard_normal((2 * APPLY_ROWS + 2, 2000)))
-    assert sorted(tri._tiled) == [1, 3]
-    assert all(not b.flags.writeable for bands in tri._tiled.values() for b in bands)
+    d, off = tri._tile
+    assert d.shape == (6000,) and off.shape == (5999,)
+    tri.apply(rng.standard_normal((10, 2000)))
+    d, off = tri._tile
+    assert d.shape == (20000,) and off.shape == (19999,)
+    # ... and a shorter stack reuses it
+    for rows in (2, 3, 5, 1):
+        tri.apply(rng.standard_normal((rows, 2000)))
+        assert tri._tile[0] is d and tri._tile[1] is off
+    assert not d.flags.writeable and not off.flags.writeable
+    assert "_tile" not in repr(tri)
+
+
+def test_apply_is_bitwise_on_every_stack_the_scenarios_multiply(monkeypatch):
+    calls = []
+    apply = TridiagonalMatrix.apply
+
+    def checked(self, v):
+        out = apply(self, v)
+        assert bitwise_equal(out, vector_by_vector_apply(self, v)), np.shape(v)
+        calls.append(math.prod(np.shape(v)[:-1]))
+        return out
+
+    monkeypatch.setattr(TridiagonalMatrix, "apply", checked)
+    cfg = ExperimentConfig(methods=("gauss2", "lobatto3", "peer_toy2"),
+                           m_values=(8, 70), N_values=(4, 8))
+    run_scenario1(cfg)
+    run_scenario2(cfg)
+    assert max(calls) > 4 and {1, 2, 3} <= set(calls)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

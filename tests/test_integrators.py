@@ -625,6 +625,20 @@ def test_load_rejects_non_finite_coefficients(tmp_path, key, where, token):
         load_peer_scheme(path)
 
 
+def test_load_rejects_a_repeated_key(tmp_path):
+    text = (integrators._packaged_peer_dir() / "peer_toy2.json").read_text()
+    path = tmp_path / "x.json"
+    path.write_text(text.replace('"formulation"', '"R": [["1", "0"], ["0", "1"]],\n'
+                                                  '  "formulation"'))
+    with pytest.raises(ConfigError, match="repeated key 'R'"):
+        load_peer_scheme(path)
+
+
+def test_shipped_peer_files_have_no_repeated_key():
+    for path in integrators._packaged_peer_dir().glob("*.json*"):
+        json.loads(path.read_text(), object_pairs_hook=integrators._unique_keys)
+
+
 def test_peer_start_tableau_is_collocation_on_the_nodes():
     scheme = peer_toy2()
     tab = collocation(scheme.c)
