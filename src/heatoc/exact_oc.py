@@ -12,10 +12,14 @@ term l it is
 with phi1(z) = (e^z - 1)/z.  That is what makes the reference solutions
 exact: no time quadrature appears outside test oracles.  ``solve_ivp_exact``
 uses the right-hand (Cauchy) form, whose matrix C_kl = 1/(lambda_k + mu_l)
-does not depend on t, so every time costs one matrix-vector product, over
-the terms whose weight c_l exp(mu_l (T - t)) has not underflowed.  Guard
-entries, where |lambda_k + mu_l| < CAUCHY_GUARD_SHIFT or mu_l > 0, keep the
-phi1 form, which stays accurate where the division would cancel or overflow.
+does not depend on t, so every time costs products over the terms whose
+weight c_l exp(mu_l (T - t)) has not underflowed.  Away from both ends of
+the horizon the state splits into V times decaying modal weights and a
+precomputed boundary response V diag(gamma v_m) C times those weights, so
+neither product reads more than a few dozen columns.  Guard entries, where
+|lambda_k + mu_l| < CAUCHY_GUARD_SHIFT or mu_l > 0, keep the phi1 form,
+which stays accurate where the division would cancel or overflow; the
+sorted spectrum gives them without an m x m mask.
 
 The optimal-control problem minimizes
 
@@ -48,7 +52,9 @@ import numpy as np
 import scipy.linalg
 
 from .heat_mol import ConfigError, MolSystem, _readonly
-from .spectrum import SpectralDecomposition, from_modal, live_product, to_modal
+from .spectrum import (
+    SpectralDecomposition, from_modal, live_columns, live_product, to_modal,
+)
 
 PHI1_SERIES_THRESHOLD = 1e-4
 # Shifts lambda_k + mu_l closer to zero than this stay on the phi1 form in
@@ -191,10 +197,16 @@ class _IvpPlan:
     decomposition, control).
 
     ``cauchy`` is C_kl = 1/(lambda_k + mu_l), zero at the guard entries
-    (``guard_rows``, ``guard_cols``);
+    (``guard_rows``, ``guard_cols``, row-major, from ``_guard_entries``);
     ``w_T = C (c * exp(mu T))``, a ``live_product``; ``coef`` and ``rates``
     are c and mu with the growing columns (mu_l > 0, all guard entries)
-    zeroed; ``eta0 = V^T psi``.
+    zeroed; ``eta0 = V^T psi``.  The split state reads
+    ``a = eta0 + gamma v_m * w_T`` and ``K = V diag(gamma v_m) C[:, :n_w]``,
+    the boundary response of the n_w = ``live_columns(c * exp(mu T))``
+    columns that w_T reads: one m x n_w product at build time.  A control
+    whose terms are sorted by decay, as every control the package builds,
+    has n_w = 16 at T = 1; one whose live terms are not first has n_w near
+    m, and K is then near m x m.
     """
 
     eta0: np.ndarray
@@ -204,54 +216,101 @@ class _IvpPlan:
     rates: np.ndarray
     guard_rows: np.ndarray
     guard_cols: np.ndarray
+    a: np.ndarray
+    K: np.ndarray
 
     @classmethod
     def build(cls, sys: MolSystem, dec: SpectralDecomposition,
               control: ExpSumFunction) -> "_IvpPlan":
         mu = control.rates
         growing = mu > 0
+        rows, cols = _guard_entries(dec.lambdas, mu)
         shifts = np.add.outer(dec.lambdas, mu)
-        # |shift| < G with one boolean array alive: the upper test runs only
-        # on the few entries above -G
-        guard = shifts > -CAUCHY_GUARD_SHIFT
-        rows, cols = np.nonzero(guard)
-        guard[rows, cols] = shifts[rows, cols] < CAUCHY_GUARD_SHIFT
-        guard[:, growing] = True
-        rows, cols = np.nonzero(guard)
         shifts[rows, cols] = np.inf
         cauchy = np.reciprocal(shifts, out=shifts)
         coef = np.where(growing, 0.0, control.coefficients)
         rates = np.where(growing, 0.0, mu)
-        return cls(eta0=to_modal(dec, sys.psi), cauchy=cauchy,
-                   w_T=live_product(cauchy, coef * np.exp(rates * control.horizon)),
-                   coef=coef, rates=rates, guard_rows=rows, guard_cols=cols)
+        weights_0 = coef * np.exp(rates * control.horizon)
+        w_T = live_product(cauchy, weights_0)
+        eta0 = to_modal(dec, sys.psi)
+        boundary = sys.gamma * dec.boundary_components
+        n_w = live_columns(weights_0)
+        return cls(eta0=eta0, cauchy=cauchy, w_T=w_T, coef=coef, rates=rates,
+                   guard_rows=rows, guard_cols=cols, a=eta0 + boundary * w_T,
+                   K=dec.vectors @ np.multiply(boundary[:, None], cauchy[:, :n_w], order="F"))
+
+
+def _guard_entries(lambdas: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of the entries where |lambda_k + mu_l| <
+    CAUCHY_GUARD_SHIFT or mu_l > 0: ``np.nonzero`` of that m x n mask, found
+    without forming it.
+
+    Every lambda_k <= 0 (``decompose``), and a column that does not grow has
+    mu_l <= 0, so its sums are <= 0 and only the lower bound -G cuts.  lambda
+    is strictly decreasing, so the rounded sums lambda_k + mu_l do not
+    increase down a column, and its guard rows are the leading n_l rows,
+    those with lambda_k + mu_l > -G.  ``np.searchsorted`` on -lambda places
+    n_l to within the rounding of the sum, and the loop steps it one row at
+    a time to the exact end of the rounded test.  A growing column is all
+    rows.  A stable sort by row turns the column ranges into row-major order.
+    """
+    m = lambdas.shape[0]
+    G = CAUCHY_GUARD_SHIFT
+    n = np.searchsorted(-lambdas, mu + G)
+    while True:
+        up = n < m
+        up[up] = lambdas[n[up]] + mu[up] > -G
+        down = n > 0
+        down[down] = ~(lambdas[n[down] - 1] + mu[down] > -G)
+        if not (up.any() or down.any()):
+            break
+        n += up
+        n -= down
+    n[mu > 0] = m
+    cols = np.repeat(np.arange(mu.shape[0]), n)
+    rows = np.arange(cols.shape[0]) - np.repeat(np.cumsum(n) - n, n)
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order]
 
 
 def solve_ivp_exact(sys: MolSystem, dec: SpectralDecomposition,
                     control: ExpSumFunction, t: float) -> np.ndarray:
     """Exact state of y' = M y + gamma e_m u(t), y(0) = psi, at time t.
 
-    Mode k is exp(lambda_k t) eta0_k plus gamma v_m[k] times the convolution
-    of the control with the modal decay, evaluated in the Cauchy form
+    At t = 0 it returns a copy of psi.  Otherwise mode k is
+    exp(lambda_k t) eta0_k plus gamma v_m[k] times the convolution of the
+    control with the modal decay, evaluated in the Cauchy form
 
-        conv(t) = exp(lambda t) * w_T - C (c * exp(mu (T - t)))
+        conv(t) = exp(lambda t) * w_T - C g(t) + guard(t)
 
-    with C_kl = 1/(lambda_k + mu_l) and w_T = C (c * exp(mu T)).  Guard
-    entries, where |lambda_k + mu_l| < CAUCHY_GUARD_SHIFT or mu_l > 0, are
-    zero in C and are added from c_l t phi1((lambda_k + mu_l) t)
-    exp(mu_l (T - t)) at each call; a control with rates lambda <= 0 has at
-    most one (the Neumann pair lambda_1 = 0).
+    with C_kl = 1/(lambda_k + mu_l), g(t) = c * exp(mu (T - t)) and
+    w_T = C g(0).  Guard entries, where |lambda_k + mu_l| <
+    CAUCHY_GUARD_SHIFT or mu_l > 0, are zero in C and are added in guard(t)
+    from c_l t phi1((lambda_k + mu_l) t) exp(mu_l (T - t)) at each call; a
+    control with rates lambda <= 0 has at most one (the Neumann pair
+    lambda_1 = 0).
 
-    C, w_T and eta0 = V^T psi form a plan built at the first call for a
-    (sys, dec) pair and kept on ``control``, so it lives as long as the
-    control; later calls cost O(m) memory and two matrix-vector products.
-    The Cauchy product runs over the columns of C up to the last nonzero
-    weight g = c exp(mu (T - t)) (``live_product``): the decaying terms
-    underflow away from t = T, so at 65 times in [0, T] (Robin, m = 2000)
-    the last nonzero weight is at a median of 13, a call reads 16 columns,
-    and the result is bitwise the full product ``C @ g``.
-    The modal state is dense, so the product by V stays O(m^2).  Accuracy
-    is absolute: the error is at roundoff level relative to
+    The plan (C, w_T, eta0 = V^T psi and the split pair a, K, see
+    ``_IvpPlan``) is built at the first call at t > 0 for a (sys, dec) pair
+    and kept on ``control``, so it lives as long as the control; later calls
+    cost O(m) memory.  A call takes one of two routes, and the choice reads
+    only t:
+
+    - split: y = V (exp(lambda t) * a + gamma v_m * guard(t)) - K g(t), two
+      ``live_product``s, each over at most n_w columns.  It is taken when
+      both weights are live over at most the n_w columns of K.  The modes
+      decay and g underflows away from t = T, so at 65 times in [0, 1]
+      (Robin(1,1), m = 2000) 27 calls of the optimal control take it.
+    - dense: y = V (exp(lambda t) * eta0 + gamma v_m * conv(t)), with C g
+      over the columns up to the last nonzero weight (``live_product``) and
+      a product by V that is dense, as the modal state is.  Every other
+      call takes it, t = T (g dense) and small t (the decay dense) among
+      them, and its bits are those of this formula.
+
+    The two routes agree to roundoff (at most 6.3e-15 relative to
+    max(1, |y|) over Dirichlet, Neumann and Robin(1,1), m 8 to 2000, for
+    the optimal, sparse-target and permuted controls at 65 times).
+    Accuracy is absolute: the error is at roundoff level relative to
     max(1, ||y||_inf), as every check of this module measures it.  Relative
     to its own norm a tiny state loses digits: with psi = 0 and t <= 1e-8 the
     relative error grows like 1e-16/t, and at t = 1e-12 it measured 1e-11 to
@@ -260,21 +319,28 @@ def solve_ivp_exact(sys: MolSystem, dec: SpectralDecomposition,
     """
     if not 0.0 <= t <= control.horizon:
         raise ValueError(f"time {t} outside [0, {control.horizon}]")
+    if t == 0.0:
+        return sys.psi.copy()
     plan = control._ivp_plans.get((sys, dec))
     if plan is None:
         plan = control._ivp_plans[(sys, dec)] = _IvpPlan.build(sys, dec, control)
     decay = np.exp(dec.lambdas * t)
-    eta_t = decay * plan.eta0
-    if t > 0.0:
-        tail = control.horizon - t
-        conv = decay * plan.w_T - live_product(plan.cauchy, plan.coef * np.exp(plan.rates * tail))
-        rows, cols = plan.guard_rows, plan.guard_cols
-        mu = control.rates[cols]
-        terms = (control.coefficients[cols] * t * np.exp(mu * tail)
-                 * phi1((dec.lambdas[rows] + mu) * t))
-        conv += np.bincount(rows, weights=terms, minlength=dec.m)
-        eta_t += sys.gamma * dec.boundary_components * conv
-    return from_modal(dec, eta_t)
+    tail = control.horizon - t
+    weights = plan.coef * np.exp(plan.rates * tail)
+    rows, cols = plan.guard_rows, plan.guard_cols
+    mu = control.rates[cols]
+    terms = (control.coefficients[cols] * t * np.exp(mu * tail)
+             * phi1((dec.lambdas[rows] + mu) * t))
+    guard = np.bincount(rows, weights=terms, minlength=dec.m)
+    boundary = sys.gamma * dec.boundary_components
+    n_w = plan.K.shape[1]
+    if live_columns(weights) <= n_w:
+        modal = decay * plan.a + boundary * guard
+        if live_columns(modal) <= n_w:
+            return from_modal(dec, modal) - live_product(plan.K, weights)
+    conv = decay * plan.w_T - live_product(plan.cauchy, weights)
+    conv += guard
+    return from_modal(dec, decay * plan.eta0 + boundary * conv)
 
 
 def adjoint_exact(dec: SpectralDecomposition, p_T: np.ndarray, t: float,

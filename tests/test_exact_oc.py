@@ -17,7 +17,8 @@ from heatoc import (
     build_system, decompose, exact_objective, from_modal, objective,
     ones_profile, phi1, solve_ivp_exact, solve_terminal, sparse_target,
 )
-from heatoc import exact_oc, spectrum
+import heatoc.bench
+from heatoc import exact_oc, get_method, spectrum
 from heatoc.oracles import (
     dense_matrix, expm_adjoint, expm_state, shooting_terminal,
 )
@@ -166,8 +167,10 @@ def test_ivp_at_zero_returns_initial_value():
     sys = build_system(RobinBC.dirichlet(), 6, ones_profile)
     dec = decompose(sys)
     u = ExpSumFunction(np.array([2.0]), np.array([-1.0]), 1.0)
-    # modal round trip: exact up to orthogonality roundoff
-    assert np.abs(solve_ivp_exact(sys, dec, u, 0.0) - sys.psi).max() < 1e-13
+    y0 = solve_ivp_exact(sys, dec, u, 0.0)
+    assert bitwise_equal(y0, sys.psi)
+    y0[0] += 1.0                                  # a copy, not psi itself
+    assert sys.psi[0] == 1.0 and not u._ivp_plans
 
 
 def test_ivp_eigenmode_decay():
@@ -314,11 +317,23 @@ def two_mask_plan(sys, dec, control):
 
 @pytest.mark.parametrize("bc", IVP_BCS, ids=("neumann", "robin", "dirichlet"))
 def test_ivp_plan_guard_bitwise_equals_the_two_mask_form(bc, rng):
+    # the guard entries come from the sorted spectrum; they must be
+    # np.nonzero of the m x m mask, order included, whatever the rates
     sys = build_system(bc, 64, ones_profile)
     dec = decompose(sys)
     controls = ivp_controls(sys, dec, rng)
     controls["growing"] = ExpSumFunction(rng.standard_normal(4),
                                          np.array([3.0, 0.5, -0.2, -40.0]), 1.0)
+    optimal = solve_terminal(OcProblem(sys=sys, dec=dec, T=1.0, alpha=1.0,
+                                       y_hat=np.zeros(64))).control
+    perm = rng.permutation(64)
+    controls["permuted"] = ExpSumFunction(optimal.coefficients[perm], optimal.rates[perm], 1.0)
+    G = exact_oc.CAUCHY_GUARD_SHIFT
+    edges = -G - dec.lambdas[[0, 1, 5, 40]]      # sums at -G, up to rounding
+    bounds = np.concatenate([[G, -G, np.nextafter(G, 0.0), np.nextafter(-G, 0.0),
+                              np.nextafter(-G, -2.0), 0.0, -0.0],
+                             edges, np.nextafter(edges, 0.0), np.nextafter(edges, -np.inf)])
+    controls["bounds"] = ExpSumFunction(rng.standard_normal(bounds.size), bounds, 1.0)
     for name, u in controls.items():
         plan = exact_oc._IvpPlan.build(sys, dec, u)
         rows, cols, cauchy, w_T = two_mask_plan(sys, dec, u)
@@ -326,22 +341,30 @@ def test_ivp_plan_guard_bitwise_equals_the_two_mask_form(bc, rng):
         assert bitwise_equal(plan.guard_cols, cols), name
         assert bitwise_equal(plan.cauchy, cauchy), name
         assert bitwise_equal(plan.w_T, w_T), name
+        boundary = sys.gamma * dec.boundary_components
+        n_w = spectrum.live_columns(plan.coef * np.exp(plan.rates * 1.0))
+        assert bitwise_equal(plan.a, plan.eta0 + boundary * w_T), name
+        K = dec.vectors @ (boundary[:, None] * cauchy[:, :n_w])
+        assert plan.K.shape == K.shape, name
+        assert np.abs(plan.K - K).max(initial=0.0) <= 1e-14 * np.abs(K).max(initial=0.0), name
     # lambda_1 = 0 is a guard entry of every Neumann control with a zero rate
     if bc.is_neumann:
         assert 0 in exact_oc._IvpPlan.build(sys, dec, controls["exact"]).guard_rows
 
 
-def test_ivp_plan_holds_one_boolean_mask():
-    # Robin(1,1), m=1000: the shifts (C, in place) are one 8 MB array and one
-    # m x m boolean mask is 1/8 of that; the two-mask form peaked at 1.25
+def test_ivp_plan_build_peaks_at_one_square_array():
+    # Robin(1,1), m=1000: the shifts (C, in place) are one 8 MB array and K
+    # is m x 16; the guard entries come without an m x m mask (one boolean
+    # mask peaked at 1.13, the two-mask form at 1.25)
     prob, sol = make_instance(1000, bc=RobinBC(1.0, 1.0))
     tracemalloc.start()
     try:
-        exact_oc._IvpPlan.build(prob.sys, prob.dec, sol.control)
+        plan = exact_oc._IvpPlan.build(prob.sys, prob.dec, sol.control)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * 1000**2 * 8
+    assert plan.K.shape == (1000, 16)
+    assert peak <= 1.05 * 1000**2 * 8
 
 
 def test_ivp_repeat_call_needs_no_square_memory():
@@ -507,30 +530,62 @@ LIVE_BCS = (RobinBC.dirichlet(), RobinBC.neumann(), RobinBC(1.0, 1.0))
 LIVE_TIMES = np.linspace(0.0, 1.0, 65)
 
 
+def live_controls(prob, target):
+    """The optimal control, the sparse-target control, and the optimal
+    control with its terms permuted, so that the live terms are not first."""
+    sol = solve_terminal(prob)
+    perm = np.random.default_rng(prob.sys.m).permutation(prob.sys.m)
+    return sol, {"optimal": sol.control, "target": target.control,
+                 "unsorted": ExpSumFunction(sol.control.coefficients[perm],
+                                            sol.control.rates[perm], 1.0)}
+
+
+def record_routes(patch):
+    """Record the matrix of each exact_oc.live_product call: C on the dense
+    route of solve_ivp_exact, K on the split route."""
+    seen = []
+    real = exact_oc.live_product
+
+    def recorded(A, w):
+        seen.append(A)
+        return real(A, w)
+
+    patch.setattr(exact_oc, "live_product", recorded)
+    return seen
+
+
 @pytest.mark.parametrize("m", (8, 70, 500))
 @pytest.mark.parametrize("bc", LIVE_BCS, ids=("dirichlet", "neumann", "robin11"))
 def test_cut_products_bitwise_equal_the_full_products(bc, m, monkeypatch):
+    # each product against itself over all of its matrix's columns: C g and
+    # V eta on the dense route, K g and V (decaying weights) on the split
+    # route, whose K has only the n_w columns of the plan
     prob, target = make_instance(m, bc=bc)
     sys, dec = prob.sys, prob.dec
-    sol = solve_terminal(prob)
+    sol, controls = live_controls(prob, target)
     rng = np.random.default_rng(m)
-    perm = rng.permutation(m)
-    controls = {"optimal": sol.control, "target": target.control,
-                "unsorted": ExpSumFunction(sol.control.coefficients[perm],
-                                           sol.control.rates[perm], 1.0)}
     holed = rng.standard_normal(m)
     holed[rng.random(m) < 0.4] = 0.0                  # interior zeros
     holed[-1] = 0.0
-    cut = {}
-    for name, u in controls.items():
-        cut[name] = [solve_ivp_exact(sys, dec, u, float(t)) for t in LIVE_TIMES]
+    cut, routes = {}, {}
+    with monkeypatch.context() as patch:
+        seen = record_routes(patch)
+        for name, u in controls.items():
+            cut[name] = []
+            for t in LIVE_TIMES:
+                del seen[:]
+                cut[name].append(solve_ivp_exact(sys, dec, u, float(t)))
+                if t > 0:                                   # the call's last product
+                    routes[name, t] = seen[-1] is u._ivp_plans[(sys, dec)].K
+    assert any(routes.values())
+    assert not all(routes.values()) or m <= spectrum.LIVE_COLUMNS_STEP   # K is all of C
     cut["adjoint"] = [adjoint_exact(dec, sol.p_T, float(t), 1.0) for t in LIVE_TIMES]
     cut["holed"] = [from_modal(dec, np.exp(dec.lambdas * (1.0 - t)) * holed)
                     for t in LIVE_TIMES]
     full = {}
     with monkeypatch.context() as patch:               # every product over all columns
         for module in (spectrum, exact_oc):
-            patch.setattr(module, "live_product", lambda A, w: A @ w)
+            patch.setattr(module, "live_product", lambda A, w: A @ w[:A.shape[1]])
         for name, u in controls.items():
             u = ExpSumFunction(u.coefficients, u.rates, u.horizon)   # no plans yet
             full[name] = [solve_ivp_exact(sys, dec, u, float(t)) for t in LIVE_TIMES]
@@ -544,6 +599,57 @@ def test_cut_products_bitwise_equal_the_full_products(bc, m, monkeypatch):
     for name in cut:
         for t, got, want in zip(LIVE_TIMES, cut[name], full[name]):
             assert bitwise_equal(got, want), (name, t)
+
+
+def dense_route_state(sys, dec, control, t):
+    """The state by the dense route's formula, every product whole:
+    V (exp(lambda t) eta0 + gamma v_m (exp(lambda t) w_T - C g + guard))."""
+    plan = control._ivp_plans[(sys, dec)]
+    decay = np.exp(dec.lambdas * t)
+    tail = control.horizon - t
+    rows, cols = plan.guard_rows, plan.guard_cols
+    mu = control.rates[cols]
+    guard = np.bincount(rows, minlength=dec.m, weights=(
+        control.coefficients[cols] * t * np.exp(mu * tail) * phi1((dec.lambdas[rows] + mu) * t)))
+    conv = decay * plan.w_T - plan.cauchy @ (plan.coef * np.exp(plan.rates * tail)) + guard
+    return dec.vectors @ (decay * plan.eta0 + sys.gamma * dec.boundary_components * conv)
+
+
+@pytest.mark.parametrize("m", (70, 500))
+@pytest.mark.parametrize("bc", LIVE_BCS, ids=("dirichlet", "neumann", "robin11"))
+def test_split_state_matches_the_dense_route(bc, m, monkeypatch):
+    prob, target = make_instance(m, bc=bc)
+    sys, dec = prob.sys, prob.dec
+    _, controls = live_controls(prob, target)
+    for name, u in controls.items():
+        with monkeypatch.context() as patch:
+            seen = record_routes(patch)
+            states = [solve_ivp_exact(sys, dec, u, float(t)) for t in LIVE_TIMES]
+        plan = u._ivp_plans[(sys, dec)]
+        assert any(A is plan.K for A in seen), name
+        for t, y in zip(LIVE_TIMES[1:], states[1:]):
+            assert scaled_error(y, dense_route_state(sys, dec, u, float(t))) <= 1e-14, (name, t)
+        # the result reads only (sys, dec, control, t): not the order of the
+        # times, nor whether the plan is new
+        for order in (LIVE_TIMES[::-1], LIVE_TIMES):
+            fresh = ExpSumFunction(u.coefficients, u.rates, u.horizon)
+            again = {t: solve_ivp_exact(sys, dec, fresh, float(t)) for t in order}
+            for t, y in zip(LIVE_TIMES, states):
+                assert bitwise_equal(again[t], y), (name, t)
+
+
+@pytest.mark.parametrize("m", (250, 500))
+def test_peer_exact_start_of_the_s1_grid_takes_the_dense_route(m, monkeypatch):
+    # the s1 grid starts Peer sweeps from solve_ivp_exact at t = c_i h; the
+    # decaying weights are live past the 16 columns of K there, so the
+    # start keeps the dense route and its bits
+    prob, sol = heatoc.bench.benchmark_instance(m, 1.0, 0.0, 1.0, 1.0, heatoc.bench.DEFAULT_DELTAS)
+    c = get_method("peer_toy2").forward.c
+    seen = record_routes(monkeypatch)
+    for N in (2**k for k in range(4, 12)):
+        for ci in c:
+            solve_ivp_exact(prob.sys, prob.dec, sol.control, float(ci) * (1.0 / N))
+            assert seen[-1] is sol.control._ivp_plans[(prob.sys, prob.dec)].cauchy, (N, ci)
 
 
 def test_live_columns_rule():
