@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .heat_mol import ConfigError, RobinBC, build_system, ones_profile
-from .spectrum import decompose, from_modal
+from .spectrum import from_modal, spectral_values
 from .exact_oc import adjoint_exact
 from .bench import (
     DEFAULT_DELTAS, ExperimentConfig, benchmark_instance, emit_report, render_csv,
@@ -70,10 +70,10 @@ def _run_verify_gate() -> int:
 
 def _cmd_spectrum(args) -> int:
     sys_ = build_system(RobinBC(args.beta0, args.beta1), args.m, ones_profile)
-    dec = decompose(sys_)
+    omegas, lambdas, nus = spectral_values(sys_)
     lines = ["k,omega,lambda,nu"]
     for k in range(sys_.m):
-        lines.append(f"{k + 1},{dec.omegas[k]:.17g},{dec.lambdas[k]:.17g},{dec.nus[k]:.17g}")
+        lines.append(f"{k + 1},{omegas[k]:.17g},{lambdas[k]:.17g},{nus[k]:.17g}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

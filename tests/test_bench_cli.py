@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -338,6 +339,36 @@ def test_cli_spectrum_csv(tmp_path, capsys):
     assert len(lines) == 4
     k, omega, lam, nu = lines[1].split(",")
     assert float(omega) == pytest.approx(np.pi / 2)
+
+
+# sha256 of the `heatoc spectrum --m 250` file, pinned when the command still
+# built the whole decomposition
+SPECTRUM_M250_SHA256 = {
+    (1.0, 0.0): "af63a81dad8a294a7ec482e0bd669b762f1eae6bff3bfa690aaf24175e3e546b",
+    (0.0, 1.0): "117b8496b315d6ecde7cdad0dc01bf2efd1d87cc1daca6a592a210e045f083c0",
+    (1.0, 1.0): "45b2c7a3d7c35771e72e073e2d43633ccae84cb00df30e4c4f9a2ab4a780fd90",
+}
+
+
+@pytest.mark.parametrize("beta0,beta1", SPECTRUM_M250_SHA256, ids=("dirichlet", "neumann",
+                                                                   "robin11"))
+def test_cli_spectrum_bytes_are_pinned(tmp_path, beta0, beta1):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--m", "250", "--beta0", str(beta0), "--beta1", str(beta1),
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SPECTRUM_M250_SHA256[beta0, beta1]
+
+
+def test_cli_spectrum_holds_no_square_array(tmp_path):
+    # m = 4000: V would be 128 MB; omega, lambda, nu and the text are O(m)
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--m", "4000", "--out", str(tmp_path / "spec.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_cli_exact_csv(capsys):

@@ -315,6 +315,17 @@ def two_mask_plan(sys, dec, control):
     return rows, cols, cauchy, cauchy @ (coef * np.exp(rates * control.horizon))
 
 
+def k_columns(weights, rates):
+    """The columns of K: all columns by decreasing rate (ties by index), cut
+    after the last nonzero weight in that order, rounded up to a multiple of
+    LIVE_COLUMNS_STEP; the leading live_columns(weights) columns when the
+    rates decrease."""
+    order = sorted(range(weights.size), key=lambda l: -rates[l])
+    stop = max((i + 1 for i, l in enumerate(order) if weights[l] != 0), default=0)
+    step = spectrum.LIVE_COLUMNS_STEP
+    return np.array(order[:min(-(-stop // step) * step, weights.size)], dtype=np.intp)
+
+
 @pytest.mark.parametrize("bc", IVP_BCS, ids=("neumann", "robin", "dirichlet"))
 def test_ivp_plan_guard_bitwise_equals_the_two_mask_form(bc, rng):
     # the guard entries come from the sorted spectrum; they must be
@@ -342,9 +353,10 @@ def test_ivp_plan_guard_bitwise_equals_the_two_mask_form(bc, rng):
         assert bitwise_equal(plan.cauchy, cauchy), name
         assert bitwise_equal(plan.w_T, w_T), name
         boundary = sys.gamma * dec.boundary_components
-        n_w = spectrum.live_columns(plan.coef * np.exp(plan.rates * 1.0))
         assert bitwise_equal(plan.a, plan.eta0 + boundary * w_T), name
-        K = dec.vectors @ (boundary[:, None] * cauchy[:, :n_w])
+        K_cols = k_columns(plan.coef * np.exp(plan.rates * 1.0), plan.rates)
+        assert bitwise_equal(plan.K_cols, K_cols), name
+        K = dec.vectors @ (boundary[:, None] * cauchy[:, K_cols])
         assert plan.K.shape == K.shape, name
         assert np.abs(plan.K - K).max(initial=0.0) <= 1e-14 * np.abs(K).max(initial=0.0), name
     # lambda_1 = 0 is a guard entry of every Neumann control with a zero rate
@@ -636,6 +648,26 @@ def test_split_state_matches_the_dense_route(bc, m, monkeypatch):
             again = {t: solve_ivp_exact(sys, dec, fresh, float(t)) for t in order}
             for t, y in zip(LIVE_TIMES, states):
                 assert bitwise_equal(again[t], y), (name, t)
+
+
+def test_unsorted_control_gets_a_k_of_its_live_terms(monkeypatch):
+    # Robin(1,1), m = 2000: the optimal control with its terms permuted has
+    # its live terms spread over the columns; K holds only those, padded to
+    # 16 (it held 1936 columns when it ran up to the last live one), and the
+    # states match the sorted control's at the 65 benchmark times
+    prob, _ = make_instance(2000, bc=RobinBC(1.0, 1.0))
+    sys, dec = prob.sys, prob.dec
+    sorted_u = solve_terminal(prob).control
+    perm = np.random.default_rng(2000).permutation(2000)
+    u = ExpSumFunction(sorted_u.coefficients[perm], sorted_u.rates[perm], 1.0)
+    with monkeypatch.context() as patch:
+        seen = record_routes(patch)
+        states = [solve_ivp_exact(sys, dec, u, float(t)) for t in LIVE_TIMES]
+    plan = u._ivp_plans[(sys, dec)]
+    assert plan.K.shape[1] <= spectrum.LIVE_COLUMNS_STEP < plan.K_cols[-1]
+    assert any(A is plan.K for A in seen)
+    for t, y in zip(LIVE_TIMES, states):
+        assert scaled_error(y, solve_ivp_exact(sys, dec, sorted_u, float(t))) <= 1e-14, t
 
 
 @pytest.mark.parametrize("m", (250, 500))

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -86,6 +88,51 @@ def test_robin_frequencies_within_two_ulp_of_mpmath(m, beta0, beta1, ks):
         assert abs(om[k - 1] - ref) <= 2 * np.spacing(ref), k
 
 
+def bisected_frequencies(m, rho):
+    """Robin frequencies by plain bisection of every bracket down to adjacent
+    doubles, on the sign test tan(w) tan(w/(2m)) < rho: the upper ends."""
+    k = np.arange(1, m + 1)
+    lo, hi = (k - 1.0) * np.pi, (k - 0.5) * np.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return hi
+        below = np.tan(mid) * np.tan(mid / (2 * m)) < rho
+        lo = np.where(inside & below, mid, lo)
+        hi = np.where(inside & ~below, mid, hi)
+
+
+def assert_newton_returns_the_bisected_doubles(m, beta0, beta1):
+    sys = build_system(RobinBC(beta0, beta1), m, ones_profile)
+    calls = []
+    real_tan = np.tan
+
+    def counted_tan(x, *args, **kwargs):
+        calls.append(1)
+        return real_tan(x, *args, **kwargs)
+
+    with mock.patch.object(np, "tan", counted_tan):
+        om = solve_frequencies(sys)
+    ref = bisected_frequencies(m, beta0 / (2 * m * beta1))
+    assert om.tobytes() == ref.tobytes(), (m, beta0, beta1)
+    assert 0 < len(calls) <= 2 * 16 + 1, (m, beta0, beta1)   # two tangents a pass, one to start
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 60), log_ratio=st.floats(-14.0, 14.0))
+def test_newton_frequencies_bitwise_equal_bisection(m, log_ratio):
+    assert_newton_returns_the_bisected_doubles(m, 10.0**log_ratio, 1.0)
+
+
+@pytest.mark.parametrize("m,beta0,beta1", [
+    (6, 1e-14, 1.0), (12, 3.0, 1.0), (250, 1.0, 1.0), (250, 1e-6, 1.0), (250, 0.01, 50.0),
+    (2000, 1.0, 1.0), (2000, 1e-6, 1.0),
+])
+def test_newton_frequencies_bitwise_equal_bisection_at_pinned_cases(m, beta0, beta1):
+    assert_newton_returns_the_bisected_doubles(m, beta0, beta1)
+
+
 def eigenpair_residual(sys, dec):
     """max_k ||M v_k - lambda_k v_k||_inf through the O(m) tridiagonal product."""
     VT = dec.vectors.T
@@ -167,19 +214,53 @@ def test_eigenvalue_bounds_and_normalization():
             assert np.abs(norms - 1.0).max() <= 1e-13
 
 
+def angle_sum_vectors(om, nus):
+    """V by the angle-sum formula written out: with B = isqrt(m), row
+    j = B q + r - 1 (0-based, r = 1..B) is
+    cos(omega (B q/m)) nu cos(omega (r - 1/2)/m)
+    - sin(omega (B q/m)) nu sin(omega (r - 1/2)/m)."""
+    m = om.shape[0]
+    B = math.isqrt(m)
+    b = np.outer((np.arange(B) + 0.5) / m, om)
+    V = np.empty((m, m))
+    for j in range(0, m, B):
+        n = min(B, m - j)
+        a = om * (j / m)
+        V[j:j + n] = (np.cos(b[:n]) * nus) * np.cos(a) - (np.sin(b[:n]) * nus) * np.sin(a)
+    return V
+
+
 @pytest.mark.parametrize("bc", [RobinBC.dirichlet(), RobinBC.neumann(), RobinBC(1.0, 1.0),
                                 RobinBC(2.0, 0.5)])
-def test_decompose_vectors_bitwise_equal_the_outer_cos_form(bc):
+def test_decompose_vectors_bitwise_equal_the_angle_sum_form(bc):
     for m in (2, 7, 300):
         sys = build_system(bc, m, ones_profile)
         dec = decompose(sys)
-        ref = np.cos(np.outer(sys.grid, dec.omegas)) * dec.nus
-        assert dec.vectors.tobytes() == ref.tobytes()
+        assert dec.vectors.tobytes() == angle_sum_vectors(dec.omegas, dec.nus).tobytes()
+
+
+@pytest.mark.parametrize("m", (500, 2000))
+@pytest.mark.parametrize("bc", [RobinBC.dirichlet(), RobinBC(1.0, 1.0)],
+                         ids=("dirichlet", "robin11"))
+def test_decompose_vectors_within_5e_14_of_mpmath(bc, m):
+    # 3000 sampled entries nu_k cos(omega_k (2j-1)/(2m)) at 40 digits, with
+    # omega_k and (2j-1)/(2m) exact: the angle sums read at most 2.2e-14 at
+    # m = 2000, the cos(outer) form 2.5e-14
+    dec = decompose(build_system(bc, m, ones_profile))
+    rng = np.random.default_rng(m)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for j, k in zip(rng.integers(1, m + 1, 3000), rng.integers(0, m, 3000)):
+            w = mpmath.mpf(float(dec.omegas[k]))
+            nu = 2 / mpmath.sqrt(2 * m + mpmath.sin(2 * w) / mpmath.sin(w / m))
+            ref = nu * mpmath.cos(w * (2 * int(j) - 1) / (2 * m))
+            worst = max(worst, abs(float(dec.vectors[j - 1, k] - ref)))
+    assert worst <= 5e-14
 
 
 def test_decompose_holds_one_square_array():
-    # Robin(1,1), m=1000: V is one 8 MB array, built in its own buffer; the
-    # cos(outer) * nus form held two
+    # Robin(1,1), m=1000: V is one 8 MB array, built in its own buffer beside
+    # three isqrt(m) x m blocks; the cos(outer) * nus form held two
     sys = build_system(RobinBC(1.0, 1.0), 1000, ones_profile)
     tracemalloc.start()
     try:
