@@ -13,9 +13,10 @@ with phi1(z) = (e^z - 1)/z.  That is what makes the reference solutions
 exact: no time quadrature appears outside test oracles.  ``solve_ivp_exact``
 uses the right-hand (Cauchy) form, whose matrix C_kl = 1/(lambda_k + mu_l)
 does not depend on t, so every time costs products over the terms whose
-weight c_l exp(mu_l (T - t)) has not underflowed.  Away from both ends of
-the horizon the state splits into V times decaying modal weights and a
-precomputed boundary response V diag(gamma v_m) C times those weights, so
+weight c_l exp(mu_l (T - t)) has not underflowed.  The state has one
+formula, V times one modal weight less the boundary response of the live
+terms; when those terms are the few slowest, that response is a
+precomputed V diag(gamma v_m) C over their columns, so away from t = T
 neither product reads more than a few dozen columns.  Guard entries, where
 |lambda_k + mu_l| < CAUCHY_GUARD_SHIFT or mu_l > 0, keep the phi1 form,
 which stays accurate where the division would cancel or overflow; the
@@ -60,8 +61,6 @@ PHI1_SERIES_THRESHOLD = 1e-4
 # Shifts lambda_k + mu_l closer to zero than this stay on the phi1 form in
 # solve_ivp_exact: the Cauchy form divides by the shift.
 CAUCHY_GUARD_SHIFT = 1.0
-# Times that ExpSumFunction.value evaluates at once.
-EXP_SUM_ROWS = 128
 
 
 def phi1(z):
@@ -100,10 +99,10 @@ class ExpSumFunction:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _readonly(np.atleast_1d(self.coefficients)))
         object.__setattr__(self, "rates", _readonly(np.atleast_1d(self.rates)))
-        if self.coefficients.shape != self.rates.shape:
-            raise ValueError("coefficients and rates must have equal length")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if self.coefficients.ndim != 1 or self.coefficients.shape != self.rates.shape:
+            raise ValueError("coefficients and rates must be 1-D of equal length")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be finite and positive")
 
     @classmethod
     def zero(cls, horizon: float) -> "ExpSumFunction":
@@ -116,32 +115,16 @@ class ExpSumFunction:
     def value(self, t):
         """Evaluate at a scalar or an array of times.
 
-        Along the last axis of ``t`` the times are taken EXP_SUM_ROWS at a
-        time: each block fills the rows of E_il = exp(mu_l (T - t_i)) and
-        returns ``E @ coefficients``.  Only the columns with a nonzero
-        coefficient are computed.  The others stay exact zeros, which give
-        the same signed zero as their coefficient times the exponential, and
-        the product still runs over all columns, so the result is bitwise
-        that of the whole exponential matrix, while memory stays
-        O(EXP_SUM_ROWS n) beside the result.  (A block must not regroup the
-        rows of the BLAS matrix-vector kernel, so EXP_SUM_ROWS stays a
-        multiple of its row unrolling, as 128 is.)  A zero coefficient never
-        meets an exponential, even one that overflows.
+        One ordered sum over the terms with a nonzero coefficient:
+        ``out = 0``, then ``out += c_l * exp(mu_l (T - t))`` for each such l
+        in index order.  Memory stays O(size of t), the bits do not depend
+        on the BLAS, and a zero coefficient never meets its exponential,
+        even one that overflows.
         """
-        tt = np.asarray(t, dtype=float)
-        n = tt.shape[-1] if tt.ndim else 1
-        tails = (self.horizon - tt).reshape(math.prod(tt.shape[:-1]), n)
-        out = np.empty(tails.shape)
-        support = np.flatnonzero(self.coefficients)
-        rates = self.rates[support]
-        E = np.zeros((min(EXP_SUM_ROWS, n), self.n_terms))
-        for tail, res in zip(tails, out):     # one row per matmul of the whole form
-            for start in range(0, n, EXP_SUM_ROWS):
-                rows = slice(start, start + EXP_SUM_ROWS)
-                block = E[:tail[rows].shape[0]]
-                block[:, support] = np.exp(np.multiply.outer(tail[rows], rates))
-                res[rows] = block @ self.coefficients
-        out = out.reshape(tt.shape)
+        tail = self.horizon - np.asarray(t, dtype=float)
+        out = np.zeros(tail.shape)
+        for l in np.flatnonzero(self.coefficients):
+            out += self.coefficients[l] * np.exp(self.rates[l] * tail)
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, t):
@@ -167,10 +150,10 @@ class OcProblem:
     y_hat: np.ndarray
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("control penalty weight alpha must be positive")
-        if self.T <= 0:
-            raise ValueError("horizon T must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("control penalty weight alpha must be finite and positive")
+        if not 0 < self.T < np.inf:
+            raise ValueError("horizon T must be finite and positive")
         y_hat = np.asarray(self.y_hat, dtype=float)
         if y_hat.shape != (self.sys.m,):
             raise ValueError("target profile dimension mismatch")
@@ -198,23 +181,21 @@ class _IvpPlan:
 
     ``cauchy`` is C_kl = 1/(lambda_k + mu_l), zero at the guard entries
     (``guard_rows``, ``guard_cols``, row-major, from ``_guard_entries``);
-    ``w_T = C (c * exp(mu T))``, a ``live_product``; ``coef`` and ``rates``
-    are c and mu with the growing columns (mu_l > 0, all guard entries)
-    zeroed; ``eta0 = V^T psi``.  The split state reads
-    ``a = eta0 + gamma v_m * w_T`` and ``K = V diag(gamma v_m) C[:, K_cols]``,
-    one m x n_w product at build time.  ``K_cols`` takes the columns in
-    order of decreasing rate, the order in which g(t) = c * exp(mu (T - t))
-    loses its terms to underflow as t falls from T, and keeps the first
-    ``live_columns`` of the weights g(0) = c * exp(mu T) in that order.  For
-    a control sorted by decay, as every control the package builds, it is
-    the leading n_w = ``live_columns(c * exp(mu T))`` columns (16 at T = 1);
-    the same control with its terms permuted gets the same n_w columns,
-    wherever they sit.
+    ``coef`` and ``rates`` are c and mu with the growing columns (mu_l > 0,
+    all guard entries) zeroed.  ``a = V^T psi + gamma v_m * C g(0)``, with
+    g(0) = c * exp(mu T) and C g(0) a ``live_product``, is the modal weight
+    that decays like exp(lambda t), and ``K = V diag(gamma v_m)
+    C[:, K_cols]`` is the boundary response, one m x n_w product at build
+    time.  ``K_cols`` takes the columns in order of decreasing rate, the
+    order in which g(t) = c * exp(mu (T - t)) loses its terms to underflow
+    as t falls from T, and keeps the first ``live_columns`` of g(0) in that
+    order.  For a control sorted by decay, as every control the package
+    builds, it is the leading n_w = ``live_columns(c * exp(mu T))`` columns
+    (16 at T = 1); the same control with its terms permuted gets the same
+    n_w columns, wherever they sit.
     """
 
-    eta0: np.ndarray
     cauchy: np.ndarray
-    w_T: np.ndarray
     coef: np.ndarray
     rates: np.ndarray
     guard_rows: np.ndarray
@@ -235,13 +216,11 @@ class _IvpPlan:
         coef = np.where(growing, 0.0, control.coefficients)
         rates = np.where(growing, 0.0, mu)
         weights_0 = coef * np.exp(rates * control.horizon)
-        w_T = live_product(cauchy, weights_0)
-        eta0 = to_modal(dec, sys.psi)
         boundary = sys.gamma * dec.boundary_components
         order = np.argsort(-rates, kind="stable")       # slowest decay first
         K_cols = order[:live_columns(weights_0[order])]
-        return cls(eta0=eta0, cauchy=cauchy, w_T=w_T, coef=coef, rates=rates,
-                   guard_rows=rows, guard_cols=cols, a=eta0 + boundary * w_T,
+        return cls(cauchy=cauchy, coef=coef, rates=rates, guard_rows=rows, guard_cols=cols,
+                   a=to_modal(dec, sys.psi) + boundary * live_product(cauchy, weights_0),
                    K=dec.vectors @ np.multiply(boundary[:, None], cauchy[:, K_cols], order="F"),
                    K_cols=K_cols)
 
@@ -284,39 +263,38 @@ def solve_ivp_exact(sys: MolSystem, dec: SpectralDecomposition,
     """Exact state of y' = M y + gamma e_m u(t), y(0) = psi, at time t.
 
     At t = 0 it returns a copy of psi.  Otherwise mode k is
-    exp(lambda_k t) eta0_k plus gamma v_m[k] times the convolution of the
-    control with the modal decay, evaluated in the Cauchy form
+    exp(lambda_k t) (V^T psi)_k plus gamma v_m[k] times the convolution of
+    the control with the modal decay, evaluated in the Cauchy form
 
-        conv(t) = exp(lambda t) * w_T - C g(t) + guard(t)
+        conv(t) = exp(lambda t) * C g(0) - C g(t) + guard(t)
 
-    with C_kl = 1/(lambda_k + mu_l), g(t) = c * exp(mu (T - t)) and
-    w_T = C g(0).  Guard entries, where |lambda_k + mu_l| <
-    CAUCHY_GUARD_SHIFT or mu_l > 0, are zero in C and are added in guard(t)
-    from c_l t phi1((lambda_k + mu_l) t) exp(mu_l (T - t)) at each call; a
+    with C_kl = 1/(lambda_k + mu_l) and g(t) = c * exp(mu (T - t)).  Guard
+    entries, where |lambda_k + mu_l| < CAUCHY_GUARD_SHIFT or mu_l > 0, are
+    zero in C and are added in guard(t) from
+    c_l t phi1((lambda_k + mu_l) t) exp(mu_l (T - t)) at each call; a
     control with rates lambda <= 0 has at most one (the Neumann pair
     lambda_1 = 0).
 
-    The plan (C, w_T, eta0 = V^T psi and the split pair a, K, see
-    ``_IvpPlan``) is built at the first call at t > 0 for a (sys, dec) pair
-    and kept on ``control``, so it lives as long as the control; later calls
-    cost O(m) memory.  A call takes one of two routes, and the choice reads
-    only t:
+    The plan (C and the pair a, K, see ``_IvpPlan``) is built at the first
+    call at t > 0 for a (sys, dec) pair and kept on ``control``, so it
+    lives as long as the control; later calls cost O(m) memory.  Every call
+    forms the one modal weight
 
-    - split: y = V (exp(lambda t) * a + gamma v_m * guard(t)) - K g(t), two
-      ``live_product``s, each over at most n_w columns.  It is taken when
-      every nonzero entry of g(t) has a column in K (``K_cols``) and the
-      modal weights are live over at most n_w columns of V.  The modes
-      decay and g underflows away from t = T, so at 65 times in [0, 1]
-      (Robin(1,1), m = 2000) 27 calls of the optimal control take it.
-    - dense: y = V (exp(lambda t) * eta0 + gamma v_m * conv(t)), with C g
-      over the columns up to the last nonzero weight (``live_product``) and
-      a product by V that is dense, as the modal state is.  Every other
-      call takes it, t = T (g dense) and small t (the decay dense) among
-      them, and its bits are those of this formula.
+        modal = exp(lambda t) * a + gamma v_m * guard(t)
 
-    The two routes agree to roundoff (at most 6.3e-15 relative to
-    max(1, |y|) over Dirichlet, Neumann and Robin(1,1), m 8 to 2000, for
-    the optimal, sparse-target and permuted controls at 65 times).
+    and the state is V (modal - gamma v_m * C g(t)).  Which product carries
+    C g(t) reads g(t) alone.  If every nonzero entry of g(t) has a column
+    in K (``K_cols``), the state is V modal - K g(t), with K g(t) over at
+    most n_w columns; otherwise it is formed as written, with C g(t) over
+    the columns up to the last nonzero entry.  One call never splits g(t)
+    between K and C: the part on C would make the modal weight dense, most
+    of it subnormal.  ``from_modal`` reads V only up to the last nonzero
+    entry of its weight, which the decay of the modes cuts away from
+    t = 0; only the second form, whose weight carries the dense C g(t),
+    reads all of V.  At 65 times in [0, 1] (Robin(1,1), m = 500 or 2000)
+    the optimal control takes it at the 19 times t >= 0.72, and the
+    sparse-target control never.
+
     Accuracy is absolute: the error is at roundoff level relative to
     max(1, ||y||_inf), as every check of this module measures it.  Relative
     to its own norm a tiny state loses digits: with psi = 0 and t <= 1e-8 the
@@ -331,23 +309,19 @@ def solve_ivp_exact(sys: MolSystem, dec: SpectralDecomposition,
     plan = control._ivp_plans.get((sys, dec))
     if plan is None:
         plan = control._ivp_plans[(sys, dec)] = _IvpPlan.build(sys, dec, control)
-    decay = np.exp(dec.lambdas * t)
     tail = control.horizon - t
     weights = plan.coef * np.exp(plan.rates * tail)
     rows, cols = plan.guard_rows, plan.guard_cols
     mu = control.rates[cols]
     terms = (control.coefficients[cols] * t * np.exp(mu * tail)
              * phi1((dec.lambdas[rows] + mu) * t))
-    guard = np.bincount(rows, weights=terms, minlength=dec.m)
     boundary = sys.gamma * dec.boundary_components
+    modal = np.exp(dec.lambdas * t) * plan.a + boundary * np.bincount(
+        rows, weights=terms, minlength=dec.m)
     live = weights[plan.K_cols]
     if np.count_nonzero(live) == np.count_nonzero(weights):
-        modal = decay * plan.a + boundary * guard
-        if live_columns(modal) <= plan.K.shape[1]:
-            return from_modal(dec, modal) - live_product(plan.K, live)
-    conv = decay * plan.w_T - live_product(plan.cauchy, weights)
-    conv += guard
-    return from_modal(dec, decay * plan.eta0 + boundary * conv)
+        return from_modal(dec, modal) - live_product(plan.K, live)
+    return from_modal(dec, modal - boundary * live_product(plan.cauchy, weights))
 
 
 def adjoint_exact(dec: SpectralDecomposition, p_T: np.ndarray, t: float,
