@@ -82,8 +82,10 @@ def _cmd_exact(args) -> int:
     deltas = DEFAULT_DELTAS if args.deltas is None else _parse_deltas(args.deltas)
     ExperimentConfig(m_values=(args.m,), beta0=args.beta0, beta1=args.beta1, T=args.T,
                      alpha=args.alpha, deltas=deltas).validate()
-    times = (np.array(_parse_list(args.times, float, "numbers"))
-             if args.times else np.linspace(0.0, args.T, 11))
+    times = (np.linspace(0.0, args.T, 11) if args.times is None
+             else np.array(_parse_list(args.times, float, "numbers")))
+    if times.size == 0:
+        raise ConfigError(f"expected at least one control sample time, got {args.times!r}")
     if not np.isfinite(times).all():
         raise ConfigError("control sample times must be finite")
     if ((times < 0.0) | (times > args.T)).any():

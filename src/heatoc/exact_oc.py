@@ -190,9 +190,9 @@ class _IvpPlan:
     order in which g(t) = c * exp(mu (T - t)) loses its terms to underflow
     as t falls from T, and keeps the first ``live_columns`` of g(0) in that
     order.  For a control sorted by decay, as every control the package
-    builds, it is the leading n_w = ``live_columns(c * exp(mu T))`` columns
-    (16 at T = 1); the same control with its terms permuted gets the same
-    n_w columns, wherever they sit.
+    builds, it is the leading n_w = ``live_columns(c * exp(mu T))`` columns;
+    the same control with its terms permuted gets the same n_w columns,
+    wherever they sit.
     """
 
     cauchy: np.ndarray
@@ -291,16 +291,12 @@ def solve_ivp_exact(sys: MolSystem, dec: SpectralDecomposition,
     of it subnormal.  ``from_modal`` reads V only up to the last nonzero
     entry of its weight, which the decay of the modes cuts away from
     t = 0; only the second form, whose weight carries the dense C g(t),
-    reads all of V.  At 65 times in [0, 1] (Robin(1,1), m = 500 or 2000)
-    the optimal control takes it at the 19 times t >= 0.72, and the
-    sparse-target control never.
+    reads all of V.
 
     Accuracy is absolute: the error is at roundoff level relative to
     max(1, ||y||_inf), as every check of this module measures it.  Relative
     to its own norm a tiny state loses digits: with psi = 0 and t <= 1e-8 the
-    relative error grows like 1e-16/t, and at t = 1e-12 it measured 1e-11 to
-    2e-5 for sparse-target controls (Dirichlet, Neumann and Robin, m 8 to
-    2000).
+    relative error grows like 1e-16/t.
     """
     if not 0.0 <= t <= control.horizon:
         raise ValueError(f"time {t} outside [0, {control.horizon}]")
@@ -406,14 +402,12 @@ def solve_terminal(prob: OcProblem) -> ExactOcSolution:
         eta(T) = t + (I + Q)^-1 (exp(T Lambda) eta(0) - t),
 
     whose right-hand side does not carry Q t: for a small penalty weight Q is
-    large, and forming Q t then solving cancelled digits (1e-5 relative at
-    Dirichlet, alpha = 1e-6, m = 500).  The correction (I + Q)^-1 b is the
+    large, and forming Q t then solving would cancel digits.  The correction (I + Q)^-1 b is the
     modal multiplier p(T), so p(T) = V (I + Q)^-1 b, and the optimal control
     is u(t) = -(gamma/alpha) sum_l <v_l, p(T)> v_m[l] exp(lambda_l (T - t)).
 
     Q is never formed.  Its pivoted Cholesky factor Q ~ L L^T
-    (``_gramian_factor``, r columns; r = 39 to 54 at m = 2000 over the
-    boundary types, penalties and horizons tried) gives
+    (``_gramian_factor``, r columns) gives
     (I + L L^T)^-1 b = b - L (I + L^T L)^-1 L^T b by Woodbury, with an r x r
     Cholesky factorization.  The dropped remainder E has trace at most 2^-53,
     and (I + Q)^-1 and (I + L L^T)^-1 both have norm at most 1, so the

@@ -215,6 +215,12 @@ def _parse_entry(x, where: str) -> float:
     return float(x)
 
 
+def _json_int(x, key: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigError(f"{key} must be a JSON integer, got {x!r}")
+    return x
+
+
 def load_peer_scheme(source) -> PeerScheme:
     """Load a Peer scheme from a JSON document.
 
@@ -229,14 +235,15 @@ def load_peer_scheme(source) -> PeerScheme:
 
     Matrix entries are exact decimal or rational strings ("0.25", "7/12");
     plain numbers are accepted too.  Entries equal to null mark a placeholder
-    file and raise MissingPeerCoefficientsError; a file that is no JSON, or
-    that repeats a key, raises ConfigError.
+    file and raise MissingPeerCoefficientsError; a file that is no JSON,
+    repeats a key, or has an ``s`` or ``order`` that is no JSON integer (a
+    boolean included) raises ConfigError.
     """
     try:
         doc = (source if isinstance(source, dict)
                else json.loads(Path(source).read_text(), object_pairs_hook=_unique_keys))
         name = doc["name"]
-        s = int(doc["s"])
+        s = _json_int(doc["s"], "s")
         c = np.array([_parse_entry(x, f"c[{i}]") for i, x in enumerate(doc["c"])])
         mats = {}
         for key in ("B", "A", "R"):
@@ -245,14 +252,15 @@ def load_peer_scheme(source) -> PeerScheme:
                                   for i, row in enumerate(doc[key])])
         formulation = doc.get("formulation", "BAR")
         order = doc.get("order")
+        if order is not None:
+            order = _json_int(order, "order")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed Peer coefficient document: {exc}") from exc
     if formulation != "BAR":
         raise ConfigError(f"Peer scheme {name}: unsupported formulation {formulation!r}")
     if c.shape != (s,):
         raise ConfigError(f"Peer scheme {name}: expected {s} nodes")
-    return PeerScheme(name=name, c=c, B=mats["B"], A=mats["A"], R=mats["R"],
-                      order=None if order is None else int(order))
+    return PeerScheme(name=name, c=c, B=mats["B"], A=mats["A"], R=mats["R"], order=order)
 
 
 def _packaged_peer_dir() -> Path:
@@ -352,9 +360,9 @@ class StageSystemSolver:
 
     Diagonalizes the s x s coupling matrix K over the complex numbers once,
     then each solve costs s shifted tridiagonal solves.  The factors of the
-    s shifts are bound at the first solve, so later solves run one ?gttrs
-    per shift in place, with one right-hand side per item of a stack.  A
-    zero eigenvalue (explicit stage) degenerates to an identity solve.
+    s shifts are bound here, so every solve runs one ?gttrs per shift in
+    place, with one right-hand side per item of a stack.  A zero eigenvalue
+    (explicit stage) degenerates to an identity solve.
     """
 
     def __init__(self, K: np.ndarray, h: float, tri: TridiagonalMatrix):
@@ -370,7 +378,9 @@ class StageSystemSolver:
         self.tri = tri
         self.h = h
         self._block_shape = (K.shape[0], tri.m)
-        self._shifts = None      # (stage, shift, factors) per nonzero shift, bound lazily
+        # (stage, shift, factors) per nonzero shift
+        self._shifts = [(i, z, tri._shift_factors(z, True))
+                        for i, z in enumerate(h * mu) if z != 0]
 
     def solve_stacked(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for real right-hand sides: an (s, m) block or a (K, s, m) stack.
@@ -387,10 +397,6 @@ class StageSystemSolver:
                              f"with K >= 1, got {rhs.shape}")
         if not np.isfinite(rhs).all():      # checked before Sinv @ rhs can warn
             raise ValueError("right-hand side must not contain infs or NaNs")
-        if self._shifts is None:
-            shifts = [self.h * mu for mu in self.mu]
-            self._shifts = [(i, z, self.tri._shift_factors(z, True))
-                            for i, z in enumerate(shifts) if z != 0]
         # Z[i] holds the rows of shift i, (m,) or (K, m), C-contiguous: the
         # product itself for a block or a stack of one, a copy for K > 1.
         Z = self.Sinv @ rhs.astype(complex)

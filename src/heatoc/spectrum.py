@@ -85,9 +85,7 @@ def solve_frequencies(sys: MolSystem) -> np.ndarray:
     replaced by the bracket's midpoint, and a step that rounds to no move
     by the neighbouring double across the root.  Where the sign test is
     monotone in w the bracket closes on the same pair of doubles as a plain
-    bisection's: every one of 482,001 roots tried (m 2 to 3000,
-    beta0/beta1 from 1e-16 to 1e16) came out bitwise the bisection's, in
-    at most 7 passes where bisection takes 50 to 80.
+    bisection's, so the root is bitwise the bisection's.
     """
     m, bc = sys.m, sys.bc
     k = np.arange(1, m + 1)
@@ -149,9 +147,7 @@ def decompose(sys: MolSystem) -> SpectralDecomposition:
     so the m^2 cosines of the plain formula become about 4 m sqrt(m) sines
     and cosines.  The two B x m tables nu cos b and nu sin b and one B x m
     block at a time are all that is held beside V.  The entries differ from
-    the plain formula's by roundoff: against 40-digit values on 3000
-    sampled entries at m = 2000 (Dirichlet and Robin(1,1)) they read at
-    most 2.2e-14, the plain formula 2.5e-14.
+    the plain formula's by roundoff.
     """
     m = sys.m
     om, lambdas, nus = spectral_values(sys)

@@ -486,6 +486,8 @@ def test_cli_rejects_nonfinite_robin_config_before_any_work(tmp_path, work_calls
     ["exact", "--times=-1,0.5"],
     ["exact", "--m", "8", "--times", "0.5,3"],
     ["exact", "--T", "nan"],
+    ["exact", "--times", ","],
+    ["exact", "--times", ""],
 ], ids=lambda a: " ".join(a))
 def test_cli_rejects_malformed_values_before_any_work(monkeypatch, capsys, argv, verify):
     import heatoc.cli as cli
@@ -649,7 +651,13 @@ def test_cli_rejects_a_repeated_config_key(tmp_path, work_calls, capsys, command
     (lambda t: t.replace('"formulation"', '"R": [["1", "0"], ["0", "1"]], "formulation"'),
      "repeated key 'R'"),
     (lambda t: t[:40], "malformed Peer coefficient document"),
-], ids=["repeated-key", "no-json"])
+    (lambda t: t.replace('"order": 2', '"order": "x"'), "order must be a JSON integer"),
+    (lambda t: t.replace('"order": 2', '"order": 2.5'), "order must be a JSON integer"),
+    (lambda t: t.replace('"order": 2', '"order": true'), "order must be a JSON integer"),
+    (lambda t: t.replace('"s": 2', '"s": 2.7'), "s must be a JSON integer"),
+    (lambda t: t.replace('"s": 2', '"s": "2"'), "s must be a JSON integer"),
+], ids=["repeated-key", "no-json", "order-str", "order-float", "order-bool", "s-float",
+        "s-str"])
 def test_cli_rejects_a_malformed_peer_file(tmp_path, work_calls, capsys, edit, message):
     from heatoc.integrators import _packaged_peer_dir
     text = (_packaged_peer_dir() / "peer_toy2.json").read_text()
