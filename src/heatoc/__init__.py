@@ -16,7 +16,7 @@ from .exact_oc import (
     sparse_target,
 )
 from .integrators import (
-    IrkTableau, LinearOde, MethodSpec, MissingPeerCoefficientsError,
+    IrkTableau, MethodSpec, MissingPeerCoefficientsError,
     NumericalError, PeerScheme, collocation, gauss2, get_method,
     integrate_adjoint, integrate_forward, irk_step, load_peer_scheme,
     lobatto_iiia, lobatto_iiib, peer_step, peer_toy2, stability_function,

@@ -80,6 +80,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_exact(args) -> int:
     deltas = DEFAULT_DELTAS if args.deltas is None else _parse_deltas(args.deltas)
+    if not deltas:
+        raise ConfigError(f"expected at least one index:value pair, got {args.deltas!r}")
     ExperimentConfig(m_values=(args.m,), beta0=args.beta0, beta1=args.beta1, T=args.T,
                      alpha=args.alpha, deltas=deltas).validate()
     times = (np.linspace(0.0, args.T, 11) if args.times is None

@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .heat_mol import ConfigError, MolSystem
 from .integrators import (
-    IrkTableau, LinearOde, PeerScheme, StageSystemSolver,
+    IrkTableau, PeerScheme, StageSystemSolver,
     integrate_forward, irk_step, peer_step, solve_shifted,
     _forward_scheme, _step_size,
 )
@@ -161,20 +161,20 @@ def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, h: float
                   y_T: np.ndarray) -> np.ndarray:
     """Exact transpose sweep for an IRK forward map; returns the gradient.
 
-    The loop carries the multiplier lam and keeps W b and lam . b per step;
-    the gradient is assembled from them once after the loop.
+    The loop carries the multiplier lam and keeps gamma W e_m and
+    gamma lam_m per step; the gradient is assembled from them once after
+    the loop.
     """
     sys = prob.sys
     N = values.shape[0]
-    bvec = sys.forcing_vector
     apply = sys.matrix.apply
     solve = StageSystemSolver(tab.A.T, h, sys.matrix).solve_stacked
     Wb, lam_b = np.empty((N, tab.s)), np.empty(N)
     lam = y_T - prob.y_hat
     for n in range(N - 1, -1, -1):
         W = solve(h * (tab.b[:, None] * apply(lam)))
-        Wb[n] = W @ bvec
-        lam_b[n] = lam @ bvec
+        Wb[n] = W[:, -1] * sys.gamma
+        lam_b[n] = lam[-1] * sys.gamma
         lam = lam + W.sum(axis=0)
     w = control_quadrature_weights(tab)
     return (prob.alpha * h * w * values + h * _matmul_fixed_order(Wb, tab.A)
@@ -185,12 +185,12 @@ def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, h: f
                    y_T: np.ndarray) -> np.ndarray:
     """Exact transpose sweep for the Peer forward map with collocation start.
 
-    The loop keeps W b per step; the gradient is assembled from them once
-    after the loop, each row taking its A^T term before its R^T term.
+    The loop keeps gamma W e_m per step; the gradient is assembled from
+    them once after the loop, each row taking its A^T term before its R^T
+    term.
     """
     sys = prob.sys
     N = values.shape[0]
-    bvec = sys.forcing_vector
     apply = sys.matrix.apply
     s = scheme.s
     hR, BT, AT = h * scheme.R, scheme.B.T, scheme.A.T
@@ -206,7 +206,7 @@ def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, h: f
                 rhs = rhs + hR[j, i] * MW[j]
             W[i] = solve_shifted(hR[i, i], sys.matrix, rhs)
             MW[i] = apply(W[i])
-        Wb[n] = W @ bvec
+        Wb[n] = W[:, -1] * sys.gamma
         G = BT @ W + h * (AT @ MW)
 
     # transpose of the collocation starting step
@@ -215,7 +215,7 @@ def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, h: f
     grad = prob.alpha * h * control_quadrature_weights(scheme)[None, :] * values
     grad[:-1] += h * _matmul_fixed_order(Wb[1:], scheme.A)
     grad[1:] += h * _matmul_fixed_order(Wb[1:], scheme.R)
-    grad[0] += h * _matmul_fixed_order(W0 @ bvec, start.A)
+    grad[0] += h * _matmul_fixed_order(W0[:, -1] * sys.gamma, start.A)
     return grad
 
 
@@ -245,8 +245,7 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     stepped N - 2 times.  N must have passed ``_step_size``.
     """
     m, s = sys.m, scheme.s
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
-    units, zero_g = np.eye(s), np.zeros(s)
+    units = np.eye(s)
     Jt = np.empty((N, s, m))
     if isinstance(scheme, IrkTableau):
         # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V and y_free = R^N psi
@@ -256,8 +255,8 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
             k = min(TERMINAL_MAP_COLUMNS, m - j0)
             E = np.zeros((k, m))
             E[np.arange(k), j0 + np.arange(k)] = 1.0
-            R[:, j0:j0 + k] = irk_step(scheme, ode, h, E, zero_g, solver)[0].T
-        Z = np.column_stack([irk_step(scheme, ode, h, np.zeros(m), g, solver)[0]
+            R[:, j0:j0 + k] = irk_step(scheme, sys, h, E, None, solver)[0].T
+        Z = np.column_stack([irk_step(scheme, sys, h, np.zeros(m), g, solver)[0]
                              for g in units])
         free = sys.psi
         for n in range(N - 1, -1, -1):
@@ -277,18 +276,17 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     zero_block = np.zeros((s, m))
     Z = np.empty((2 * s + 1, s, m))
     for j, g in enumerate(units):
-        G_cur, F_cur = peer_step(scheme, ode, h, zero_block, zero_g, g)
+        G_cur, F_cur = peer_step(scheme, sys, h, zero_block, None, g)
         Jt[N - 1, j] = G_cur[-1]
-        Z[j] = peer_step(scheme, ode, h, G_cur, g, zero_g, F_cur)[0]
-        W = irk_step(start, ode, h, np.zeros(m), g)[1]
-        Z[s + j] = peer_step(scheme, ode, h, W, g, zero_g)[0]
-    Y0 = irk_step(start, ode, h, sys.psi, zero_g)[1]
-    Z[2 * s] = peer_step(scheme, ode, h, Y0, zero_g, zero_g)[0]
-    free_ode = LinearOde(matrix=sys.matrix)
+        Z[j] = peer_step(scheme, sys, h, G_cur, g, None, F_cur)[0]
+        W = irk_step(start, sys, h, np.zeros(m), g)[1]
+        Z[s + j] = peer_step(scheme, sys, h, W, g, None)[0]
+    Y0 = irk_step(start, sys, h, sys.psi, None)[1]
+    Z[2 * s] = peer_step(scheme, sys, h, Y0, None, None)[0]
     F = None                      # the first step forms F(Z) = M Z itself
     for n in range(N - 2, 0, -1):
         Jt[n] = Z[:s, -1]
-        Z, F = peer_step(scheme, free_ode, h, Z, zero_g, zero_g, F)
+        Z, F = peer_step(scheme, sys, h, Z, None, None, F)
     Jt[0] = Z[s:2 * s, -1]
     return Jt.reshape(N * s, m), Z[2 * s, -1]
 

@@ -252,7 +252,12 @@ class MolSystem:
 
     @property
     def forcing_vector(self) -> np.ndarray:
-        """The boundary forcing direction gamma * e_m."""
+        """The boundary forcing direction gamma * e_m as a dense (m,) vector.
+
+        The steps and sweeps add gamma g to the last entry instead; this
+        vector is read by ``oracles.expm_state`` and by the tests' reference
+        sweeps, which so stay independent of that arithmetic.
+        """
         g = np.zeros(self.m)
         g[-1] = self.gamma
         return g

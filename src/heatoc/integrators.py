@@ -1,4 +1,4 @@
-"""Stiff implicit time integrators for linear systems y' = M y + g(t) b.
+"""Stiff implicit time integrators for the MOL system y' = M y + gamma e_m g(t).
 
 Provides the 2-stage Gauss method, the 3-stage Lobatto IIIA / IIIB pair, and
 a coefficient-driven implicit two-step Peer framework, plus forward and
@@ -321,28 +321,6 @@ def get_method(name: str, peer_dir: str | None = None) -> MethodSpec:
 
 
 # ---------------------------------------------------------------------------
-# linear ODE description
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LinearOde:
-    """Right-hand side M y + g(t) b with a tridiagonal matrix handle.
-
-    The steps take the control samples g at their stage nodes; a forcing
-    vector of None means a homogeneous problem, whose samples are ignored.
-    """
-
-    matrix: TridiagonalMatrix
-    forcing_vector: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.forcing_vector is not None:
-            self.forcing_vector = np.asarray(self.forcing_vector, dtype=float)
-            if self.forcing_vector.shape != (self.matrix.m,):
-                raise ValueError("forcing vector dimension mismatch")
-
-
-# ---------------------------------------------------------------------------
 # shifted tridiagonal stage solvers
 # ---------------------------------------------------------------------------
 
@@ -416,68 +394,78 @@ class StageSystemSolver:
 # single steps
 # ---------------------------------------------------------------------------
 
-def irk_step(tab: IrkTableau, ode: LinearOde, h: float, y_n: np.ndarray,
-             g_values: np.ndarray,
-             solver: StageSystemSolver | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One implicit Runge-Kutta step; returns (y_{n+1}, stage values).
+def _samples(g, s: int):
+    """Control samples at the s stage nodes as an (s,) float array, or None."""
+    if g is None:
+        return None
+    g = np.asarray(g, dtype=float)
+    if g.shape != (s,):
+        raise ValueError(f"control samples must have shape ({s},) or be None, got {g.shape}")
+    return g
 
-    The stages solve Y_i = y_n + h sum_j A_ij (M Y_j + g_j b), with the
-    control samples ``g_values`` g_j = g(t_n + c_j h); the update is
+
+def irk_step(tab: IrkTableau, sys: MolSystem, h: float, y_n: np.ndarray,
+             g_values: np.ndarray | None,
+             solver: StageSystemSolver | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One implicit Runge-Kutta step of ``sys``; returns (y_{n+1}, stage values).
+
+    The stages solve Y_i = y_n + h sum_j A_ij (M Y_j + gamma g_j e_m), with
+    the control samples ``g_values`` g_j = g(t_n + c_j h); the update is
     y_{n+1} = y_n + h sum_i b_i F_i with F_i evaluated at the solved
-    stages.  ``y_n`` is one state (m,) or a stack of K states (K, m); the
-    stages are then (s, m) or (K, s, m).  The control samples g are shared
-    by the whole stack, and each item of the result is bitwise the step of
-    that state alone.
+    stages.  Samples of None mean no forcing.  ``y_n`` is one state (m,) or
+    a stack of K states (K, m); the stages are then (s, m) or (K, s, m).
+    The control samples g are shared by the whole stack, and each item of
+    the result is bitwise the step of that state alone.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    m = ode.matrix.m
+    m = sys.matrix.m
     y_n = np.asarray(y_n)
     if y_n.ndim not in (1, 2) or y_n.shape[-1] != m:
         raise ValueError(f"state must have shape ({m},) or (K, {m}), got {y_n.shape}")
+    g = _samples(g_values, tab.s)
     if solver is None:
-        solver = StageSystemSolver(tab.A, h, ode.matrix)
-    g = np.asarray(g_values, dtype=float)
-    if ode.forcing_vector is not None:
-        rhs = y_n[..., None, :] + h * ((tab.A @ g)[:, None] * ode.forcing_vector)
-    else:
-        rhs = np.empty(y_n.shape[:-1] + (tab.s, m))
-        rhs[:] = y_n[..., None, :]
+        solver = StageSystemSolver(tab.A, h, sys.matrix)
+    rhs = np.empty(y_n.shape[:-1] + (tab.s, m))
+    rhs[:] = y_n[..., None, :]
+    if g is not None:
+        rhs[..., -1] += h * ((tab.A @ g) * sys.gamma)
     stages = solver.solve_stacked(rhs)
-    F = ode.matrix.apply(stages)
-    if ode.forcing_vector is not None:
-        F += g[:, None] * ode.forcing_vector
+    F = sys.matrix.apply(stages)
+    if g is not None:
+        F[..., -1] += g * sys.gamma
     return y_n + h * (tab.b @ F), stages
 
 
-def peer_step(scheme: PeerScheme, ode: LinearOde, h: float, prev_block: np.ndarray,
-              g_prev: np.ndarray, g_cur: np.ndarray,
+def peer_step(scheme: PeerScheme, sys: MolSystem, h: float, prev_block: np.ndarray,
+              g_prev: np.ndarray | None, g_cur: np.ndarray | None,
               prev_F: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One two-step Peer block step; returns (stage block, stage derivatives).
+    """One two-step Peer block step of ``sys``; returns (stage block, stage derivatives).
 
     The new block satisfies Y_n = B Y_{n-1} + h A F(Y_{n-1}) + h R F(Y_n) and
     is solved stage by stage since R is lower triangular.  ``g_prev`` and
     ``g_cur`` are the control samples at the stage nodes of the previous and
-    the new block; ``prev_F`` defaults to F(Y_{n-1}) formed from ``g_prev``.
-    ``prev_block`` (and ``prev_F``, of the same shape) is one (s, m) block
-    or a stack of K blocks (K, s, m); a stage of a stack is one shifted
-    solve with K right-hand sides.  The control samples are shared by the
-    whole stack, and each item of the result is bitwise the step of that
-    block alone.
+    the new block, each None for no forcing; ``prev_F`` defaults to
+    F(Y_{n-1}) formed from ``g_prev``.  ``prev_block`` (and ``prev_F``, of
+    the same shape) is one (s, m) block or a stack of K blocks (K, s, m); a
+    stage of a stack is one shifted solve with K right-hand sides.  The
+    control samples are shared by the whole stack, and each item of the
+    result is bitwise the step of that block alone.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    s, m = scheme.s, ode.matrix.m
+    s, m = scheme.s, sys.matrix.m
     if prev_block.ndim not in (2, 3) or prev_block.shape[-2:] != (s, m):
         raise ValueError(f"previous stage block must have shape {(s, m)} or (K, {s}, {m}), "
                          f"got {prev_block.shape}")
     if prev_F is not None and prev_F.shape != prev_block.shape:
         raise ValueError(f"previous stage derivatives have shape {prev_F.shape}, "
                          f"the block {prev_block.shape}")
+    g_prev, g_cur = _samples(g_prev, s), _samples(g_cur, s)
     if prev_F is None:
-        prev_F = ode.matrix.apply(prev_block)
-        if ode.forcing_vector is not None:
-            prev_F = prev_F + np.outer(g_prev, ode.forcing_vector)
+        prev_F = sys.matrix.apply(prev_block)
+        if g_prev is not None:
+            prev_F[..., -1] += g_prev * sys.gamma
     hR = h * scheme.R
     block = scheme.B @ prev_block + h * (scheme.A @ prev_F)   # solved in place, row by row
     F = np.empty(block.shape)
@@ -486,12 +474,14 @@ def peer_step(scheme: PeerScheme, ode: LinearOde, h: float, prev_block: np.ndarr
         rhs = Y[i]
         for j in range(i):
             rhs += hR[i, j] * FY[j]
-        if ode.forcing_vector is not None:
-            rhs += hR[i, i] * g_cur[i] * ode.forcing_vector
-        Y[i] = solve_shifted(hR[i, i], ode.matrix, rhs.T).T
-        FY[i] = ode.matrix.apply(Y[i])
-        if ode.forcing_vector is not None:
-            FY[i] += g_cur[i] * ode.forcing_vector
+        # .T[-1] is the last entry of each row: of (m,) or (K, m) alike, and
+        # without the slower Ellipsis index
+        if g_cur is not None:
+            rhs.T[-1] += hR[i, i] * g_cur[i] * sys.gamma
+        Y[i] = solve_shifted(hR[i, i], sys.matrix, rhs.T).T
+        FY[i] = sys.matrix.apply(Y[i])
+        if g_cur is not None:
+            FY[i].T[-1] += g_cur[i] * sys.gamma
     return block, F
 
 
@@ -507,13 +497,15 @@ def _adjoint_scheme(method):
     return method.adjoint if isinstance(method, MethodSpec) else method
 
 
-def _node_values(control, N: int, s: int) -> np.ndarray:
-    """The (N, s) control samples at the stage nodes; zeros for None."""
+def _node_values(control, N: int, s: int):
+    """The (N, s) control samples at the stage nodes, checked finite; N Nones for None."""
     if control is None:
-        return np.zeros((N, s))
+        return (None,) * N
     if not isinstance(control, np.ndarray) or control.shape != (N, s):
         got = getattr(control, "shape", type(control).__name__)
         raise ValueError(f"node samples must be an array of shape {(N, s)}, got {got}")
+    if not np.isfinite(control).all():
+        raise ValueError("control samples must not contain infs or NaNs")
     return control
 
 
@@ -536,17 +528,13 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float, start) -> np.ndarr
     derivatives for Peer.  A Peer sweep starts from the (s, m) block
     ``start``, or for None from one collocation step on the scheme's own
     nodes; an IRK sweep takes no start block.  A control of None means no
-    forcing: the steps skip the g b terms.  A bad start block and non-finite
-    control samples raise ValueError before the first step.  N must have
-    passed ``_step_size``.
+    forcing: every step gets samples of None.  A bad start block and
+    non-finite control samples raise ValueError before the first step.  N
+    must have passed ``_step_size``.
     """
     if not isinstance(scheme, (IrkTableau, PeerScheme)):
         raise TypeError(f"unsupported method object {scheme!r}")
-    ode = LinearOde(matrix=sys.matrix,
-                    forcing_vector=None if control is None else sys.forcing_vector)
     g_all = _node_values(control, N, scheme.s)
-    if not np.isfinite(g_all).all():
-        raise ValueError("control samples must not contain infs or NaNs")
 
     if isinstance(scheme, IrkTableau):
         if start is not None:
@@ -554,10 +542,10 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float, start) -> np.ndarr
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
         y = sys.psi
         for n in range(N):
-            y, _ = irk_step(scheme, ode, h, y, g_all[n], solver)
+            y, _ = irk_step(scheme, sys, h, y, g_all[n], solver)
         return y
     if start is None:
-        _, block = irk_step(scheme.start_tableau, ode, h, sys.psi, g_all[0])
+        _, block = irk_step(scheme.start_tableau, sys, h, sys.psi, g_all[0])
     else:
         block = np.asarray(start, dtype=float)
         if block.shape != (scheme.s, sys.m):
@@ -565,7 +553,7 @@ def _sweep(scheme, sys: MolSystem, control, N: int, h: float, start) -> np.ndarr
                              f"got {block.shape}")
     F = None                      # the first step forms F(Y_0) from g_all[0]
     for n in range(1, N):
-        block, F = peer_step(scheme, ode, h, block, g_all[n - 1], g_all[n], F)
+        block, F = peer_step(scheme, sys, h, block, g_all[n - 1], g_all[n], F)
     return block[-1]
 
 

@@ -482,6 +482,8 @@ def test_cli_rejects_nonfinite_robin_config_before_any_work(tmp_path, work_calls
     ["exact", "--deltas", "0:0.1"],
     ["exact", "--m", "4", "--deltas", "5:0.1"],
     ["exact", "--deltas", "1:nan"],
+    ["exact", "--deltas", ""],
+    ["exact", "--deltas", ","],
     ["exact", "--times", "0,nan"],
     ["exact", "--times=-1,0.5"],
     ["exact", "--m", "8", "--times", "0.5,3"],

@@ -18,7 +18,7 @@ from heatoc import (
 from heatoc import discrete_opt
 from heatoc.discrete_opt import TERMINAL_MAP_COLUMNS, _terminal_map
 from heatoc.integrators import (
-    IrkTableau, LinearOde, StageSystemSolver, irk_step, peer_step, solve_shifted,
+    IrkTableau, StageSystemSolver, irk_step, peer_step, solve_shifted,
 )
 from heatoc.oracles import fd_gradient_check
 from conftest import make_instance
@@ -210,7 +210,7 @@ def test_config_validation():
         ExperimentConfig(m_values=(4,), algorithm="gd").validate()
 
 
-def test_cg_converged_flag_reports_true_gradient():
+def test_converged_flag_reports_true_gradient():
     # the flag and gradient_norm follow the gradient recomputed matrix-free
     # at the returned control
     prob, _ = make_instance(250)
@@ -226,7 +226,7 @@ def test_cg_converged_flag_reports_true_gradient():
 
 
 @pytest.mark.parametrize("grad_tol", [1e-18, 1e-300])
-def test_cg_stops_when_restarts_stagnate(grad_tol):
+def test_grad_tol_below_the_roundoff_floor_is_not_converged(grad_tol):
     # grad_tol below the roundoff floor: the certificate cannot meet it, so
     # the result is flagged non-converged and reports the true gradient
     prob, _ = make_instance(8)
@@ -277,14 +277,13 @@ def reference_terminal_map(scheme, sys, h, N):
     """(J^T, y_free) from single steps: IRK through a propagator built one
     unit vector at a time, Peer by stepping each of its 2 s + 1 blocks alone."""
     m, s = sys.m, scheme.s
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     units, zero_g = np.eye(s), np.zeros(s)
     Jt = np.empty((N, s, m))
     if isinstance(scheme, IrkTableau):
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        R = np.column_stack([irk_step(scheme, ode, h, e, zero_g, solver)[0]
+        R = np.column_stack([irk_step(scheme, sys, h, e, zero_g, solver)[0]
                              for e in np.eye(m)])
-        Z = np.column_stack([irk_step(scheme, ode, h, np.zeros(m), g, solver)[0]
+        Z = np.column_stack([irk_step(scheme, sys, h, np.zeros(m), g, solver)[0]
                              for g in units])
         free = sys.psi
         for n in range(N - 1, -1, -1):
@@ -293,7 +292,6 @@ def reference_terminal_map(scheme, sys, h, N):
             free = R @ free
         return Jt.reshape(N * s, m), free
 
-    free_ode = LinearOde(matrix=sys.matrix)
     start = scheme.start_tableau
 
     def last_stages(block, k):
@@ -302,22 +300,22 @@ def reference_terminal_map(scheme, sys, h, N):
         rows, F = [], None
         for _ in range(k):
             rows.append(block[-1])
-            block, F = peer_step(scheme, free_ode, h, block, zero_g, zero_g, F)
+            block, F = peer_step(scheme, sys, h, block, None, None, F)
         return rows, block
 
     for j, g in enumerate(units):
-        G_cur, F_cur = peer_step(scheme, ode, h, np.zeros((s, m)), zero_g, g)
+        G_cur, F_cur = peer_step(scheme, sys, h, np.zeros((s, m)), zero_g, g)
         Jt[N - 1, j] = G_cur[-1]
         # g_n for 0 < n < N - 1 reaches y_T as the last stage of P^(N-2-n) H
-        H = peer_step(scheme, ode, h, G_cur, g, zero_g, F_cur)[0]
+        H = peer_step(scheme, sys, h, G_cur, g, zero_g, F_cur)[0]
         for n, row in zip(range(N - 2, 0, -1), last_stages(H, N - 2)[0]):
             Jt[n, j] = row
         # g_0 reaches y_T as the last stage of P^(N-2) H_0
-        W = irk_step(start, ode, h, np.zeros(m), g)[1]
-        H_0 = peer_step(scheme, ode, h, W, g, zero_g)[0]
+        W = irk_step(start, sys, h, np.zeros(m), g)[1]
+        H_0 = peer_step(scheme, sys, h, W, g, zero_g)[0]
         Jt[0, j] = last_stages(H_0, N - 2)[1][-1]
-    Y_0 = irk_step(start, ode, h, sys.psi, zero_g)[1]
-    free = last_stages(peer_step(scheme, ode, h, Y_0, zero_g, zero_g)[0], N - 2)[1][-1]
+    Y_0 = irk_step(start, sys, h, sys.psi, zero_g)[1]
+    free = last_stages(peer_step(scheme, sys, h, Y_0, zero_g, zero_g)[0], N - 2)[1][-1]
     return Jt.reshape(N * s, m), free
 
 
@@ -329,21 +327,20 @@ def dense_propagator_terminal_map(scheme, sys, h, N):
     products with P.
     """
     m, s = sys.m, scheme.s
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     units, zero_g = np.eye(s), np.zeros(s)
     Jt = np.empty((N, s, m))
 
     def step(block, g_prev, g_cur):
-        return peer_step(scheme, ode, h, block, g_prev, g_cur)[0].ravel()
+        return peer_step(scheme, sys, h, block, g_prev, g_cur)[0].ravel()
 
     zero_block = np.zeros((s, m))
     start = scheme.start_tableau
     P = np.column_stack([step(e.reshape(s, m), zero_g, zero_g) for e in np.eye(s * m)])
     G_prev = np.column_stack([step(zero_block, g, zero_g) for g in units])
     G_cur = np.column_stack([step(zero_block, zero_g, g) for g in units])
-    W = np.column_stack([irk_step(start, ode, h, np.zeros(m), g)[1].ravel()
+    W = np.column_stack([irk_step(start, sys, h, np.zeros(m), g)[1].ravel()
                          for g in units])
-    free = P @ irk_step(start, ode, h, sys.psi, zero_g)[1].ravel()
+    free = P @ irk_step(start, sys, h, sys.psi, zero_g)[1].ravel()
     last = slice((s - 1) * m, s * m)
     Jt[N - 1] = G_cur[last].T
     Z = np.hstack([P @ G_cur + G_prev, P @ W + G_prev])

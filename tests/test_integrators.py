@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from heatoc import (
-    ConfigError, ExpSumFunction, IrkTableau, LinearOde, MissingPeerCoefficientsError,
+    ConfigError, ExpSumFunction, IrkTableau, MissingPeerCoefficientsError, MolSystem,
     NumericalError, PeerScheme, RobinBC, TridiagonalMatrix, adjoint_exact,
     build_system, collocation, control_quadrature_weights, decompose, from_modal, gauss2, get_method,
     integrate_adjoint, integrate_forward, irk_step, load_peer_scheme,
@@ -28,9 +28,15 @@ def pade22(z):
     return (1 + z / 2 + z**2 / 12) / (1 - z / 2 + z**2 / 12)
 
 
-def scalar_ode(lam=0.0):
-    return LinearOde(matrix=TridiagonalMatrix(np.array([lam]), np.zeros(0)),
-                     forcing_vector=np.array([1.0]))
+def system_of(matrix):
+    """A MolSystem around ``matrix`` with gamma = 1; the steps read only these two."""
+    m = matrix.m
+    return MolSystem(m=m, bc=RobinBC.dirichlet(), gamma=1.0, grid=np.zeros(m),
+                     psi=np.zeros(m), matrix=matrix)
+
+
+def scalar_system(lam=0.0):
+    return system_of(TridiagonalMatrix(np.array([lam]), np.zeros(0)))
 
 
 def node_samples(control, scheme, N, T):
@@ -83,19 +89,18 @@ def test_a_stability_on_left_half_plane_grid():
 
 def test_scalar_gauss_step_matches_stability_function():
     lam, h = -7.3, 0.2
-    y1, _ = irk_step(gauss2(), scalar_ode(lam), h, np.array([1.0]), np.zeros(2))
+    y1, _ = irk_step(gauss2(), scalar_system(lam), h, np.array([1.0]), np.zeros(2))
     assert y1[0] == pytest.approx(pade22(h * lam).real, rel=1e-13)
 
 
 def test_homogeneous_step_on_eigenvector_applies_stability_factor():
     sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
     dec = decompose(sys)
-    ode = LinearOde(matrix=sys.matrix)
     h = 0.01
     for tab in (gauss2(), lobatto_iiia()):
         for k in (0, 3, 7):
             v = dec.vectors[:, k]
-            y1, _ = irk_step(tab, ode, h, v, np.zeros(tab.s))
+            y1, _ = irk_step(tab, sys, h, v, None)
             factor = stability_function(tab, h * dec.lambdas[k]).real
             assert np.abs(y1 - factor * v).max() < 1e-12
 
@@ -106,10 +111,9 @@ def test_irk_step_against_dense_stage_system(factory, rng):
     sys = build_system(RobinBC.dirichlet(), 4, ones_profile)
     M = np.diag(sys.matrix.diagonal) + np.diag(sys.matrix.off, 1) + np.diag(sys.matrix.off, -1)
     control = lambda t: np.sin(3 * np.asarray(t)) + 1.0
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     h, y0 = 0.0125, rng.standard_normal(4)
     g = control(tab.c * h)
-    y1, stages = irk_step(tab, ode, h, y0, g)
+    y1, stages = irk_step(tab, sys, h, y0, g)
     s = tab.s
     K = np.eye(s * 4) - h * np.kron(tab.A, M)
     rhs = np.tile(y0, s) + h * np.kron(tab.A @ g, sys.forcing_vector)
@@ -237,10 +241,9 @@ def test_shifted_solve_error_contract():
 def test_forward_single_step_composition():
     sys = build_system(RobinBC.dirichlet(), 6, ones_profile)
     u = ExpSumFunction(np.array([1.0]), np.array([-2.0]), 1.0)
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     c = gauss2().c
-    y1, _ = irk_step(gauss2(), ode, 0.5, sys.psi, u.value(0.0 + c * 0.5))
-    y2, _ = irk_step(gauss2(), ode, 0.5, y1, u.value(0.5 + c * 0.5))
+    y1, _ = irk_step(gauss2(), sys, 0.5, sys.psi, u.value(0.0 + c * 0.5))
+    y2, _ = irk_step(gauss2(), sys, 0.5, y1, u.value(0.5 + c * 0.5))
     assert np.array_equal(
         integrate_forward(gauss2(), sys, node_samples(u, gauss2(), 1, 0.5), 1, 0.5), y1)
     assert np.array_equal(
@@ -338,18 +341,16 @@ def test_sweeps_hold_o_of_m_memory(name, control):
 
 def stepped_endpoint(scheme, sys, control, N, h):
     """y_N of N public irk_step / peer_step calls, each IRK step with its own solver."""
-    ode = LinearOde(matrix=sys.matrix,
-                    forcing_vector=None if control is None else sys.forcing_vector)
-    g = np.zeros((N, scheme.s)) if control is None else control
+    g = (None,) * N if control is None else control
     y = sys.psi
     if isinstance(scheme, IrkTableau):
         for n in range(N):
-            y = irk_step(scheme, ode, h, y, g[n])[0]
+            y = irk_step(scheme, sys, h, y, g[n])[0]
         return y
-    _, block = irk_step(collocation(scheme.c), ode, h, y, g[0])
+    _, block = irk_step(collocation(scheme.c), sys, h, y, g[0])
     F = None
     for n in range(1, N):
-        block, F = peer_step(scheme, ode, h, block, g[n - 1], g[n], prev_F=F)
+        block, F = peer_step(scheme, sys, h, block, g[n - 1], g[n], prev_F=F)
     return block[-1]
 
 
@@ -414,12 +415,11 @@ def test_irk_step_stack_bitwise_equals_single_steps(factory, m, rng):
     solver = StageSystemSolver(tab.A, h, sys.matrix)
     g = rng.standard_normal(tab.s)
     states = rng.standard_normal((5, m))
-    for forcing in (sys.forcing_vector, None):
-        ode = LinearOde(matrix=sys.matrix, forcing_vector=forcing)
-        Y, stages = irk_step(tab, ode, h, states, g, solver)
+    for samples in (g, None):
+        Y, stages = irk_step(tab, sys, h, states, samples, solver)
         assert Y.shape == (5, m) and stages.shape == (5, tab.s, m)
         for y, y1, st in zip(states, Y, stages):
-            ref_y, ref_st = irk_step(tab, ode, h, y, g, solver)
+            ref_y, ref_st = irk_step(tab, sys, h, y, samples, solver)
             assert np.array_equal(y1, ref_y) and np.array_equal(st, ref_st)
 
 
@@ -430,13 +430,12 @@ def test_peer_step_stack_bitwise_equals_single_steps(m, rng):
     h = 1.0 / 64
     g_prev, g_cur = rng.standard_normal(2), rng.standard_normal(2)
     blocks = rng.standard_normal((5, 2, m))
-    for forcing in (sys.forcing_vector, None):
-        ode = LinearOde(matrix=sys.matrix, forcing_vector=forcing)
+    for samples in ((g_prev, g_cur), (None, None)):
         for prev_F in (None, rng.standard_normal((5, 2, m))):
-            Y, F = peer_step(scheme, ode, h, blocks, g_prev, g_cur, prev_F)
+            Y, F = peer_step(scheme, sys, h, blocks, *samples, prev_F)
             assert Y.shape == F.shape == (5, 2, m)
             for k in range(5):
-                ref_Y, ref_F = peer_step(scheme, ode, h, blocks[k], g_prev, g_cur,
+                ref_Y, ref_F = peer_step(scheme, sys, h, blocks[k], *samples,
                                          None if prev_F is None else prev_F[k])
                 assert np.array_equal(Y[k], ref_Y) and np.array_equal(F[k], ref_F)
 
@@ -444,26 +443,24 @@ def test_peer_step_stack_bitwise_equals_single_steps(m, rng):
 def test_peer_step_rejects_derivatives_of_another_shape():
     # a (2, 8) prev_F used to broadcast into every item of a (4, 2, 8) stack
     sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     g = np.zeros(2)
     for block, prev_F in ((np.ones((4, 2, 8)), np.ones((2, 8))),
                           (np.ones((2, 8)), np.ones((4, 2, 8))),
                           (np.ones((2, 8)), np.ones((2, 7)))):
         with pytest.raises(ValueError, match="previous stage derivatives"):
-            peer_step(peer_toy2(), ode, 0.1, block, g, g, prev_F)
+            peer_step(peer_toy2(), sys, 0.1, block, g, g, prev_F)
 
 
 def test_steps_reject_states_that_are_not_a_stack():
     sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     g = np.zeros(2)
     for bad in (np.array([2.0]), np.zeros(7), np.zeros((8, 1)), np.zeros((2, 3, 8)),
                 np.float64(1.0)):
         with pytest.raises(ValueError, match="state must have shape"):
-            irk_step(gauss2(), ode, 0.1, bad, g)
+            irk_step(gauss2(), sys, 0.1, bad, g)
     for bad in (np.zeros((2, 7)), np.zeros((3, 8)), np.zeros(16), np.zeros((1, 1, 2, 8))):
         with pytest.raises(ValueError, match="previous stage block"):
-            peer_step(peer_toy2(), ode, 0.1, bad, g, g)
+            peer_step(peer_toy2(), sys, 0.1, bad, g, g)
     solver = StageSystemSolver(gauss2().A, 0.1, sys.matrix)
     for bad in (np.zeros(8), np.zeros((3, 8)), np.zeros((2, 7)), np.zeros((1, 1, 2, 8)),
                 np.zeros((0, 2, 8))):
@@ -471,18 +468,49 @@ def test_steps_reject_states_that_are_not_a_stack():
             solver.solve_stacked(bad)
 
 
+@pytest.mark.parametrize("bad", [np.zeros(1), np.zeros(3), np.zeros(0), np.zeros((2, 1)),
+                                 np.float64(0.0)], ids=["1", "3", "0", "2x1", "scalar"])
+def test_steps_reject_samples_of_another_shape(bad):
+    # a length-1 g_prev used to broadcast to every stage, a long g_cur to lose its tail
+    sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
+    g = np.zeros(2)
+    with pytest.raises(ValueError, match=r"control samples must have shape \(2,\)"):
+        irk_step(gauss2(), sys, 0.1, np.zeros(8), bad)
+    for samples in ((bad, g), (g, bad), (bad, None), (None, bad)):
+        for prev_F in (None, np.zeros((2, 8))):
+            with pytest.raises(ValueError, match=r"control samples must have shape \(2,\)"):
+                peer_step(peer_toy2(), sys, 0.1, np.zeros((2, 8)), *samples, prev_F)
+
+
+@pytest.mark.parametrize("m", [2, 8])              # m = 2 stays unfactored
+def test_steps_with_samples_none_bitwise_equal_zero_samples(m, rng):
+    # None skips the forcing; adding gamma times zero samples changes no entry
+    sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
+    h = 1.0 / 64
+    for tab in (gauss2(), lobatto_iiia(), peer_toy2().start_tableau):
+        for y in (rng.standard_normal(m), rng.standard_normal((5, m))):
+            free = irk_step(tab, sys, h, y, None)
+            zero = irk_step(tab, sys, h, y, np.zeros(tab.s))
+            assert all(np.array_equal(a, b) for a, b in zip(free, zero))
+    zero_g = np.zeros(2)
+    for block in (rng.standard_normal((2, m)), rng.standard_normal((5, 2, m))):
+        for prev_F in (None, rng.standard_normal(block.shape)):
+            free = peer_step(peer_toy2(), sys, h, block, None, None, prev_F)
+            zero = peer_step(peer_toy2(), sys, h, block, zero_g, zero_g, prev_F)
+            assert all(np.array_equal(a, b) for a, b in zip(free, zero))
+
+
 @pytest.mark.parametrize("m", [2, 8])              # m = 2 stays unfactored
 def test_empty_stacks_raise_instead_of_reaching_lapack(m):
     # scipy's ?gttrs wrapper crashes the interpreter on an (m, 0) right-hand side
     sys = build_system(RobinBC.dirichlet(), m, ones_profile)
-    ode = LinearOde(matrix=sys.matrix, forcing_vector=sys.forcing_vector)
     g = np.zeros(2)
     with pytest.raises(ValueError):
         solve_shifted(0.3, sys.matrix, np.zeros((m, 0)))
     with pytest.raises(ValueError):
-        irk_step(gauss2(), ode, 0.1, np.zeros((0, m)), g)
+        irk_step(gauss2(), sys, 0.1, np.zeros((0, m)), g)
     with pytest.raises(ValueError):
-        peer_step(peer_toy2(), ode, 0.1, np.zeros((0, 2, m)), g, g)
+        peer_step(peer_toy2(), sys, 0.1, np.zeros((0, 2, m)), g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +527,9 @@ def test_toy_scheme_preconsistency_and_weights():
 
 def test_peer_step_constant_block_is_fixed_point():
     scheme = peer_toy2()
-    tri = TridiagonalMatrix(np.zeros(3), np.zeros(2))
-    ode = LinearOde(matrix=tri)
+    sys = system_of(TridiagonalMatrix(np.zeros(3), np.zeros(2)))
     block = np.tile([1.7, -2.0, 0.3], (2, 1))
-    new_block, _ = peer_step(scheme, ode, 0.125, block, np.zeros(2), np.zeros(2))
+    new_block, _ = peer_step(scheme, sys, 0.125, block, None, None)
     assert np.abs(new_block - block).max() < 1e-14
 
 
@@ -510,7 +537,7 @@ def test_peer_step_scalar_against_dense_stage_system():
     scheme = peer_toy2()
     lam, h = -4.0, 0.1
     prev = np.array([[0.9], [0.7]])
-    new_block, _ = peer_step(scheme, scalar_ode(lam), h, prev, np.zeros(2), np.zeros(2))
+    new_block, _ = peer_step(scheme, scalar_system(lam), h, prev, np.zeros(2), np.zeros(2))
     # dense solve of (I - h lam R) Y = (B + h lam A) Y_prev
     lhs = np.eye(2) - h * lam * scheme.R
     rhs = (scheme.B + h * lam * scheme.A) @ prev[:, 0]
