@@ -6,17 +6,21 @@ plus the control penalty under the quadrature induced by the method's
 weights.  Its gradient is assembled by one forward sweep and one backward
 sweep with the exact transpose of the forward scheme's linearization, so it
 is the exact gradient of the discrete objective (finite differences of the
-objective are the defining contract).
+objective are the defining contract).  The transposed IRK sweep solves its
+rank-one stage system by the poles of the stage coupling, one tridiagonal
+solve per conjugate pair (``integrators._stage_poles``).
 
 The scheme is linear and time-invariant, so the terminal state is affine in
 the control, y_T = y_free + J u.  ``optimize`` builds J once per call from the
-method's own steps, with y_free in the same loop: for IRK through the dense
-propagator R, stepping TERMINAL_MAP_COLUMNS unit vectors at once; for Peer by
-stepping one stack of 2 s + 1 stage blocks, so no (s m)^2 matrix is formed.
-It reduces the optimality system to the m terminal multipliers instead of
-the N s control values and solves it with one Cholesky factorization.  The
-matrix-free gradient above, one forward sweep without stages and one
-transposed sweep, certifies the control it returns.
+method's own steps, with y_free in the same loop.  For IRK, V = dy_{n+1}/dg_n
+is one ``irk_step`` per unit control, and the stack [V; psi] is stepped N
+times by the stability function R(hM) in partial fractions, so no m x m
+matrix is formed.  For Peer one stack of 2 s + 1 stage blocks is stepped,
+so no (s m)^2 matrix is formed.  It reduces the optimality system to the m
+terminal multipliers instead of the N s control values and solves it with
+one Cholesky factorization.  The matrix-free gradient above, one forward
+F-form sweep (``integrate_forward``, which shares no code with the map's
+propagation) and one transposed sweep, certifies the control it returns.
 """
 
 from __future__ import annotations
@@ -31,15 +35,11 @@ from .heat_mol import ConfigError, MolSystem
 from .integrators import (
     IrkTableau, PeerScheme, StageSystemSolver,
     integrate_forward, irk_step, peer_step, solve_shifted,
-    _forward_scheme, _step_size,
+    _forward_scheme, _stage_poles, _step_size,
 )
 
 if TYPE_CHECKING:
     from .exact_oc import OcProblem
-
-# Unit states that ``_terminal_map`` steps as one stack to build the IRK
-# propagator R, which bounds its temporaries to O(TERMINAL_MAP_COLUMNS s m).
-TERMINAL_MAP_COLUMNS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,25 +157,54 @@ def _matmul_fixed_order(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _irk_transposed_step(tab: IrkTableau, h: float, sys: MolSystem):
+    """One step of the transposed IRK sweep as a function lam -> (W e_m, lam + W^T 1).
+
+    W is the (s, m) stage multiplier block of the transposed stage system
+    (I - h A^T (x) M) W = h b (x) M lam, the transpose of the F form of
+    ``irk_step``.  Its right-hand side is rank one, so with
+    A^T = S diag(mu) S^-1 and beta = S^-1 b each pole j of ``_stage_poles``
+    contributes Re(c_j x_j^T) to W, with c_j = weight_j beta_j S[:, j] and
+    x_j = (I - h mu_j M)^-1 h M lam: one solve per conjugate pair, none for
+    a zero mu_j, where x_j = h M lam.  The returned step sums the poles in
+    their fixed order, elementwise, so no BLAS kernel sets its bits.
+    """
+    solver = StageSystemSolver(tab.A.T, h, sys.matrix)
+    beta = solver.Sinv @ tab.b
+    terms = []
+    for j, weight, solve in _stage_poles(solver):
+        c = weight * beta[j] * solver.S[:, j]
+        terms.append((c, c.sum(), solve))
+    apply = sys.matrix.apply
+
+    def step(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v = h * apply(lam)
+        w_last = np.zeros(tab.s)
+        for c, c_sum, solve in terms:
+            x = v if solve is None else solve(v)
+            w_last = w_last + (c * x[-1]).real
+            lam = lam + (c_sum * x).real
+        return w_last, lam
+    return step
+
+
 def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, h: float,
                   y_T: np.ndarray) -> np.ndarray:
     """Exact transpose sweep for an IRK forward map; returns the gradient.
 
-    The loop carries the multiplier lam and keeps gamma W e_m and
-    gamma lam_m per step; the gradient is assembled from them once after
-    the loop.
+    The loop carries the multiplier lam through ``_irk_transposed_step``
+    and keeps gamma W e_m and gamma lam_m per step; the gradient is
+    assembled from them once after the loop.
     """
     sys = prob.sys
     N = values.shape[0]
-    apply = sys.matrix.apply
-    solve = StageSystemSolver(tab.A.T, h, sys.matrix).solve_stacked
+    step = _irk_transposed_step(tab, h, sys)
     Wb, lam_b = np.empty((N, tab.s)), np.empty(N)
     lam = y_T - prob.y_hat
     for n in range(N - 1, -1, -1):
-        W = solve(h * (tab.b[:, None] * apply(lam)))
-        Wb[n] = W[:, -1] * sys.gamma
         lam_b[n] = lam[-1] * sys.gamma
-        lam = lam + W.sum(axis=0)
+        w_last, lam = step(lam)
+        Wb[n] = w_last * sys.gamma
     w = control_quadrature_weights(tab)
     return (prob.alpha * h * w * values + h * _matmul_fixed_order(Wb, tab.A)
             + h * tab.b * lam_b[:, None])
@@ -232,17 +261,46 @@ def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np
     return backward(scheme, prob, values, h, y_T)
 
 
+def _irk_propagator(tab: IrkTableau, solver: StageSystemSolver):
+    """Y -> R(hM) Y for the stability function R of ``tab``, by partial fractions.
+
+    ``solver`` is the stage solver of ``tab`` (coupling A = S diag(mu) S^-1)
+    at step h on M.  R(z) = 1 + z b^T (I - z A)^-1 1 splits into
+    R(z) = 1 + sum_j rho_j ((1 - z mu_j)^-1 - 1) over the nonzero mu_j, with
+    rho_j = (b^T S)_j (S^-1 1)_j / mu_j taken from ``eig``.  So
+    R(hM) Y = Y + sum_j rho_j ((I - h mu_j M)^-1 Y - Y), and
+    R_inf = 1 - sum_j rho_j is never formed (the rho_j imply it to within
+    6.7e-16 for Gauss-2 and exactly for Lobatto IIIA).  Over the poles of
+    ``_stage_poles`` this is one solve per conjugate pair, whose rho_j
+    carries the weight 2, and Re of each term.  A zero mu_j is left out: R
+    is bounded, so its weight (b^T S)_j (S^-1 1)_j is zero (``eig`` gives
+    about 1e-17).  Y is one state (m,) or a stack (K, m).
+    """
+    bS, Sinv_1 = tab.b @ solver.S, solver.Sinv.sum(axis=1)
+    terms = [(weight * bS[j] * Sinv_1[j] / solver.mu[j], solve)
+             for j, weight, solve in _stage_poles(solver) if solve is not None]
+
+    def propagate(Y: np.ndarray) -> np.ndarray:
+        out = Y
+        for rho, solve in terms:
+            out = out + (rho * (solve(Y.T).T - Y)).real
+        return out
+    return propagate
+
+
 def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     """The terminal map y_T = y_free + J u, returned as (J^T, y_free).
 
-    J is built by applying the method's own steps to unit controls, and
-    each item of a stacked step is bitwise its single step, so J u agrees
-    with a forward sweep up to roundoff and the eigenbasis of M is not
-    used.  Row n * s + i of the (N * s, m) J^T is dy_T / du_ni.  y_free is
-    the terminal state for u = 0 (Peer with the collocation start).  For
-    IRK both come from the dense propagator R, stepped TERMINAL_MAP_COLUMNS
-    unit states at a time; for Peer from one stack of 2 s + 1 stage blocks
-    stepped N - 2 times.  N must have passed ``_step_size``.
+    J is built from the method's own steps, so J u agrees with a forward
+    sweep up to roundoff and the eigenbasis of M is not used.  Row
+    n * s + i of the (N * s, m) J^T is dy_T / du_ni.  y_free is the terminal
+    state for u = 0 (Peer with the collocation start).  For IRK, V comes
+    from one ``irk_step`` per unit control and the (s + 1, m) stack
+    [V; psi] is stepped N times by ``_irk_propagator``: O(N m s) work, one
+    tridiagonal solve per conjugate pair of poles and step, and no m x m
+    propagator.  For Peer both come from one stack of 2 s + 1 stage blocks
+    stepped N - 2 times, and each item of a stacked step is bitwise its
+    single step.  N must have passed ``_step_size``.
     """
     m, s = sys.m, scheme.s
     units = np.eye(s)
@@ -250,20 +308,15 @@ def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
     if isinstance(scheme, IrkTableau):
         # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V and y_free = R^N psi
         solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        R = np.empty((m, m))       # column j is the step of the unit state e_j
-        for j0 in range(0, m, TERMINAL_MAP_COLUMNS):
-            k = min(TERMINAL_MAP_COLUMNS, m - j0)
-            E = np.zeros((k, m))
-            E[np.arange(k), j0 + np.arange(k)] = 1.0
-            R[:, j0:j0 + k] = irk_step(scheme, sys, h, E, None, solver)[0].T
-        Z = np.column_stack([irk_step(scheme, sys, h, np.zeros(m), g, solver)[0]
-                             for g in units])
-        free = sys.psi
+        propagate = _irk_propagator(scheme, solver)
+        Z = np.empty((s + 1, m))
+        for j, g in enumerate(units):
+            Z[j] = irk_step(scheme, sys, h, np.zeros(m), g, solver)[0]
+        Z[s] = sys.psi
         for n in range(N - 1, -1, -1):
-            Jt[n] = Z.T
-            Z = R @ Z
-            free = R @ free
-        return Jt.reshape(N * s, m), free
+            Jt[n] = Z[:s]
+            Z = propagate(Z)
+        return Jt.reshape(N * s, m), Z[s]
 
     # Peer: Y_0 = S psi + W g_0 from the collocation start and, for n >= 1,
     # Y_n = P Y_{n-1} + G_prev g_{n-1} + G_cur g_n; y_T is the last stage of

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,37 @@ class StageSystemSolver:
         if rhs.ndim == 3:
             Z = Z.swapaxes(0, 1)
         return np.ascontiguousarray((self.S @ Z).real)
+
+
+def _stage_poles(solver: StageSystemSolver) -> list:
+    """The shifts h mu_i of ``solver`` grouped into poles for real right-hand sides.
+
+    Returns one (i, weight, solve) per pole, in the order of ``solver.mu``.
+    ``eig`` of the real coupling returns complex eigenvalues and vectors as
+    exact conjugate pairs.  For a real right-hand side the solves at such a
+    pair are conjugate, so a sum over the pair is 2 Re of its member with
+    Im mu_i > 0: that member is the pole, of weight 2.  A real shift is a
+    pole of weight 1.  ``solve(rhs)`` maps a real (m,) or Fortran-ordered
+    (m, K) right-hand side to the complex solution of (I - h mu_i M) x = rhs
+    by one ``zgttrs`` in place on a complex copy, with the factors
+    ``solver`` bound, or by ``solve_shift`` where m < 3 left them
+    unfactored.  A zero shift is a pole whose solve is None: there x = rhs.
+    """
+    bound = {i: (z, factors) for i, z, factors in solver._shifts}
+    poles = []
+    for i, mu_i in enumerate(solver.mu):
+        if mu_i.imag < 0:
+            continue
+        solve = None
+        if i in bound:
+            z, factors = bound[i]
+            if factors is None:
+                solve = partial(solver.tri.solve_shift, z)
+            else:
+                def solve(rhs, factors=factors):
+                    return zgttrs(*factors, rhs.astype(complex), overwrite_b=1)[0]
+        poles.append((i, 2.0 if mu_i.imag > 0 else 1.0, solve))
+    return poles
 
 
 # ---------------------------------------------------------------------------

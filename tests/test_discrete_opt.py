@@ -4,21 +4,22 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatoc import (
-    ConfigError, ExperimentConfig, OcProblem, OptimizerConfig, PeerScheme,
-    control_quadrature_weights, discrete_gradient, discrete_objective, exact_objective,
-    from_modal, gauss2, get_method, integrate_adjoint, integrate_forward, optimize,
-    peer_toy2,
+    ConfigError, ExperimentConfig, MolSystem, OcProblem, OptimizerConfig, PeerScheme,
+    RobinBC, TridiagonalMatrix, collocation, control_quadrature_weights, discrete_gradient,
+    discrete_objective, exact_objective, from_modal, gauss2, get_method, integrate_adjoint,
+    integrate_forward, lobatto_iiia, lobatto_iiib, optimize, peer_toy2, stability_function,
 )
-from heatoc import discrete_opt
-from heatoc.discrete_opt import TERMINAL_MAP_COLUMNS, _terminal_map
+from heatoc import discrete_opt, integrators
+from heatoc.discrete_opt import _irk_propagator, _irk_transposed_step, _terminal_map
 from heatoc.integrators import (
-    IrkTableau, StageSystemSolver, irk_step, peer_step, solve_shifted,
+    IrkTableau, StageSystemSolver, _stage_poles, irk_step, peer_step, solve_shifted,
 )
 from heatoc.oracles import fd_gradient_check
 from conftest import make_instance
@@ -319,6 +320,20 @@ def reference_terminal_map(scheme, sys, h, N):
     return Jt.reshape(N * s, m), free
 
 
+def column_by_column_irk_terminal_map(tab, sys, h, N):
+    """(J^T, y_free) of an IRK tableau with each column of [V; psi] stepped
+    alone by ``_irk_propagator``."""
+    solver = StageSystemSolver(tab.A, h, sys.matrix)
+    propagate = _irk_propagator(tab, solver)
+    columns = [irk_step(tab, sys, h, np.zeros(sys.m), g, solver)[0] for g in np.eye(tab.s)]
+    columns.append(sys.psi)
+    Jt = np.empty((N, tab.s, sys.m))
+    for n in range(N - 1, -1, -1):
+        Jt[n] = columns[:-1]
+        columns = [propagate(column) for column in columns]
+    return Jt.reshape(N * tab.s, sys.m), columns[-1]
+
+
 def dense_propagator_terminal_map(scheme, sys, h, N):
     """(J^T, y_free) of a Peer scheme through the dense (s m)^2 propagator P.
 
@@ -383,6 +398,23 @@ def reference_irk_backward(tab, prob, values, N, y_T):
     return grad, multipliers
 
 
+def stepwise_irk_backward(tab, prob, values, N, y_T):
+    """The steps of ``_irk_transposed_step`` with the gradient assembled step
+    by step, in the order the bitwise contract fixes."""
+    sys = prob.sys
+    h = prob.T / N
+    step = _irk_transposed_step(tab, h, sys)
+    w = control_quadrature_weights(tab)
+    lam = y_T - prob.y_hat
+    grad = np.empty_like(values)
+    for n in range(N - 1, -1, -1):
+        w_last, lam_next = step(lam)
+        grad[n] = prob.alpha * h * w * values[n] \
+            + h * row_times(w_last * sys.gamma, tab.A) + h * tab.b * (lam[-1] * sys.gamma)
+        lam = lam_next
+    return grad
+
+
 def reference_peer_backward(scheme, prob, values, N, y_T):
     """Transposed Peer sweep (collocation start) assembling the gradient step
     by step; returns (gradient, stage multipliers W_0..W_{N-1})."""
@@ -428,11 +460,33 @@ def reference_gradient(scheme, prob, values, N):
 @pytest.mark.parametrize("m", [8, 70])
 @pytest.mark.parametrize("N", [2, 3, 16])           # h = 1/3 is not a power of two
 def test_gradient_bitwise_equals_step_by_step_reference(name, m, N, rng):
+    # Peer against the transposed F-form sweep; IRK against its own pole
+    # steps with the gradient assembled per step, so the fixed-order sums
+    # are checked under the Haswell kernel too
     prob, _ = make_instance(m)
     scheme = get_method(name).forward
     values = rng.standard_normal((N, scheme.s))
-    assert np.array_equal(discrete_gradient(scheme, prob, values, N),
-                          reference_gradient(scheme, prob, values, N)[0])
+    if isinstance(scheme, IrkTableau):
+        y_T = integrate_forward(scheme, prob.sys, values, N, prob.T)
+        ref = stepwise_irk_backward(scheme, prob, values, N, y_T)
+    else:
+        ref = reference_gradient(scheme, prob, values, N)[0]
+    assert np.array_equal(discrete_gradient(scheme, prob, values, N), ref)
+
+
+@pytest.mark.parametrize("name", ["gauss2", "lobatto3"])
+@pytest.mark.parametrize("m", [2, 3, 8, 70])
+@pytest.mark.parametrize("N", [2, 3, 16])
+def test_irk_gradient_matches_the_f_form_reference(name, m, N, rng):
+    # one solve per conjugate pair against solve_stacked over all s shifts:
+    # two groupings of the same transposed stage system, which differ by
+    # roundoff (up to 4.9e-13 of the max-norm, measured at m = 70)
+    prob, _ = make_instance(m)
+    scheme = get_method(name).forward
+    values = rng.standard_normal((N, scheme.s))
+    ref = reference_gradient(scheme, prob, values, N)[0]
+    gap = np.abs(discrete_gradient(scheme, prob, values, N) - ref).max()
+    assert gap <= 5e-12 * np.abs(ref).max()
 
 
 def _haswell_kernel_unavailable() -> str | None:
@@ -472,17 +526,51 @@ def test_bitwise_contracts_hold_under_the_haswell_blas_kernel():
 
 
 @pytest.mark.parametrize("name", METHODS)
-@pytest.mark.parametrize("m", [2, 3, 8, 70])        # s m > TERMINAL_MAP_COLUMNS at m = 70
+@pytest.mark.parametrize("m", [2, 3, 8, 70])        # m < 3: solves without ?gttrf factors
 def test_terminal_map_bitwise_equals_column_by_column_build(name, m):
-    assert 70 > TERMINAL_MAP_COLUMNS
+    # Peer against single steps of each block; IRK with each column of
+    # [V; psi] stepped alone by the same partial-fraction propagator
+    prob, _ = make_instance(m)
+    scheme = get_method(name).forward
+    build = (column_by_column_irk_terminal_map if isinstance(scheme, IrkTableau)
+             else reference_terminal_map)
+    for N in (2, 3, 16):
+        h = prob.T / N
+        Jt, y_free = _terminal_map(scheme, prob.sys, h, N)
+        ref_Jt, ref_free = build(scheme, prob.sys, h, N)
+        assert np.array_equal(Jt, ref_Jt), N
+        assert np.array_equal(y_free, ref_free), N
+
+
+@pytest.mark.parametrize("name", ["gauss2", "lobatto3"])
+@pytest.mark.parametrize("m", [2, 3, 8, 70])
+def test_irk_terminal_map_matches_the_f_form_reference(name, m):
+    # R(hM) in partial fractions against the dense R built from unit steps:
+    # up to 6.0e-13 of the max-norm in J^T and 1.3e-12 in y_free, measured
+    # at m = 70
     prob, _ = make_instance(m)
     scheme = get_method(name).forward
     for N in (2, 3, 16):
         h = prob.T / N
         Jt, y_free = _terminal_map(scheme, prob.sys, h, N)
         ref_Jt, ref_free = reference_terminal_map(scheme, prob.sys, h, N)
-        assert np.array_equal(Jt, ref_Jt), N
-        assert np.array_equal(y_free, ref_free), N
+        assert np.abs(Jt - ref_Jt).max() <= 5e-12 * np.abs(ref_Jt).max(), N
+        assert np.abs(y_free - ref_free).max() <= 5e-12 * np.abs(ref_free).max(), N
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("N", [16, 256])
+def test_terminal_map_matches_forward_sweep_at_the_benchmark_size(name, N, rng):
+    # m = 250 as in s2-grid.  Over 20 controls the IRK maps read up to
+    # 1.4e-11 of the max-norm at N = 16 and 2.5e-12 at N = 256, and the dense
+    # propagator they replace up to 1.7e-11: the forward F-form sweep's own
+    # roundoff, which grows with h |lambda_max|.  Peer reads up to 8.7e-15.
+    prob, _ = make_instance(250)
+    scheme = get_method(name).forward
+    u = rng.standard_normal((N, scheme.s))
+    Jt, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
+    y_T = integrate_forward(scheme, prob.sys, u, N, prob.T)
+    assert np.abs(y_free + u.ravel() @ Jt - y_T).max() <= 5e-11 * np.abs(y_T).max()
 
 
 @pytest.mark.parametrize("m", [2, 3, 8, 70])
@@ -503,10 +591,8 @@ def test_peer_terminal_map_matches_dense_propagator_build(m, N):
 @pytest.mark.parametrize("m", [8, 70])
 @pytest.mark.parametrize("N", [2, 3, 16])           # N = 2: Peer runs no loop step
 def test_terminal_map_y_free_matches_zero_control_sweep(name, m, N):
-    # R^N psi by products with the built propagator and by N steps differ
-    # by roundoff that grows with h |lambda_max|: at m = 70, N = 2 they
-    # differ by up to 1.6e-12 relative, and each is as far from the modal
-    # value R(h lambda_k)^N of the IRK methods (up to 1.4e-12)
+    # R^N psi in partial fractions and by N F-form steps differ by roundoff
+    # that grows with h |lambda_max|: up to 1.3e-12 relative at m = 70
     prob, _ = make_instance(m)
     scheme = get_method(name).forward
     _, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
@@ -528,11 +614,12 @@ def terminal_map_peak(scheme, m, N):
 
 @pytest.mark.parametrize("name", METHODS)
 def test_terminal_map_temporaries_stay_near_the_result(name):
-    # m = 250, N = 256: the result is N s m floats, the IRK propagator m^2.
-    # A stack of TERMINAL_MAP_COLUMNS unit vectors keeps the IRK peak at
-    # 2.9-3.2 results; stepping all m of them as one stack reaches 7.5-7.8
+    # m = 250, N = 256: the result is N s m floats.  The IRK map steps an
+    # (s + 1, m) stack and the Peer map one of 2 s + 1 blocks, so each peak
+    # stays at 1.04-1.22 results; the dense IRK propagator it replaced
+    # reached 3.4-3.7
     peak, nbytes = terminal_map_peak(get_method(name).forward, 250, 256)
-    assert peak < 6 * nbytes
+    assert peak < 2 * nbytes
 
 
 def test_peer_terminal_map_holds_no_propagator():
@@ -540,6 +627,88 @@ def test_peer_terminal_map_holds_no_propagator():
     # at 1.2 results, where an (s m)^2 propagator alone would take 1.95
     peak, nbytes = terminal_map_peak(peer_toy2(), 250, 256)
     assert peak < 2 * nbytes
+
+
+def radau_iia():
+    """The 3-stage Radau IIA tableau: one real pole and one conjugate pair."""
+    r = np.sqrt(6.0)
+    return collocation(np.array([(4 - r) / 10, (4 + r) / 10, 1.0]), name="radau_iia")
+
+
+def exact_stability_function(tab, z):
+    """R(z) = 1 + z b^T (I - z A)^-1 1 of the stored tableau, in exact
+    rational arithmetic: ``stability_function``'s float solve misses the
+    Lobatto IIIA value at z = -1e5 by 1.3e-12."""
+    s, z = tab.s, Fraction(z)
+    rows = [[int(i == j) - z * Fraction(tab.A[i, j]) for j in range(s)] + [Fraction(1)]
+            for i in range(s)]
+    for k in range(s):                          # Gauss-Jordan elimination
+        pivot = next(i for i in range(k, s) if rows[i][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(s):
+            if i != k:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return 1 + z * sum(Fraction(tab.b[i]) * rows[i][s] / rows[i][i] for i in range(s))
+
+
+STIFF_Z = (-0.5, -10.0, -1e3, -1e5)
+
+
+@pytest.mark.parametrize("tableau, weights", [
+    (gauss2, [2.0]), (lobatto_iiia, [2.0]), (lobatto_iiib, [2.0]), (radau_iia, [2.0, 1.0]),
+])
+def test_stage_poles_reproduce_the_stability_function(tableau, weights, monkeypatch):
+    # On a diagonal M with entries z and h = 1 the map's propagator gives
+    # R(z) y, and the transposed step lam + W^T 1 = R(z) lam (M symmetric).
+    # Each makes one solve per conjugate pair or real shift, none for a zero
+    # one.  |R| <= 1 here, so the bound is absolute; the transposed step
+    # also carries h M lam, of size |z|, into the zero-shift term of
+    # Lobatto IIIA and IIIB, whose weight is roundoff (5.6e-17 for IIIA),
+    # which is why its bound grows with |z|: measured 5.6e-12 at z = -1e5
+    tab = tableau()
+    solves = []
+    zgttrs = integrators.zgttrs
+    monkeypatch.setattr(integrators, "zgttrs",
+                        lambda *args, **kw: solves.append(1) or zgttrs(*args, **kw))
+    matrices = [TridiagonalMatrix(np.array(STIFF_Z), np.zeros(3))]            # factored
+    matrices += [TridiagonalMatrix(np.array([z]), np.zeros(0)) for z in STIFF_Z]
+    for matrix in matrices:
+        z, ones = matrix.diagonal, np.ones(matrix.m)
+        sys = MolSystem(m=matrix.m, bc=RobinBC.dirichlet(), gamma=1.0, grid=ones,
+                        psi=ones, matrix=matrix)
+        for K in (tab.A, tab.A.T):
+            poles = _stage_poles(StageSystemSolver(K, 1.0, matrix))
+            assert [w for _, w, solve in poles if solve is not None] == weights
+        solves.clear()
+        forward = _irk_propagator(tab, StageSystemSolver(tab.A, 1.0, matrix))(ones)
+        transposed = _irk_transposed_step(tab, 1.0, sys)(ones)[1]
+        assert len(solves) == (2 * len(weights) if matrix.m >= 3 else 0)
+        exact = np.array([float(exact_stability_function(tab, zk)) for zk in z])
+        assert np.abs(forward - exact).max() <= 1e-13
+        assert np.all(np.abs(transposed - exact) <= 1e-13 + 1e-16 * np.abs(z))
+        near = z >= -1e3
+        float_R = np.array([stability_function(tab, zk).real for zk in z[near]])
+        assert np.abs(forward[near] - float_R).max(initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_certificate_does_not_share_the_terminal_map(name, monkeypatch):
+    # the certificate's forward F-form sweep and transposed sweep do not read
+    # J: a map with one entry off by 1e-6 relative yields a control they reject
+    prob, _ = make_instance(70)
+    method, N, cfg = get_method(name), 16, OptimizerConfig()
+    assert optimize(method, prob, cfg, N).converged
+    terminal_map = discrete_opt._terminal_map
+
+    def perturbed(*args):
+        Jt, y_free = terminal_map(*args)
+        Jt[np.unravel_index(np.abs(Jt).argmax(), Jt.shape)] *= 1 + 1e-6
+        return Jt, y_free
+
+    monkeypatch.setattr(discrete_opt, "_terminal_map", perturbed)
+    result = optimize(method, prob, cfg, N)
+    assert not result.converged and result.gradient_norm > cfg.grad_tol
 
 
 @pytest.mark.parametrize("name, stage_rate", [("gauss2", 3.0), ("lobatto3", 2.0)])
