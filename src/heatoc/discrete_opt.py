@@ -8,7 +8,7 @@ sweep with the exact transpose of the forward scheme's linearization, so it
 is the exact gradient of the discrete objective (finite differences of the
 objective are the defining contract).  The transposed IRK sweep solves its
 rank-one stage system by the poles of the stage coupling, one tridiagonal
-solve per conjugate pair (``integrators._stage_poles``).
+solve per conjugate pair (``StageSystemSolver.poles``).
 
 The scheme is linear and time-invariant, so the terminal state is affine in
 the control, y_T = y_free + J u.  ``optimize`` builds J once per call from the
@@ -35,7 +35,7 @@ from .heat_mol import ConfigError, MolSystem
 from .integrators import (
     IrkTableau, PeerScheme, StageSystemSolver,
     integrate_forward, irk_step, peer_step, solve_shifted,
-    _forward_scheme, _stage_poles, _step_size,
+    _forward_scheme, _step_size,
 )
 
 if TYPE_CHECKING:
@@ -163,7 +163,7 @@ def _irk_transposed_step(tab: IrkTableau, h: float, sys: MolSystem):
     W is the (s, m) stage multiplier block of the transposed stage system
     (I - h A^T (x) M) W = h b (x) M lam, the transpose of the F form of
     ``irk_step``.  Its right-hand side is rank one, so with
-    A^T = S diag(mu) S^-1 and beta = S^-1 b each pole j of ``_stage_poles``
+    A^T = S diag(mu) S^-1 and beta = S^-1 b each pole j of ``solver.poles``
     contributes Re(c_j x_j^T) to W, with c_j = weight_j beta_j S[:, j] and
     x_j = (I - h mu_j M)^-1 h M lam: one solve per conjugate pair, none for
     a zero mu_j, where x_j = h M lam.  The returned step sums the poles in
@@ -172,7 +172,7 @@ def _irk_transposed_step(tab: IrkTableau, h: float, sys: MolSystem):
     solver = StageSystemSolver(tab.A.T, h, sys.matrix)
     beta = solver.Sinv @ tab.b
     terms = []
-    for j, weight, solve in _stage_poles(solver):
+    for j, weight, solve in solver.poles:
         c = weight * beta[j] * solver.S[:, j]
         terms.append((c, c.sum(), solve))
     apply = sys.matrix.apply
@@ -270,15 +270,15 @@ def _irk_propagator(tab: IrkTableau, solver: StageSystemSolver):
     rho_j = (b^T S)_j (S^-1 1)_j / mu_j taken from ``eig``.  So
     R(hM) Y = Y + sum_j rho_j ((I - h mu_j M)^-1 Y - Y), and
     R_inf = 1 - sum_j rho_j is never formed (the rho_j imply it to within
-    6.7e-16 for Gauss-2 and exactly for Lobatto IIIA).  Over the poles of
-    ``_stage_poles`` this is one solve per conjugate pair, whose rho_j
+    6.7e-16 for Gauss-2 and exactly for Lobatto IIIA).  Over
+    ``solver.poles`` this is one solve per conjugate pair, whose rho_j
     carries the weight 2, and Re of each term.  A zero mu_j is left out: R
     is bounded, so its weight (b^T S)_j (S^-1 1)_j is zero (``eig`` gives
     about 1e-17).  Y is one state (m,) or a stack (K, m).
     """
     bS, Sinv_1 = tab.b @ solver.S, solver.Sinv.sum(axis=1)
     terms = [(weight * bS[j] * Sinv_1[j] / solver.mu[j], solve)
-             for j, weight, solve in _stage_poles(solver) if solve is not None]
+             for j, weight, solve in solver.poles if solve is not None]
 
     def propagate(Y: np.ndarray) -> np.ndarray:
         out = Y

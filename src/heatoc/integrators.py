@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -152,10 +151,14 @@ def collocation(c: np.ndarray, name: str = "collocation") -> IrkTableau:
 
 
 def stability_function(tab: IrkTableau, z: complex) -> complex:
-    """R(z) = 1 + z b^T (I - z A)^{-1} 1 for a scalar test problem y' = lam y."""
-    s = tab.s
-    sol = np.linalg.solve(np.eye(s) - z * tab.A, np.ones(s))
-    return 1.0 + z * (tab.b @ sol)
+    """R(z) = 1 + z b^T (I - z A)^{-1} 1 for a scalar test problem y' = lam y.
+
+    Evaluated as det(I - z (A - 1 b^T)) / det(I - z A) (Hairer & Wanner II,
+    IV.3), which keeps its digits as |z| grows; the form above loses them
+    for a tableau with an explicit stage.
+    """
+    eye = np.eye(tab.s)     # A - b subtracts b from every row: A - 1 b^T
+    return np.linalg.det(eye - z * (tab.A - tab.b)) / np.linalg.det(eye - z * tab.A)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +337,38 @@ def solve_shifted(z, tri: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     return tri.solve_shift(z, rhs)
 
 
+def _bound_solve(tri: TridiagonalMatrix, z):
+    """The solve b -> (I - z M)^-1 b for a nonzero shift z, with its factors bound.
+
+    One ?gttrs, in place when b is a complex (m,) row or the Fortran-ordered
+    .T of a C-ordered (K, m) block; f2py solves a complex copy of any other
+    b, a real one included, and returns it.  m < 3 leaves the shift
+    unfactored, and the solve is ``solve_shift``.
+    """
+    factors = tri._shift_factors(z, True)
+    if factors is None:
+        return lambda b: tri.solve_shift(z, b)
+    return lambda b: zgttrs(*factors, b, overwrite_b=1)[0]
+
+
 class StageSystemSolver:
     """Solver for the coupled stage system (I - h K (x) M) X = RHS.
 
     Diagonalizes the s x s coupling matrix K over the complex numbers once,
-    then each solve costs s shifted tridiagonal solves.  The factors of the
-    s shifts are bound here, so every solve runs one ?gttrs per shift in
-    place, with one right-hand side per item of a stack.  A zero eigenvalue
-    (explicit stage) degenerates to an identity solve.
+    then each solve costs s shifted tridiagonal solves.  One solve per
+    nonzero shift h mu_i is bound here with its factors, and ``solve_stacked``
+    and ``poles`` share them.  A zero eigenvalue (explicit stage)
+    degenerates to an identity solve.
+
+    ``poles`` groups the shifts for real right-hand sides: one
+    (i, weight, solve) per pole, in the order of ``mu``.  ``eig`` of the
+    real coupling returns complex eigenvalues and vectors as exact conjugate
+    pairs.  For a real right-hand side the solves at such a pair are
+    conjugate, so a sum over the pair is 2 Re of its member with
+    Im mu_i > 0: that member is the pole, of weight 2.  A real shift is a
+    pole of weight 1.  ``solve(rhs)`` maps a real (m,) or Fortran-ordered
+    (m, K) right-hand side to the complex solution of (I - h mu_i M) x = rhs.
+    A zero shift is a pole whose solve is None: there x = rhs.
     """
 
     def __init__(self, K: np.ndarray, h: float, tri: TridiagonalMatrix):
@@ -355,71 +382,29 @@ class StageSystemSolver:
         self.S = S
         self.Sinv = np.linalg.inv(S)
         self.tri = tri
-        self.h = h
         self._block_shape = (K.shape[0], tri.m)
-        # (stage, shift, factors) per nonzero shift
-        self._shifts = [(i, z, tri._shift_factors(z, True))
-                        for i, z in enumerate(h * mu) if z != 0]
+        # (stage, solve) per nonzero shift
+        self._solves = [(i, _bound_solve(tri, z)) for i, z in enumerate(h * mu) if z != 0]
+        solves = dict(self._solves)
+        self.poles = [(i, 2.0 if mu_i.imag > 0 else 1.0, solves.get(i))
+                      for i, mu_i in enumerate(mu) if mu_i.imag >= 0]
 
     def solve_stacked(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for real right-hand sides: an (s, m) block or a (K, s, m) stack.
+        """Solve for one real (s, m) right-hand side block.
 
-        Returns a new C-contiguous real array of the same shape, which
-        ``TridiagonalMatrix.apply`` reads without a copy.  The K >= 1 blocks
-        of a stack share each shift's ?gttrs as K right-hand sides, and the
-        ``Sinv`` and ``S`` products run per block, so each block of the
-        result is bitwise the solve of that block alone.
+        Returns a new C-contiguous real (s, m) array, which
+        ``TridiagonalMatrix.apply`` reads without a copy.
         """
-        if rhs.ndim > 3 or rhs.shape[-2:] != self._block_shape or rhs.size == 0:
-            s, m = self._block_shape
-            raise ValueError(f"right-hand side must have shape {(s, m)} or (K, {s}, {m}) "
-                             f"with K >= 1, got {rhs.shape}")
+        if rhs.shape != self._block_shape:
+            raise ValueError(f"right-hand side must have shape {self._block_shape}, "
+                             f"got {rhs.shape}")
         if not np.isfinite(rhs).all():      # checked before Sinv @ rhs can warn
             raise ValueError("right-hand side must not contain infs or NaNs")
-        # Z[i] holds the rows of shift i, (m,) or (K, m), C-contiguous: the
-        # product itself for a block or a stack of one, a copy for K > 1.
+        # Z[i] is the complex (m,) row of shift i, solved in place where factored
         Z = self.Sinv @ rhs.astype(complex)
-        if rhs.ndim == 3:
-            Z = np.ascontiguousarray(Z.swapaxes(0, 1))
-        for i, z, factors in self._shifts:
-            if factors is None:
-                Z[i] = self.tri.solve_shift(z, Z[i].T).T
-            else:           # Z[i].T is Fortran-ordered (m, K): solved in place
-                zgttrs(*factors, Z[i].T, overwrite_b=1)
-        if rhs.ndim == 3:
-            Z = Z.swapaxes(0, 1)
+        for i, solve in self._solves:
+            Z[i] = solve(Z[i])
         return np.ascontiguousarray((self.S @ Z).real)
-
-
-def _stage_poles(solver: StageSystemSolver) -> list:
-    """The shifts h mu_i of ``solver`` grouped into poles for real right-hand sides.
-
-    Returns one (i, weight, solve) per pole, in the order of ``solver.mu``.
-    ``eig`` of the real coupling returns complex eigenvalues and vectors as
-    exact conjugate pairs.  For a real right-hand side the solves at such a
-    pair are conjugate, so a sum over the pair is 2 Re of its member with
-    Im mu_i > 0: that member is the pole, of weight 2.  A real shift is a
-    pole of weight 1.  ``solve(rhs)`` maps a real (m,) or Fortran-ordered
-    (m, K) right-hand side to the complex solution of (I - h mu_i M) x = rhs
-    by one ``zgttrs`` in place on a complex copy, with the factors
-    ``solver`` bound, or by ``solve_shift`` where m < 3 left them
-    unfactored.  A zero shift is a pole whose solve is None: there x = rhs.
-    """
-    bound = {i: (z, factors) for i, z, factors in solver._shifts}
-    poles = []
-    for i, mu_i in enumerate(solver.mu):
-        if mu_i.imag < 0:
-            continue
-        solve = None
-        if i in bound:
-            z, factors = bound[i]
-            if factors is None:
-                solve = partial(solver.tri.solve_shift, z)
-            else:
-                def solve(rhs, factors=factors):
-                    return zgttrs(*factors, rhs.astype(complex), overwrite_b=1)[0]
-        poles.append((i, 2.0 if mu_i.imag > 0 else 1.0, solve))
-    return poles
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +429,26 @@ def irk_step(tab: IrkTableau, sys: MolSystem, h: float, y_n: np.ndarray,
     The stages solve Y_i = y_n + h sum_j A_ij (M Y_j + gamma g_j e_m), with
     the control samples ``g_values`` g_j = g(t_n + c_j h); the update is
     y_{n+1} = y_n + h sum_i b_i F_i with F_i evaluated at the solved
-    stages.  Samples of None mean no forcing.  ``y_n`` is one state (m,) or
-    a stack of K states (K, m); the stages are then (s, m) or (K, s, m).
-    The control samples g are shared by the whole stack, and each item of
-    the result is bitwise the step of that state alone.
+    stages.  Samples of None mean no forcing.  ``y_n`` is one state (m,),
+    and the stages are (s, m).
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     m = sys.matrix.m
     y_n = np.asarray(y_n)
-    if y_n.ndim not in (1, 2) or y_n.shape[-1] != m:
-        raise ValueError(f"state must have shape ({m},) or (K, {m}), got {y_n.shape}")
+    if y_n.shape != (m,):
+        raise ValueError(f"state must have shape ({m},), got {y_n.shape}")
     g = _samples(g_values, tab.s)
     if solver is None:
         solver = StageSystemSolver(tab.A, h, sys.matrix)
-    rhs = np.empty(y_n.shape[:-1] + (tab.s, m))
-    rhs[:] = y_n[..., None, :]
+    rhs = np.empty((tab.s, m))
+    rhs[:] = y_n
     if g is not None:
-        rhs[..., -1] += h * ((tab.A @ g) * sys.gamma)
+        rhs[:, -1] += h * ((tab.A @ g) * sys.gamma)
     stages = solver.solve_stacked(rhs)
     F = sys.matrix.apply(stages)
     if g is not None:
-        F[..., -1] += g * sys.gamma
+        F[:, -1] += g * sys.gamma
     return y_n + h * (tab.b @ F), stages
 
 

@@ -19,7 +19,7 @@ from heatoc import (
 from heatoc import discrete_opt, integrators
 from heatoc.discrete_opt import _irk_propagator, _irk_transposed_step, _terminal_map
 from heatoc.integrators import (
-    IrkTableau, StageSystemSolver, _stage_poles, irk_step, peer_step, solve_shifted,
+    IrkTableau, StageSystemSolver, irk_step, peer_step, solve_shifted,
 )
 from heatoc.oracles import fd_gradient_check
 from conftest import make_instance
@@ -637,8 +637,7 @@ def radau_iia():
 
 def exact_stability_function(tab, z):
     """R(z) = 1 + z b^T (I - z A)^-1 1 of the stored tableau, in exact
-    rational arithmetic: ``stability_function``'s float solve misses the
-    Lobatto IIIA value at z = -1e5 by 1.3e-12."""
+    rational arithmetic."""
     s, z = tab.s, Fraction(z)
     rows = [[int(i == j) - z * Fraction(tab.A[i, j]) for j in range(s)] + [Fraction(1)]
             for i in range(s)]
@@ -650,6 +649,16 @@ def exact_stability_function(tab, z):
                 f = rows[i][k] / rows[k][k]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
     return 1 + z * sum(Fraction(tab.b[i]) * rows[i][s] / rows[i][i] for i in range(s))
+
+
+@pytest.mark.parametrize("tableau", [gauss2, lobatto_iiia, lobatto_iiib, radau_iia])
+def test_stability_function_keeps_its_digits_at_large_z(tableau):
+    # a float solve of (I - z A) x = 1 loses digits to an explicit stage as
+    # |z| grows (1.3e-12 for Lobatto IIIA at z = -1e5, 6.5e-10 at -1e8);
+    # measured within 4.4e-15 of the rationals here
+    tab = tableau()
+    for z in (-0.5, -10.0, -370.0, -1e3, -1e5, -1e8):
+        assert abs(stability_function(tab, z) - float(exact_stability_function(tab, z))) <= 1e-14
 
 
 STIFF_Z = (-0.5, -10.0, -1e3, -1e5)
@@ -678,7 +687,7 @@ def test_stage_poles_reproduce_the_stability_function(tableau, weights, monkeypa
         sys = MolSystem(m=matrix.m, bc=RobinBC.dirichlet(), gamma=1.0, grid=ones,
                         psi=ones, matrix=matrix)
         for K in (tab.A, tab.A.T):
-            poles = _stage_poles(StageSystemSolver(K, 1.0, matrix))
+            poles = StageSystemSolver(K, 1.0, matrix).poles
             assert [w for _, w, solve in poles if solve is not None] == weights
         solves.clear()
         forward = _irk_propagator(tab, StageSystemSolver(tab.A, 1.0, matrix))(ones)
@@ -687,9 +696,8 @@ def test_stage_poles_reproduce_the_stability_function(tableau, weights, monkeypa
         exact = np.array([float(exact_stability_function(tab, zk)) for zk in z])
         assert np.abs(forward - exact).max() <= 1e-13
         assert np.all(np.abs(transposed - exact) <= 1e-13 + 1e-16 * np.abs(z))
-        near = z >= -1e3
-        float_R = np.array([stability_function(tab, zk).real for zk in z[near]])
-        assert np.abs(forward[near] - float_R).max(initial=0.0) <= 1e-13
+        float_R = np.array([stability_function(tab, zk).real for zk in z])
+        assert np.abs(forward - float_R).max() <= 1e-13
 
 
 @pytest.mark.parametrize("name", METHODS)

@@ -147,9 +147,9 @@ def reference_shifted_solve(z, tri, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def reference_stacked_solve(solver, rhs):
+def reference_stacked_solve(solver, h, rhs):
     Z = solver.Sinv @ rhs.astype(complex)
-    X = np.array([Zi if mu == 0 else reference_shifted_solve(solver.h * mu, solver.tri, Zi)
+    X = np.array([Zi if mu == 0 else reference_shifted_solve(h * mu, solver.tri, Zi)
                   for mu, Zi in zip(solver.mu, Z)])
     return np.real(solver.S @ X)
 
@@ -178,9 +178,16 @@ def test_shifted_solves_bitwise_equal_solve_banded(rng):
             assert np.array_equal(solve_shifted(z, tri, rhs),
                                   reference_shifted_solve(z, tri, rhs)), name
         stacked = rng.standard_normal((len(K), 250))
-        ref = reference_stacked_solve(solver, stacked)
+        ref = reference_stacked_solve(solver, h, stacked)
         for _ in range(2):
             assert np.array_equal(solver.solve_stacked(stacked), ref), name
+    for m in (2, 3):                # m = 2 stays unfactored
+        small = build_system(RobinBC(2.0, 0.5), m, ones_profile).matrix
+        for name, K in STAGE_COUPLINGS.items():
+            solver = StageSystemSolver(K, h, small)
+            block = rng.standard_normal((len(K), m))
+            ref = reference_stacked_solve(solver, h, block)
+            assert np.array_equal(solver.solve_stacked(block), ref), (name, m)
 
 
 def test_shift_factors_pickle_copy_and_stay_bounded(rng):
@@ -391,38 +398,6 @@ def test_stacked_solve_returns_a_fresh_contiguous_block(rng):
     assert np.array_equal(first, kept)
 
 
-@pytest.mark.parametrize("m", [2, 3, 8])              # m = 2 stays unfactored
-def test_solve_stacked_bitwise_equals_a_loop_of_blocks(m, rng):
-    # lobatto_iiia has a zero shift (its explicit first stage)
-    tri = build_system(RobinBC(2.0, 0.5), m, ones_profile).matrix
-    for name, K in STAGE_COUPLINGS.items():
-        solver = StageSystemSolver(K, 1.0 / 64, tri)
-        for k in (1, 2, 5):
-            stack = rng.standard_normal((k, len(K), m))
-            X = solver.solve_stacked(stack)
-            assert X.shape == stack.shape and X.flags.c_contiguous, name
-            for item, block in zip(X, stack):
-                assert np.array_equal(item, solver.solve_stacked(block)), (name, k)
-
-
-@pytest.mark.parametrize("factory", [gauss2, lobatto_iiia, lobatto_iiib,
-                                     lambda: peer_toy2().start_tableau])
-@pytest.mark.parametrize("m", [2, 8])
-def test_irk_step_stack_bitwise_equals_single_steps(factory, m, rng):
-    tab = factory()
-    sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
-    h = 1.0 / 64
-    solver = StageSystemSolver(tab.A, h, sys.matrix)
-    g = rng.standard_normal(tab.s)
-    states = rng.standard_normal((5, m))
-    for samples in (g, None):
-        Y, stages = irk_step(tab, sys, h, states, samples, solver)
-        assert Y.shape == (5, m) and stages.shape == (5, tab.s, m)
-        for y, y1, st in zip(states, Y, stages):
-            ref_y, ref_st = irk_step(tab, sys, h, y, samples, solver)
-            assert np.array_equal(y1, ref_y) and np.array_equal(st, ref_st)
-
-
 @pytest.mark.parametrize("m", [2, 8])
 def test_peer_step_stack_bitwise_equals_single_steps(m, rng):
     scheme = peer_toy2()
@@ -451,11 +426,12 @@ def test_peer_step_rejects_derivatives_of_another_shape():
             peer_step(peer_toy2(), sys, 0.1, block, g, g, prev_F)
 
 
-def test_steps_reject_states_that_are_not_a_stack():
+def test_steps_and_stage_solves_reject_inputs_of_another_shape():
+    # irk_step takes one state and solve_stacked one block; peer_step also a stack
     sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
     g = np.zeros(2)
     for bad in (np.array([2.0]), np.zeros(7), np.zeros((8, 1)), np.zeros((2, 3, 8)),
-                np.float64(1.0)):
+                np.float64(1.0), np.zeros((1, 8)), np.zeros((5, 8))):
         with pytest.raises(ValueError, match="state must have shape"):
             irk_step(gauss2(), sys, 0.1, bad, g)
     for bad in (np.zeros((2, 7)), np.zeros((3, 8)), np.zeros(16), np.zeros((1, 1, 2, 8))):
@@ -463,7 +439,7 @@ def test_steps_reject_states_that_are_not_a_stack():
             peer_step(peer_toy2(), sys, 0.1, bad, g, g)
     solver = StageSystemSolver(gauss2().A, 0.1, sys.matrix)
     for bad in (np.zeros(8), np.zeros((3, 8)), np.zeros((2, 7)), np.zeros((1, 1, 2, 8)),
-                np.zeros((0, 2, 8))):
+                np.zeros((0, 2, 8)), np.zeros((1, 2, 8)), np.zeros((5, 2, 8))):
         with pytest.raises(ValueError, match="right-hand side must have shape"):
             solver.solve_stacked(bad)
 
@@ -488,10 +464,10 @@ def test_steps_with_samples_none_bitwise_equal_zero_samples(m, rng):
     sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
     h = 1.0 / 64
     for tab in (gauss2(), lobatto_iiia(), peer_toy2().start_tableau):
-        for y in (rng.standard_normal(m), rng.standard_normal((5, m))):
-            free = irk_step(tab, sys, h, y, None)
-            zero = irk_step(tab, sys, h, y, np.zeros(tab.s))
-            assert all(np.array_equal(a, b) for a, b in zip(free, zero))
+        y = rng.standard_normal(m)
+        free = irk_step(tab, sys, h, y, None)
+        zero = irk_step(tab, sys, h, y, np.zeros(tab.s))
+        assert all(np.array_equal(a, b) for a, b in zip(free, zero))
     zero_g = np.zeros(2)
     for block in (rng.standard_normal((2, m)), rng.standard_normal((5, 2, m))):
         for prev_F in (None, rng.standard_normal(block.shape)):
