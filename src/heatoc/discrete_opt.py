@@ -6,21 +6,28 @@ plus the control penalty under the quadrature induced by the method's
 weights.  Its gradient is assembled by one forward sweep and one backward
 sweep with the exact transpose of the forward scheme's linearization, so it
 is the exact gradient of the discrete objective (finite differences of the
-objective are the defining contract).  The transposed IRK sweep solves its
-rank-one stage system by the poles of the stage coupling, one tridiagonal
-solve per conjugate pair (``StageSystemSolver.poles``).
+objective are the defining contract).  For IRK both sweeps, and the map
+below, run on one pole plan per (tableau, h, M) (``_IrkPlan``): the F-form
+step in partial fractions over the poles of the stage coupling, one
+tridiagonal solve per conjugate pair and step.  Peer sweeps forward by
+``integrate_forward``.
 
 The scheme is linear and time-invariant, so the terminal state is affine in
 the control, y_T = y_free + J u.  ``optimize`` builds J once per call from the
 method's own steps, with y_free in the same loop.  For IRK, V = dy_{n+1}/dg_n
-is one ``irk_step`` per unit control, and the stack [V; psi] is stepped N
-times by the stability function R(hM) in partial fractions, so no m x m
-matrix is formed.  For Peer one stack of 2 s + 1 stage blocks is stepped,
-so no (s m)^2 matrix is formed.  It reduces the optimality system to the m
-terminal multipliers instead of the N s control values and solves it with
-one Cholesky factorization.  The matrix-free gradient above, one forward
-F-form sweep (``integrate_forward``, which shares no code with the map's
-propagation) and one transposed sweep, certifies the control it returns.
+is one forced plan step per unit control, and the stack [V; psi] is stepped
+N times by the plan's homogeneous step, R(hM), so no m x m matrix is formed.
+For Peer one stack of 2 s + 1 stage blocks is stepped, so no (s m)^2 matrix
+is formed.  It reduces the optimality system to the m terminal multipliers
+instead of the N s control values and solves it with one Cholesky
+factorization.  The matrix-free gradient above certifies the control it
+returns.  For IRK it shares the plan with the map, so its independence
+comes from elsewhere: it never reads J, so a perturbed J yields a control
+it rejects (tests/test_discrete_opt.py); the tests bound the plan's sweeps
+against the F form of ``integrate_forward`` and of the transposed stage
+system; and ``discrete_objective`` stays on ``integrate_forward``, so the
+finite-difference oracle (``heatoc verify``) checks the plan's gradient
+against an independent sweep.
 """
 
 from __future__ import annotations
@@ -157,57 +164,83 @@ def _matmul_fixed_order(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _irk_transposed_step(tab: IrkTableau, h: float, sys: MolSystem):
-    """One step of the transposed IRK sweep as a function lam -> (W e_m, lam + W^T 1).
+class _IrkPlan:
+    """The steps of an IRK tableau at step h on one system, by the poles of its stage system.
 
-    W is the (s, m) stage multiplier block of the transposed stage system
-    (I - h A^T (x) M) W = h b (x) M lam, the transpose of the F form of
-    ``irk_step``.  Its right-hand side is rank one, so with
-    A^T = S diag(mu) S^-1 and beta = S^-1 b each pole j of ``solver.poles``
-    contributes Re(c_j x_j^T) to W, with c_j = weight_j beta_j S[:, j] and
-    x_j = (I - h mu_j M)^-1 h M lam: one solve per conjugate pair, none for
-    a zero mu_j, where x_j = h M lam.  The returned step sums the poles in
-    their fixed order, elementwise, so no BLAS kernel sets its bits.
+    With A = S diag(mu) S^-1 from one ``StageSystemSolver(tab.A, h, M)``,
+    pole j of ``solver.poles`` (weight w_j) has the row
+    a_j = w_j (b^T S)_j S^-1[j, :] / mu_j, rho_j = w_j (b^T S)_j (S^-1 1)_j / mu_j
+    and the bound solve x_j(v) = (I - h mu_j M)^-1 v.  The F form of
+    ``irk_step`` is then, with f = gamma e_m,
+    y_{n+1} = y_n + sum_j Re(rho_j (x_j(y_n) - y_n) + h mu_j (a_j . g_n) x_j(f))
+    + h kappa_0(g_n) f,
+    since R(z) = 1 + sum_j rho_j ((1 - z mu_j)^-1 - 1) and the forcing is
+    h b^T (I - z A)^-1 g = h sum_j (b^T S)_j (S^-1 g)_j / (1 - z mu_j).  A
+    zero mu_j (Lobatto IIIA's explicit stage) has no solve and no rho_j (R
+    is bounded, so its weight is zero; ``eig`` gives about 1e-17), and
+    kappa_0(g) = b^T g - sum_j Re(mu_j a_j . g) is its constant forcing,
+    taken as 0 where no mu_j is zero.  Column j of ``H`` is h mu_j a_j and
+    its last column h kappa_0, so the row g @ H forces one step.  A step
+    makes one tridiagonal solve per conjugate pair or real pole and no
+    ``apply``; the x_j(f) are solved once here.  M is symmetric, so the
+    transposed step is the homogeneous one, and lam^T x_j(f) is
+    gamma x_j(lam)[-1].
     """
-    solver = StageSystemSolver(tab.A.T, h, sys.matrix)
-    beta = solver.Sinv @ tab.b
-    terms = []
-    for j, weight, solve in solver.poles:
-        c = weight * beta[j] * solver.S[:, j]
-        terms.append((c, c.sum(), solve))
-    apply = sys.matrix.apply
 
-    def step(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = h * apply(lam)
-        w_last = np.zeros(tab.s)
-        for c, c_sum, solve in terms:
-            x = v if solve is None else solve(v)
-            w_last = w_last + (c * x[-1]).real
-            lam = lam + (c_sum * x).real
-        return w_last, lam
-    return step
+    def __init__(self, tab: IrkTableau, h: float, sys: MolSystem):
+        solver = StageSystemSolver(tab.A, h, sys.matrix)
+        bS, Sinv_1 = tab.b @ solver.S, solver.Sinv.sum(axis=1)
+        f = np.zeros(sys.m)
+        f[-1] = sys.gamma
+        self.tab, self.h, self.gamma, self.poles, H = tab, h, sys.gamma, [], []
+        for j, weight, solve in solver.poles:
+            if solve is not None:
+                self.poles.append((weight * bS[j] * Sinv_1[j] / solver.mu[j], solve, solve(f)))
+                H.append(h * weight * bS[j] * solver.Sinv[j])
+        zero_pole = len(self.poles) < len(solver.poles)
+        H.append(h * tab.b - sum(H).real if zero_pole else np.zeros(tab.s))
+        self.H = np.array(H).T
+
+    def step(self, Y: np.ndarray, c: np.ndarray | None = None):
+        """(y_{n+1}, [x_j(Y)[-1] per pole]) from y_n = Y, forced by the row c = g_n @ H.
+
+        Y is one state (m,) or, for c None, a stack (K, m) stepped row by
+        row.  The pole terms are summed in their fixed order, elementwise.
+        """
+        out, ends = Y, []
+        for j, (rho, solve, x_f) in enumerate(self.poles):
+            x = solve(Y.T).T
+            ends.append(x.T[-1])
+            term = rho * (x - Y)
+            out = out + (term if c is None else term + c[j] * x_f).real
+        if c is not None:
+            out[-1] += c[-1].real * self.gamma
+        return out, ends
+
+    def forward(self, y: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """y_N from y_0 = y under the (N, s) control ``values``."""
+        for c in _matmul_fixed_order(values, self.H):
+            y = self.step(y, c)[0]
+        return y
 
 
-def _irk_backward(tab: IrkTableau, prob: OcProblem, values: np.ndarray, h: float,
-                  y_T: np.ndarray) -> np.ndarray:
-    """Exact transpose sweep for an IRK forward map; returns the gradient.
+def _irk_gradient(plan: _IrkPlan, prob: OcProblem, values: np.ndarray) -> np.ndarray:
+    """Exact gradient of the discrete objective through ``plan``'s steps.
 
-    The loop carries the multiplier lam through ``_irk_transposed_step``
-    and keeps gamma W e_m and gamma lam_m per step; the gradient is
-    assembled from them once after the loop.
+    The forward sweep runs the forced steps from psi; the transposed sweep
+    carries lam_{n+1} back by the homogeneous step and keeps, per step,
+    x_j(lam_{n+1})[-1] for each pole and lam_{n+1}[-1].  The gradient row n
+    is h alpha w_i u_ni + gamma Re of those ends times the rows of ``H``,
+    summed in a fixed order after the loop.
     """
-    sys = prob.sys
-    N = values.shape[0]
-    step = _irk_transposed_step(tab, h, sys)
-    Wb, lam_b = np.empty((N, tab.s)), np.empty(N)
-    lam = y_T - prob.y_hat
-    for n in range(N - 1, -1, -1):
-        lam_b[n] = lam[-1] * sys.gamma
-        w_last, lam = step(lam)
-        Wb[n] = w_last * sys.gamma
-    w = control_quadrature_weights(tab)
-    return (prob.alpha * h * w * values + h * _matmul_fixed_order(Wb, tab.A)
-            + h * tab.b * lam_b[:, None])
+    lam = plan.forward(prob.sys.psi, values) - prob.y_hat
+    ends = np.empty((values.shape[0], plan.H.shape[1]), dtype=complex)
+    for n in range(values.shape[0] - 1, -1, -1):
+        ends[n, -1] = lam[-1]
+        lam, ends[n, :-1] = plan.step(lam)
+    w = control_quadrature_weights(plan.tab)
+    return (prob.alpha * plan.h * w * values
+            + plan.gamma * _matmul_fixed_order(ends, plan.H.T).real)
 
 
 def _peer_backward(scheme: PeerScheme, prob: OcProblem, values: np.ndarray, h: float,
@@ -252,70 +285,46 @@ def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np
     """Exact gradient of the discrete objective with respect to all u_ni.
 
     One forward sweep gives y_T; one transposed sweep gives the gradient.
+    For IRK both run on the poles of the stage system (``_IrkPlan``); for
+    Peer the forward sweep is ``integrate_forward``.
     """
     scheme = _forward_scheme(method)
     h = _step_size(scheme, N, prob.T)
     values = _check_shape(values, N, scheme.s)
+    if isinstance(scheme, IrkTableau):
+        return _irk_gradient(_IrkPlan(scheme, h, prob.sys), prob, values)
     y_T = integrate_forward(scheme, prob.sys, values, N, prob.T)
-    backward = _irk_backward if isinstance(scheme, IrkTableau) else _peer_backward
-    return backward(scheme, prob, values, h, y_T)
+    return _peer_backward(scheme, prob, values, h, y_T)
 
 
-def _irk_propagator(tab: IrkTableau, solver: StageSystemSolver):
-    """Y -> R(hM) Y for the stability function R of ``tab``, by partial fractions.
-
-    ``solver`` is the stage solver of ``tab`` (coupling A = S diag(mu) S^-1)
-    at step h on M.  R(z) = 1 + z b^T (I - z A)^-1 1 splits into
-    R(z) = 1 + sum_j rho_j ((1 - z mu_j)^-1 - 1) over the nonzero mu_j, with
-    rho_j = (b^T S)_j (S^-1 1)_j / mu_j taken from ``eig``.  So
-    R(hM) Y = Y + sum_j rho_j ((I - h mu_j M)^-1 Y - Y), and
-    R_inf = 1 - sum_j rho_j is never formed (the rho_j imply it to within
-    6.7e-16 for Gauss-2 and exactly for Lobatto IIIA).  Over
-    ``solver.poles`` this is one solve per conjugate pair, whose rho_j
-    carries the weight 2, and Re of each term.  A zero mu_j is left out: R
-    is bounded, so its weight (b^T S)_j (S^-1 1)_j is zero (``eig`` gives
-    about 1e-17).  Y is one state (m,) or a stack (K, m).
-    """
-    bS, Sinv_1 = tab.b @ solver.S, solver.Sinv.sum(axis=1)
-    terms = [(weight * bS[j] * Sinv_1[j] / solver.mu[j], solve)
-             for j, weight, solve in solver.poles if solve is not None]
-
-    def propagate(Y: np.ndarray) -> np.ndarray:
-        out = Y
-        for rho, solve in terms:
-            out = out + (rho * (solve(Y.T).T - Y)).real
-        return out
-    return propagate
-
-
-def _terminal_map(scheme, sys: MolSystem, h: float, N: int):
+def _terminal_map(scheme, sys: MolSystem, h: float, N: int, plan: _IrkPlan | None = None):
     """The terminal map y_T = y_free + J u, returned as (J^T, y_free).
 
     J is built from the method's own steps, so J u agrees with a forward
     sweep up to roundoff and the eigenbasis of M is not used.  Row
     n * s + i of the (N * s, m) J^T is dy_T / du_ni.  y_free is the terminal
     state for u = 0 (Peer with the collocation start).  For IRK, V comes
-    from one ``irk_step`` per unit control and the (s + 1, m) stack
-    [V; psi] is stepped N times by ``_irk_propagator``: O(N m s) work, one
-    tridiagonal solve per conjugate pair of poles and step, and no m x m
-    propagator.  For Peer both come from one stack of 2 s + 1 stage blocks
-    stepped N - 2 times, and each item of a stacked step is bitwise its
-    single step.  N must have passed ``_step_size``.
+    from one forced step of ``plan`` (built here for None) from 0 per unit
+    control, and the (s + 1, m) stack [V; psi] is stepped N times by its
+    homogeneous step: O(N m s) work, one tridiagonal solve per conjugate
+    pair of poles and step, and no m x m propagator.  For Peer both come
+    from one stack of 2 s + 1 stage blocks stepped N - 2 times, and each
+    item of a stacked step is bitwise its single step.  N must have passed
+    ``_step_size``.
     """
     m, s = sys.m, scheme.s
     units = np.eye(s)
     Jt = np.empty((N, s, m))
     if isinstance(scheme, IrkTableau):
         # y_{n+1} = R y_n + V g_n, so dy_T / dg_n = R^(N-1-n) V and y_free = R^N psi
-        solver = StageSystemSolver(scheme.A, h, sys.matrix)
-        propagate = _irk_propagator(scheme, solver)
+        plan = plan or _IrkPlan(scheme, h, sys)
         Z = np.empty((s + 1, m))
-        for j, g in enumerate(units):
-            Z[j] = irk_step(scheme, sys, h, np.zeros(m), g, solver)[0]
+        for j, c in enumerate(plan.H):          # c = e_j @ H
+            Z[j] = plan.step(np.zeros(m), c)[0]
         Z[s] = sys.psi
         for n in range(N - 1, -1, -1):
             Jt[n] = Z[:s]
-            Z = propagate(Z)
+            Z = plan.step(Z)[0]
         return Jt.reshape(N * s, m), Z[s]
 
     # Peer: Y_0 = S psi + W g_0 from the collocation start and, for n >= 1,
@@ -358,7 +367,11 @@ def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
     discrete optimum up to roundoff whatever ``cfg.grad_tol`` is.  The
     matrix-free gradient of ``discrete_gradient`` (one forward sweep and one
     transposed sweep) then certifies u: ``gradient_norm`` is its max-norm
-    and ``converged`` is True exactly when that is <= ``grad_tol``.  When
+    and ``converged`` is True exactly when that is <= ``grad_tol``.  For IRK
+    the map and the certificate share one ``_IrkPlan``; the certificate
+    reads no J, and its sweeps are checked against the F form in the tests
+    and through the finite differences of ``discrete_objective``, which
+    integrates by ``integrate_forward`` (see the module docstring).  When
     ``exact_control`` is given, the result records
     max_{n,i} |u(t_ni) - u_h(t_ni)| against it.
     """
@@ -366,13 +379,16 @@ def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
     s = scheme.s
     h = _step_size(scheme, N, prob.T)
     root_aD = np.sqrt(prob.alpha * h * np.tile(control_quadrature_weights(scheme), N))
-    X, y_free = _terminal_map(scheme, prob.sys, h, N)
+    plan = _IrkPlan(scheme, h, prob.sys) if isinstance(scheme, IrkTableau) else None
+    X, y_free = _terminal_map(scheme, prob.sys, h, N, plan)
     X /= root_aD[:, None]
     G = X.T @ X
     G[np.diag_indices_from(G)] += 1.0
     lam = cho_solve(cho_factor(G, overwrite_a=True), y_free - prob.y_hat)
     u = (-(X @ lam) / root_aD).reshape(N, s)
-    gradient_norm = float(np.abs(discrete_gradient(scheme, prob, u, N)).max())
+    gradient = (discrete_gradient(scheme, prob, u, N) if plan is None
+                else _irk_gradient(plan, prob, u))
+    gradient_norm = float(np.abs(gradient).max())
     control = DiscreteControl(values=u, h=h, c=np.asarray(scheme.c))
     err = None
     if exact_control is not None:

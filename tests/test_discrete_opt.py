@@ -17,7 +17,7 @@ from heatoc import (
     integrate_forward, lobatto_iiia, lobatto_iiib, optimize, peer_toy2, stability_function,
 )
 from heatoc import discrete_opt, integrators
-from heatoc.discrete_opt import _irk_propagator, _irk_transposed_step, _terminal_map
+from heatoc.discrete_opt import _IrkPlan, _terminal_map
 from heatoc.integrators import (
     IrkTableau, StageSystemSolver, irk_step, peer_step, solve_shifted,
 )
@@ -321,16 +321,16 @@ def reference_terminal_map(scheme, sys, h, N):
 
 
 def column_by_column_irk_terminal_map(tab, sys, h, N):
-    """(J^T, y_free) of an IRK tableau with each column of [V; psi] stepped
-    alone by ``_irk_propagator``."""
-    solver = StageSystemSolver(tab.A, h, sys.matrix)
-    propagate = _irk_propagator(tab, solver)
-    columns = [irk_step(tab, sys, h, np.zeros(sys.m), g, solver)[0] for g in np.eye(tab.s)]
+    """(J^T, y_free) of an IRK tableau through its ``_IrkPlan``: V from one
+    forced step from 0 per unit control, forced by g @ H summed in the fixed
+    order, and each column of [V; psi] stepped alone by the homogeneous step."""
+    plan = _IrkPlan(tab, h, sys)
+    columns = [plan.step(np.zeros(sys.m), row_times(g, plan.H))[0] for g in np.eye(tab.s)]
     columns.append(sys.psi)
     Jt = np.empty((N, tab.s, sys.m))
     for n in range(N - 1, -1, -1):
         Jt[n] = columns[:-1]
-        columns = [propagate(column) for column in columns]
+        columns = [plan.step(column)[0] for column in columns]
     return Jt.reshape(N * tab.s, sys.m), columns[-1]
 
 
@@ -398,19 +398,23 @@ def reference_irk_backward(tab, prob, values, N, y_T):
     return grad, multipliers
 
 
-def stepwise_irk_backward(tab, prob, values, N, y_T):
-    """The steps of ``_irk_transposed_step`` with the gradient assembled step
-    by step, in the order the bitwise contract fixes."""
+def stepwise_irk_backward(tab, prob, values, N):
+    """The steps of the tableau's ``_IrkPlan``: y_T by its forced steps, each
+    forced by g_n @ H, and the gradient of the transposed sweep assembled
+    step by step, in the order the bitwise contract fixes."""
     sys = prob.sys
     h = prob.T / N
-    step = _irk_transposed_step(tab, h, sys)
+    plan = _IrkPlan(tab, h, sys)
     w = control_quadrature_weights(tab)
-    lam = y_T - prob.y_hat
+    y = sys.psi
+    for g in values:
+        y = plan.step(y, row_times(g, plan.H))[0]
+    lam = y - prob.y_hat
     grad = np.empty_like(values)
     for n in range(N - 1, -1, -1):
-        w_last, lam_next = step(lam)
+        lam_next, ends = plan.step(lam)
         grad[n] = prob.alpha * h * w * values[n] \
-            + h * row_times(w_last * sys.gamma, tab.A) + h * tab.b * (lam[-1] * sys.gamma)
+            + sys.gamma * row_times(np.array(ends + [lam[-1]]), plan.H.T).real
         lam = lam_next
     return grad
 
@@ -461,14 +465,13 @@ def reference_gradient(scheme, prob, values, N):
 @pytest.mark.parametrize("N", [2, 3, 16])           # h = 1/3 is not a power of two
 def test_gradient_bitwise_equals_step_by_step_reference(name, m, N, rng):
     # Peer against the transposed F-form sweep; IRK against its own pole
-    # steps with the gradient assembled per step, so the fixed-order sums
-    # are checked under the Haswell kernel too
+    # steps, forward and transposed, with the gradient assembled per step, so
+    # the fixed-order sums are checked under the Haswell kernel too
     prob, _ = make_instance(m)
     scheme = get_method(name).forward
     values = rng.standard_normal((N, scheme.s))
     if isinstance(scheme, IrkTableau):
-        y_T = integrate_forward(scheme, prob.sys, values, N, prob.T)
-        ref = stepwise_irk_backward(scheme, prob, values, N, y_T)
+        ref = stepwise_irk_backward(scheme, prob, values, N)
     else:
         ref = reference_gradient(scheme, prob, values, N)[0]
     assert np.array_equal(discrete_gradient(scheme, prob, values, N), ref)
@@ -487,6 +490,35 @@ def test_irk_gradient_matches_the_f_form_reference(name, m, N, rng):
     ref = reference_gradient(scheme, prob, values, N)[0]
     gap = np.abs(discrete_gradient(scheme, prob, values, N) - ref).max()
     assert gap <= 5e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["gauss2", "lobatto3"])
+@pytest.mark.parametrize("m", [2, 3, 8, 70])
+@pytest.mark.parametrize("N", [2, 3, 16])
+def test_irk_forward_sweep_matches_the_f_form_reference(name, m, N, rng):
+    # the certificate's forward sweep, the plan's forced steps, against
+    # integrate_forward's F form: two groupings of the same step, which
+    # differ by roundoff (up to 1.7e-12 of the max-norm, measured at m = 70)
+    prob, _ = make_instance(m)
+    scheme = get_method(name).forward
+    values = rng.standard_normal((N, scheme.s))
+    ref = integrate_forward(scheme, prob.sys, values, N, prob.T)
+    y_T = _IrkPlan(scheme, prob.T / N, prob.sys).forward(prob.sys.psi, values)
+    assert np.abs(y_T - ref).max() <= 5e-12 * np.abs(ref).max()
+
+
+@pytest.fixture(scope="module")
+def instance2000():
+    return make_instance(2000)[0]
+
+
+@pytest.mark.parametrize("name", ["gauss2", "lobatto3"])
+@pytest.mark.parametrize("N", [16, 64])
+def test_scenario2_certifies_at_m_2000(name, N, instance2000):
+    # the F-form forward sweep's rounding held these certificates at 3.9e-10
+    # to 1.2e-9; the plan's sweeps read 1.4e-13 to 5.3e-13 (grad_tol 1e-10)
+    result = optimize(get_method(name), instance2000, OptimizerConfig(grad_tol=1e-10), N)
+    assert result.converged, result.gradient_norm
 
 
 def _haswell_kernel_unavailable() -> str | None:
@@ -528,8 +560,8 @@ def test_bitwise_contracts_hold_under_the_haswell_blas_kernel():
 @pytest.mark.parametrize("name", METHODS)
 @pytest.mark.parametrize("m", [2, 3, 8, 70])        # m < 3: solves without ?gttrf factors
 def test_terminal_map_bitwise_equals_column_by_column_build(name, m):
-    # Peer against single steps of each block; IRK with each column of
-    # [V; psi] stepped alone by the same partial-fraction propagator
+    # Peer against single steps of each block; IRK with V from one plan step
+    # per unit control and each column of [V; psi] stepped alone by the plan
     prob, _ = make_instance(m)
     scheme = get_method(name).forward
     build = (column_by_column_irk_terminal_map if isinstance(scheme, IrkTableau)
@@ -668,13 +700,13 @@ STIFF_Z = (-0.5, -10.0, -1e3, -1e5)
     (gauss2, [2.0]), (lobatto_iiia, [2.0]), (lobatto_iiib, [2.0]), (radau_iia, [2.0, 1.0]),
 ])
 def test_stage_poles_reproduce_the_stability_function(tableau, weights, monkeypatch):
-    # On a diagonal M with entries z and h = 1 the map's propagator gives
-    # R(z) y, and the transposed step lam + W^T 1 = R(z) lam (M symmetric).
-    # Each makes one solve per conjugate pair or real shift, none for a zero
-    # one.  |R| <= 1 here, so the bound is absolute; the transposed step
-    # also carries h M lam, of size |z|, into the zero-shift term of
-    # Lobatto IIIA and IIIB, whose weight is roundoff (5.6e-17 for IIIA),
-    # which is why its bound grows with |z|: measured 5.6e-12 at z = -1e5
+    # On a diagonal M with entries z and h = 1 the plan's homogeneous step
+    # gives R(z) y: the map's propagator, and the transposed sweep's step
+    # (M symmetric).  It makes one solve per conjugate pair or real shift,
+    # none for a zero one, which gets no rho and no readout term.  |R| <= 1
+    # here, so the bound is absolute, and it holds at every |z|: the
+    # transposed F-form step it replaces carried h M lam, of size |z|, into
+    # the zero-shift term of Lobatto IIIA and IIIB (5.6e-12 at z = -1e5)
     tab = tableau()
     solves = []
     zgttrs = integrators.zgttrs
@@ -686,18 +718,17 @@ def test_stage_poles_reproduce_the_stability_function(tableau, weights, monkeypa
         z, ones = matrix.diagonal, np.ones(matrix.m)
         sys = MolSystem(m=matrix.m, bc=RobinBC.dirichlet(), gamma=1.0, grid=ones,
                         psi=ones, matrix=matrix)
-        for K in (tab.A, tab.A.T):
-            poles = StageSystemSolver(K, 1.0, matrix).poles
-            assert [w for _, w, solve in poles if solve is not None] == weights
+        poles = StageSystemSolver(tab.A, 1.0, matrix).poles
+        assert [w for _, w, solve in poles if solve is not None] == weights
+        plan = _IrkPlan(tab, 1.0, sys)
         solves.clear()
-        forward = _irk_propagator(tab, StageSystemSolver(tab.A, 1.0, matrix))(ones)
-        transposed = _irk_transposed_step(tab, 1.0, sys)(ones)[1]
-        assert len(solves) == (2 * len(weights) if matrix.m >= 3 else 0)
+        stepped, ends = plan.step(ones)
+        assert len(solves) == (len(weights) if matrix.m >= 3 else 0)
+        assert len(ends) == len(weights)
         exact = np.array([float(exact_stability_function(tab, zk)) for zk in z])
-        assert np.abs(forward - exact).max() <= 1e-13
-        assert np.all(np.abs(transposed - exact) <= 1e-13 + 1e-16 * np.abs(z))
+        assert np.abs(stepped - exact).max() <= 1e-13
         float_R = np.array([stability_function(tab, zk).real for zk in z])
-        assert np.abs(forward - float_R).max() <= 1e-13
+        assert np.abs(stepped - float_R).max() <= 1e-13
 
 
 @pytest.mark.parametrize("name", METHODS)
