@@ -16,10 +16,10 @@ from .exact_oc import (
     sparse_target,
 )
 from .integrators import (
-    IrkTableau, MethodSpec, MissingPeerCoefficientsError,
+    IrkTableau, MissingPeerCoefficientsError,
     NumericalError, PeerScheme, collocation, gauss2, get_method,
     integrate_adjoint, integrate_forward, irk_step, load_peer_scheme,
-    lobatto_iiia, lobatto_iiib, peer_step, peer_toy2, stability_function,
+    lobatto_iiia, peer_step, peer_toy2, stability_function,
 )
 from .discrete_opt import (
     DiscreteControl, OptimizationResult, OptimizerConfig,

@@ -238,14 +238,14 @@ def _scenario1_cell(args) -> tuple[list[ReportRow], bool]:
     # Peer sweeps start from the exact solution at their first nodes: the
     # cell measures the method's order, not its starter
     h = T / N
-    start = _exact_start(method.forward, lambda t: solve_ivp_exact(sys, dec, sol.control, t), h)
-    times = (np.arange(N)[:, None] + method.forward.c[None, :]) * h
+    start = _exact_start(method, lambda t: solve_ivp_exact(sys, dec, sol.control, t), h)
+    times = (np.arange(N)[:, None] + method.c[None, :]) * h
     u = sol.control(times.ravel()).reshape(times.shape)
     y_T = integrate_forward(method, sys, u, N, T, start)
     err_y = float(np.abs(y_T - y_T_exact).max())
     p_T = y_T - prob.y_hat
     # q(t) = p(T - t) = e^(t M) p_T, the backward flow from p_T over time t
-    start = _exact_start(method.adjoint, lambda t: adjoint_exact(dec, p_T, 0.0, t), h)
+    start = _exact_start(method, lambda t: adjoint_exact(dec, p_T, 0.0, t), h)
     p_0 = integrate_adjoint(method, sys, p_T, N, T, start)
     err_p = float(np.abs(p_0 - p_0_exact).max())
     return [ReportRow(method.name, m, N, "yT_err_inf", err_y),

@@ -42,7 +42,7 @@ from .heat_mol import ConfigError, MolSystem
 from .integrators import (
     IrkTableau, PeerScheme, StageSystemSolver,
     integrate_forward, irk_step, peer_step, solve_shifted,
-    _forward_scheme, _step_size,
+    _node_values, _step_size,
 )
 
 if TYPE_CHECKING:
@@ -108,25 +108,17 @@ class OptimizationResult:
 
 def control_quadrature_weights(method) -> np.ndarray:
     """Per-stage weights w_i of the control penalty quadrature h * sum w_i u_ni^2."""
-    scheme = _forward_scheme(method)
-    if isinstance(scheme, IrkTableau):
-        w = scheme.b.copy()
-    elif isinstance(scheme, PeerScheme):
-        w = scheme.start_tableau.b.copy()
+    if isinstance(method, IrkTableau):
+        w = method.b.copy()
+    elif isinstance(method, PeerScheme):
+        w = method.start_tableau.b.copy()
     else:
-        raise TypeError(f"unsupported method object {scheme!r}")
+        raise TypeError(f"unsupported method object {method!r}")
     if np.any(w <= 0):
         raise ConfigError(
-            f"method {getattr(scheme, 'name', '?')} induces nonpositive control "
+            f"method {method.name} induces nonpositive control "
             f"quadrature weights {w}; the discrete penalty would not be convex")
     return w
-
-
-def _check_shape(values: np.ndarray, N: int, s: int) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (N, s):
-        raise ValueError(f"control grid mismatch: expected {(N, s)}, got {values.shape}")
-    return values
 
 
 def objective(prob: OcProblem, y_T: np.ndarray, control_values: np.ndarray,
@@ -148,11 +140,10 @@ def objective(prob: OcProblem, y_T: np.ndarray, control_values: np.ndarray,
 
 def discrete_objective(method, prob: OcProblem, values: np.ndarray, N: int) -> float:
     """C_h = 1/2 ||y_h(T) - y_hat||^2 + alpha/2 * h sum_{n,i} w_i u_ni^2."""
-    scheme = _forward_scheme(method)
-    h = _step_size(scheme, N, prob.T)
-    values = _check_shape(values, N, scheme.s)
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T)
-    w_full = np.broadcast_to(h * control_quadrature_weights(scheme), (N, scheme.s))
+    h = _step_size(method, N, prob.T)
+    values = _node_values(np.asarray(values, dtype=float), N, method.s)
+    y_T = integrate_forward(method, prob.sys, values, N, prob.T)
+    w_full = np.broadcast_to(h * control_quadrature_weights(method), (N, method.s))
     return objective(prob, y_T, values, w_full)
 
 
@@ -288,13 +279,12 @@ def discrete_gradient(method, prob: OcProblem, values: np.ndarray, N: int) -> np
     For IRK both run on the poles of the stage system (``_IrkPlan``); for
     Peer the forward sweep is ``integrate_forward``.
     """
-    scheme = _forward_scheme(method)
-    h = _step_size(scheme, N, prob.T)
-    values = _check_shape(values, N, scheme.s)
-    if isinstance(scheme, IrkTableau):
-        return _irk_gradient(_IrkPlan(scheme, h, prob.sys), prob, values)
-    y_T = integrate_forward(scheme, prob.sys, values, N, prob.T)
-    return _peer_backward(scheme, prob, values, h, y_T)
+    h = _step_size(method, N, prob.T)
+    values = _node_values(np.asarray(values, dtype=float), N, method.s)
+    if isinstance(method, IrkTableau):
+        return _irk_gradient(_IrkPlan(method, h, prob.sys), prob, values)
+    y_T = integrate_forward(method, prob.sys, values, N, prob.T)
+    return _peer_backward(method, prob, values, h, y_T)
 
 
 def _terminal_map(scheme, sys: MolSystem, h: float, N: int, plan: _IrkPlan | None = None):
@@ -375,21 +365,20 @@ def optimize(method, prob: OcProblem, cfg: OptimizerConfig, N: int,
     ``exact_control`` is given, the result records
     max_{n,i} |u(t_ni) - u_h(t_ni)| against it.
     """
-    scheme = _forward_scheme(method)
-    s = scheme.s
-    h = _step_size(scheme, N, prob.T)
-    root_aD = np.sqrt(prob.alpha * h * np.tile(control_quadrature_weights(scheme), N))
-    plan = _IrkPlan(scheme, h, prob.sys) if isinstance(scheme, IrkTableau) else None
-    X, y_free = _terminal_map(scheme, prob.sys, h, N, plan)
+    s = method.s
+    h = _step_size(method, N, prob.T)
+    root_aD = np.sqrt(prob.alpha * h * np.tile(control_quadrature_weights(method), N))
+    plan = _IrkPlan(method, h, prob.sys) if isinstance(method, IrkTableau) else None
+    X, y_free = _terminal_map(method, prob.sys, h, N, plan)
     X /= root_aD[:, None]
     G = X.T @ X
     G[np.diag_indices_from(G)] += 1.0
     lam = cho_solve(cho_factor(G, overwrite_a=True), y_free - prob.y_hat)
     u = (-(X @ lam) / root_aD).reshape(N, s)
-    gradient = (discrete_gradient(scheme, prob, u, N) if plan is None
+    gradient = (discrete_gradient(method, prob, u, N) if plan is None
                 else _irk_gradient(plan, prob, u))
     gradient_norm = float(np.abs(gradient).max())
-    control = DiscreteControl(values=u, h=h, c=np.asarray(scheme.c))
+    control = DiscreteControl(values=u, h=h, c=np.asarray(method.c))
     err = None
     if exact_control is not None:
         err = float(np.abs(u - exact_control(control.node_times().ravel())

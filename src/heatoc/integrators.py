@@ -1,13 +1,13 @@
 """Stiff implicit time integrators for the MOL system y' = M y + gamma e_m g(t).
 
-Provides the 2-stage Gauss method, the 3-stage Lobatto IIIA / IIIB pair, and
-a coefficient-driven implicit two-step Peer framework, plus forward and
-terminal-value backward integration on uniform grids.  Both sweeps run one
-forward recursion (``_sweep``): the backward sweep is that recursion for
-the method's adjoint scheme on the homogeneous system started at p(T), in
-reversed time.  A sweep keeps only its live state and returns its
-endpoint, y(T) forward and p(0) backward, so it holds O(m) memory for any
-number of steps.
+Provides the 2-stage Gauss method, the 3-stage Lobatto IIIA method, and a
+coefficient-driven implicit two-step Peer framework, plus forward and
+terminal-value backward integration on uniform grids.  A method is its
+scheme (``get_method``).  Both sweeps run one forward recursion
+(``_sweep``): the backward sweep is that recursion for the same scheme on
+the homogeneous system started at p(T), in reversed time.  A sweep keeps
+only its live state and returns its endpoint, y(T) forward and p(0)
+backward, so it holds O(m) memory for any number of steps.
 
 The coupled implicit stage systems are solved by diagonalizing the small
 stage-coupling matrix over the complex numbers, which reduces each step to a
@@ -111,18 +111,6 @@ def lobatto_iiia() -> IrkTableau:
         A=np.array([[0.0, 0.0, 0.0],
                     [5 / 24, 1 / 3, -1 / 24],
                     [1 / 6, 2 / 3, 1 / 6]]),
-        b=np.array([1 / 6, 2 / 3, 1 / 6]),
-        c=np.array([0.0, 0.5, 1.0]),
-    ))
-
-
-def lobatto_iiib() -> IrkTableau:
-    """3-stage Lobatto IIIB method of order four, adjoint partner of IIIA."""
-    return _validated_order4(IrkTableau(
-        name="lobatto_iiib",
-        A=np.array([[1 / 6, -1 / 6, 0.0],
-                    [1 / 6, 1 / 3, 0.0],
-                    [1 / 6, 5 / 6, 0.0]]),
         b=np.array([1 / 6, 2 / 3, 1 / 6]),
         c=np.array([0.0, 0.5, 1.0]),
     ))
@@ -296,32 +284,21 @@ def peer_toy2() -> PeerScheme:
 # method registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """A named integrator: forward scheme, adjoint-sweep scheme, design order."""
+def get_method(name: str, peer_dir: str | None = None) -> IrkTableau | PeerScheme:
+    """Resolve a method name to its scheme, named ``name``.
 
-    name: str
-    forward: object
-    adjoint: object
-    order: int | None
-
-
-def get_method(name: str, peer_dir: str | None = None) -> MethodSpec:
-    """Resolve a method name to its forward/adjoint scheme pair.
-
-    "gauss2" is self-adjoint; "lobatto3" pairs IIIA (state) with IIIB
-    (multiplier).  Any other name is looked up as a Peer coefficient file and
-    used for both sweeps.
+    "gauss2" is the Gauss tableau and "lobatto3" the Lobatto IIIA one.  Any
+    other name is looked up as a Peer coefficient file.  Both sweeps run the
+    scheme itself; Hager's discrete adjoint of a tableau is the transposed
+    sweep of ``discrete_opt``, not a second scheme.
     """
     if name == "gauss2":
-        g = gauss2()
-        return MethodSpec(name=name, forward=g, adjoint=g, order=4)
-    if name == "lobatto3":
-        return MethodSpec(name=name, forward=lobatto_iiia(),
-                          adjoint=lobatto_iiib(), order=4)
-    scheme = find_peer_scheme(name, peer_dir)
-    return MethodSpec(name=name, forward=scheme, adjoint=scheme,
-                      order=scheme.order)
+        scheme = gauss2()
+    elif name == "lobatto3":
+        scheme = lobatto_iiia()
+    else:
+        scheme = find_peer_scheme(name, peer_dir)
+    return scheme if scheme.name == name else replace(scheme, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +481,6 @@ def peer_step(scheme: PeerScheme, sys: MolSystem, h: float, prev_block: np.ndarr
 # full sweeps
 # ---------------------------------------------------------------------------
 
-def _forward_scheme(method):
-    return method.forward if isinstance(method, MethodSpec) else method
-
-
-def _adjoint_scheme(method):
-    return method.adjoint if isinstance(method, MethodSpec) else method
-
-
 def _node_values(control, N: int, s: int):
     """The (N, s) control samples at the stage nodes, checked finite; N Nones for None."""
     if control is None:
@@ -585,9 +554,8 @@ def integrate_forward(method, sys: MolSystem, control, N: int, T: float,
     ValueError.  The intermediate states are not kept; loop ``irk_step`` or
     ``peer_step`` to see them.
     """
-    scheme = _forward_scheme(method)
-    h = _step_size(scheme, N, T)
-    return _sweep(scheme, sys, control, N, h, start)
+    h = _step_size(method, N, T)
+    return _sweep(method, sys, control, N, h, start)
 
 
 def integrate_adjoint(method, sys: MolSystem, p_T: np.ndarray, N: int, T: float,
@@ -597,14 +565,13 @@ def integrate_adjoint(method, sys: MolSystem, p_T: np.ndarray, N: int, T: float,
     Returns p_0, the (m,) approximation of p(0).  In reversed time
     q(s) = p(T - s) solves q' = M q from q(0) = p_T, so this is the forward
     recursion of ``integrate_forward``, start block and step-count check
-    included, with no control, started at p_T and run with the method's
-    adjoint-sweep scheme (IIIB for the Lobatto pair, the same scheme for the
-    self-adjoint Gauss method and for Peer schemes).  A Peer ``start`` holds
-    q(c_i h) = p(T - c_i h) in its rows.
+    included, with no control, started at p_T and run with the method's own
+    scheme.  Lobatto IIIA and IIIB share one stability function, the (2,2)
+    Pade approximant, so a IIIB sweep would end at the same p_0 up to
+    roundoff.  A Peer ``start`` holds q(c_i h) = p(T - c_i h) in its rows.
     """
-    scheme = _adjoint_scheme(method)
     p_T = np.array(p_T, dtype=float)      # a copy: MolSystem makes psi read-only in place
     if p_T.shape != (sys.m,):
         raise ValueError("terminal multiplier dimension mismatch")
-    h = _step_size(scheme, N, T)
-    return _sweep(scheme, replace(sys, psi=p_T), None, N, h, start)
+    h = _step_size(method, N, T)
+    return _sweep(method, replace(sys, psi=p_T), None, N, h, start)

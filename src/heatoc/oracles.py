@@ -30,7 +30,7 @@ from .exact_oc import (
     ExpSumFunction, OcProblem, adjoint_exact, build_Q, solve_ivp_exact, solve_terminal,
 )
 from .discrete_opt import discrete_objective, discrete_gradient
-from .integrators import _forward_scheme, get_method
+from .integrators import get_method
 from .bench import DEFAULT_DELTAS, benchmark_instance
 
 
@@ -202,7 +202,7 @@ def run_verification(rng_seed: int = 2024) -> list[CheckResult]:
     # discrete gradients vs central finite differences
     for name in ("gauss2", "lobatto3", "peer_toy2"):
         method = get_method(name)
-        values = rng.standard_normal((16, _forward_scheme(method).s)) * 0.3
+        values = rng.standard_normal((16, method.s)) * 0.3
         rel = fd_gradient_check(method, prob, values, 16, rng=rng)
         record(f"discrete gradient vs finite differences [{name}]", rel, 1e-5)
 

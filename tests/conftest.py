@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heatoc import (
-    OcProblem, RobinBC, build_system, decompose, ones_profile, sparse_target,
+    IrkTableau, OcProblem, RobinBC, build_system, decompose, ones_profile, sparse_target,
 )
 
 # pass/fail lines collected by the acceptance tests, echoed after the run
@@ -19,6 +19,22 @@ def make_instance(m: int, T: float = 1.0, alpha: float = 1.0,
     y_hat, sol = sparse_target(sys, dec, T=T, alpha=alpha, deltas=deltas)
     prob = OcProblem(sys=sys, dec=dec, T=T, alpha=alpha, y_hat=y_hat)
     return prob, sol
+
+
+def lobatto_iiib() -> IrkTableau:
+    """3-stage Lobatto IIIB, Hager's adjoint partner of Lobatto IIIA.
+
+    The package has no IIIB method: scenario 1's backward sweep runs IIIA,
+    which shares IIIB's stability function, and scenario 2's discrete
+    adjoint is the transposed IIIA sweep.  The tests keep this literal to
+    check both claims.
+    """
+    return IrkTableau(name="lobatto_iiib",
+                      A=np.array([[1 / 6, -1 / 6, 0.0],
+                                  [1 / 6, 1 / 3, 0.0],
+                                  [1 / 6, 5 / 6, 0.0]]),
+                      b=np.array([1 / 6, 2 / 3, 1 / 6]),
+                      c=np.array([0.0, 0.5, 1.0]))
 
 
 @pytest.fixture(scope="session")

@@ -231,7 +231,7 @@ def test_criterion_6_scenario1_peer_order():
 
 def _undamped_fraction(method_name, lam_min, T, N):
     """f(N) = |R(T/N * lam_min)|^N: what N steps leave of the stiffest mode."""
-    R = stability_function(get_method(method_name).forward, T / N * lam_min)
+    R = stability_function(get_method(method_name), T / N * lam_min)
     return float(abs(R)) ** N
 
 
@@ -299,7 +299,7 @@ def test_criterion_8_gradient_exactness():
     worst = {}
     for name in names:
         method = get_method(name)
-        values = rng.standard_normal((16, method.forward.s)) * 0.3
+        values = rng.standard_normal((16, method.s)) * 0.3
         worst[name] = fd_gradient_check(method, prob, values, 16, rng=rng)
     elapsed = time.perf_counter() - start
     ok = max(worst.values()) <= 1e-5 and elapsed < 10.0

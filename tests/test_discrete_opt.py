@@ -14,7 +14,7 @@ from heatoc import (
     ConfigError, ExperimentConfig, MolSystem, OcProblem, OptimizerConfig, PeerScheme,
     RobinBC, TridiagonalMatrix, collocation, control_quadrature_weights, discrete_gradient,
     discrete_objective, exact_objective, from_modal, gauss2, get_method, integrate_adjoint,
-    integrate_forward, lobatto_iiia, lobatto_iiib, optimize, peer_toy2, stability_function,
+    integrate_forward, lobatto_iiia, optimize, peer_toy2, stability_function,
 )
 from heatoc import discrete_opt, integrators
 from heatoc.discrete_opt import _IrkPlan, _terminal_map
@@ -22,7 +22,7 @@ from heatoc.integrators import (
     IrkTableau, StageSystemSolver, irk_step, peer_step, solve_shifted,
 )
 from heatoc.oracles import fd_gradient_check
-from conftest import make_instance
+from conftest import lobatto_iiib, make_instance
 
 METHODS = ("gauss2", "lobatto3", "peer_toy2")
 
@@ -48,7 +48,7 @@ def test_nonpositive_weights_rejected():
 def test_gradient_matches_finite_differences(name, rng):
     prob, _ = make_instance(8)
     method = get_method(name)
-    values = rng.standard_normal((16, method.forward.s)) * 0.3
+    values = rng.standard_normal((16, method.s)) * 0.3
     assert fd_gradient_check(method, prob, values, 16, rng=rng) <= 1e-5
 
 
@@ -62,7 +62,7 @@ def test_gradient_with_decoupled_control(name, rng):
     method = get_method(name)
     N = 8
     h = prob.T / N
-    values = rng.standard_normal((N, method.forward.s))
+    values = rng.standard_normal((N, method.s))
     grad = discrete_gradient(method, prob0, values, N)
     w = control_quadrature_weights(method)
     assert np.array_equal(grad, prob0.alpha * h * w[None, :] * values)
@@ -179,9 +179,9 @@ ENTRY_POINTS = {
     "integrate_adjoint": lambda method, prob, N: integrate_adjoint(
         method, prob.sys, prob.y_hat, N, prob.T),
     "discrete_objective": lambda method, prob, N: discrete_objective(
-        method, prob, np.zeros((max(N, 0), method.forward.s)), N),
+        method, prob, np.zeros((max(N, 0), method.s)), N),
     "discrete_gradient": lambda method, prob, N: discrete_gradient(
-        method, prob, np.zeros((max(N, 0), method.forward.s)), N),
+        method, prob, np.zeros((max(N, 0), method.s)), N),
     "optimize": lambda method, prob, N: optimize(method, prob, OptimizerConfig(), N),
 }
 
@@ -194,6 +194,25 @@ def test_entry_points_reject_too_few_steps(entry, name, N, instance8):
     least = 2 if name == "peer_toy2" else 1
     with pytest.raises(ValueError, match=f"at least N = {least} steps, got N = {N}"):
         ENTRY_POINTS[entry](get_method(name), instance8[0], N)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("entry", [discrete_gradient, discrete_objective])
+def test_non_finite_control_samples_are_rejected_before_any_step(entry, name, bad,
+                                                                instance8, monkeypatch):
+    # the IRK gradient once stepped a NaN sample through its pole plan and
+    # returned a NaN gradient; every entry point checks before a step
+    method = get_method(name)
+    values = np.ones((16, method.s))
+    values[5, -1] = bad
+    steps = []
+    monkeypatch.setattr(discrete_opt, "_IrkPlan", lambda *args: steps.append(args))
+    for step in ("irk_step", "peer_step"):
+        monkeypatch.setattr(integrators, step, lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="control samples must not contain infs or NaNs"):
+        entry(method, instance8[0], values, 16)
+    assert steps == []
 
 
 def test_config_validation():
@@ -267,7 +286,7 @@ def test_terminal_map_matches_forward_sweep(name, N, rng):
     # sweep; for Peer this covers the start step feeding u_0 and the last
     # control row, which enters y_T through one stage solve only
     prob, _ = make_instance(8)
-    scheme = get_method(name).forward
+    scheme = get_method(name)
     u = rng.standard_normal((N, scheme.s))
     Jt, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
     y_T = integrate_forward(scheme, prob.sys, u, N, prob.T)
@@ -468,7 +487,7 @@ def test_gradient_bitwise_equals_step_by_step_reference(name, m, N, rng):
     # steps, forward and transposed, with the gradient assembled per step, so
     # the fixed-order sums are checked under the Haswell kernel too
     prob, _ = make_instance(m)
-    scheme = get_method(name).forward
+    scheme = get_method(name)
     values = rng.standard_normal((N, scheme.s))
     if isinstance(scheme, IrkTableau):
         ref = stepwise_irk_backward(scheme, prob, values, N)
@@ -485,7 +504,7 @@ def test_irk_gradient_matches_the_f_form_reference(name, m, N, rng):
     # two groupings of the same transposed stage system, which differ by
     # roundoff (up to 4.9e-13 of the max-norm, measured at m = 70)
     prob, _ = make_instance(m)
-    scheme = get_method(name).forward
+    scheme = get_method(name)
     values = rng.standard_normal((N, scheme.s))
     ref = reference_gradient(scheme, prob, values, N)[0]
     gap = np.abs(discrete_gradient(scheme, prob, values, N) - ref).max()
@@ -500,7 +519,7 @@ def test_irk_forward_sweep_matches_the_f_form_reference(name, m, N, rng):
     # integrate_forward's F form: two groupings of the same step, which
     # differ by roundoff (up to 1.7e-12 of the max-norm, measured at m = 70)
     prob, _ = make_instance(m)
-    scheme = get_method(name).forward
+    scheme = get_method(name)
     values = rng.standard_normal((N, scheme.s))
     ref = integrate_forward(scheme, prob.sys, values, N, prob.T)
     y_T = _IrkPlan(scheme, prob.T / N, prob.sys).forward(prob.sys.psi, values)
@@ -563,7 +582,7 @@ def test_terminal_map_bitwise_equals_column_by_column_build(name, m):
     # Peer against single steps of each block; IRK with V from one plan step
     # per unit control and each column of [V; psi] stepped alone by the plan
     prob, _ = make_instance(m)
-    scheme = get_method(name).forward
+    scheme = get_method(name)
     build = (column_by_column_irk_terminal_map if isinstance(scheme, IrkTableau)
              else reference_terminal_map)
     for N in (2, 3, 16):
@@ -581,7 +600,7 @@ def test_irk_terminal_map_matches_the_f_form_reference(name, m):
     # up to 6.0e-13 of the max-norm in J^T and 1.3e-12 in y_free, measured
     # at m = 70
     prob, _ = make_instance(m)
-    scheme = get_method(name).forward
+    scheme = get_method(name)
     for N in (2, 3, 16):
         h = prob.T / N
         Jt, y_free = _terminal_map(scheme, prob.sys, h, N)
@@ -598,7 +617,7 @@ def test_terminal_map_matches_forward_sweep_at_the_benchmark_size(name, N, rng):
     # propagator they replace up to 1.7e-11: the forward F-form sweep's own
     # roundoff, which grows with h |lambda_max|.  Peer reads up to 8.7e-15.
     prob, _ = make_instance(250)
-    scheme = get_method(name).forward
+    scheme = get_method(name)
     u = rng.standard_normal((N, scheme.s))
     Jt, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
     y_T = integrate_forward(scheme, prob.sys, u, N, prob.T)
@@ -626,7 +645,7 @@ def test_terminal_map_y_free_matches_zero_control_sweep(name, m, N):
     # R^N psi in partial fractions and by N F-form steps differ by roundoff
     # that grows with h |lambda_max|: up to 1.3e-12 relative at m = 70
     prob, _ = make_instance(m)
-    scheme = get_method(name).forward
+    scheme = get_method(name)
     _, y_free = _terminal_map(scheme, prob.sys, prob.T / N, N)
     ref = integrate_forward(scheme, prob.sys, None, N, prob.T)
     assert np.abs(y_free - ref).max() <= 5e-12 * np.abs(ref).max()
@@ -650,7 +669,7 @@ def test_terminal_map_temporaries_stay_near_the_result(name):
     # (s + 1, m) stack and the Peer map one of 2 s + 1 blocks, so each peak
     # stays at 1.04-1.22 results; the dense IRK propagator it replaced
     # reached 3.4-3.7
-    peak, nbytes = terminal_map_peak(get_method(name).forward, 250, 256)
+    peak, nbytes = terminal_map_peak(get_method(name), 250, 256)
     assert peak < 2 * nbytes
 
 
@@ -755,16 +774,18 @@ def test_discrete_optimality_system_order_when_nonstiff(name, stage_rate):
     # Hager (Numer. Math. 87, 2000): the discrete optimality system is the
     # partitioned Runge-Kutta pair (A, b) / (abar, b) with
     # abar_ij = b_j - b_j a_ji / b_i applied to the continuous one.  That
-    # adjoint tableau is the method's own adjoint scheme (Gauss-2 itself,
-    # Lobatto IIIB for IIIA), and both pairs have order 4.  On a non-stiff
-    # instance (m = 4, h |lambda_min| <= 2) the terminal state and the control
+    # adjoint tableau is Gauss-2 itself, and Lobatto IIIB for IIIA (a test
+    # literal: the transposed sweep realizes it, and the package has no IIIB
+    # method), and both pairs have order 4.  On a non-stiff instance
+    # (m = 4, h |lambda_min| <= 2) the terminal state and the control
     # at the grid nodes, -b^T lambda_n / alpha, therefore converge with order
     # 4, while the stage-node control follows the adjoint stages, whose stage
     # order q (2 for Gauss-2, 1 for IIIB) limits it to order q + 1.
     method = get_method(name)
-    A, b = method.forward.A, method.forward.b
+    A, b = method.A, method.b
     abar = b[None, :] - b[None, :] * A.T / b[:, None]
-    assert np.abs(abar - method.adjoint.A).max() <= 1e-15
+    partner = gauss2() if name == "gauss2" else lobatto_iiib()
+    assert np.abs(abar - partner.A).max() <= 1e-15
 
     prob, sol = make_instance(4)
     y_T_exact = from_modal(prob.dec, sol.eta_T)
@@ -774,7 +795,7 @@ def test_discrete_optimality_system_order_when_nonstiff(name, stage_rate):
         result = optimize(method, prob, cfg, N, exact_control=sol.control)
         assert result.converged
         t_n = np.arange(N + 1) * (prob.T / N)
-        _, multipliers = reference_gradient(method.forward, prob, result.control.values, N)
+        _, multipliers = reference_gradient(method, prob, result.control.values, N)
         u_n = -(multipliers @ prob.sys.forcing_vector) / prob.alpha
         y_T = integrate_forward(method, prob.sys, result.control.values, N, prob.T)
         errs["y_T"].append(np.abs(y_T - y_T_exact).max())

@@ -10,18 +10,18 @@ import pytest
 from scipy.linalg import solve_banded
 
 from heatoc import (
-    ConfigError, ExpSumFunction, IrkTableau, MissingPeerCoefficientsError, MolSystem,
-    NumericalError, PeerScheme, RobinBC, TridiagonalMatrix, adjoint_exact,
+    ConfigError, ExperimentConfig, ExpSumFunction, IrkTableau, MissingPeerCoefficientsError,
+    MolSystem, NumericalError, PeerScheme, RobinBC, TridiagonalMatrix, adjoint_exact,
     build_system, collocation, control_quadrature_weights, decompose, from_modal, gauss2, get_method,
     integrate_adjoint, integrate_forward, irk_step, load_peer_scheme,
-    lobatto_iiia, lobatto_iiib, ones_profile, peer_step, peer_toy2,
+    lobatto_iiia, ones_profile, peer_step, peer_toy2, render_csv, run_scenario1,
     solve_ivp_exact, stability_function,
 )
 from heatoc import integrators
 from heatoc.bench import _exact_start
 from heatoc.heat_mol import SHIFT_CACHE_SIZE
 from heatoc.integrators import StageSystemSolver, interpolatory_weights, solve_shifted
-from conftest import make_instance
+from conftest import lobatto_iiib, make_instance
 
 
 def pade22(z):
@@ -284,7 +284,7 @@ def test_polynomial_exactness(name, degree):
     times = np.arange(9) / 8
     scale = max(np.abs(q(times)).max(), 1.0)
     for n in range(2 if name == "peer_toy2" else 1, 9):
-        control = node_samples(dq, method.forward, n, times[n])
+        control = node_samples(dq, method, n, times[n])
         y_n = integrate_forward(method, sys_like, control, n, times[n])
         assert abs(y_n[0] - q(times[n])) <= 1e-12 * scale, n
 
@@ -322,7 +322,7 @@ def test_forward_rejects_non_finite_control_samples(name, bad):
     # rejected before the first step, so no step can warn on inf * 0
     sys = build_system(RobinBC.dirichlet(), 8, ones_profile)
     method = get_method(name)
-    samples = np.ones((16, method.forward.s))
+    samples = np.ones((16, method.s))
     samples[5, -1] = bad
     with pytest.raises(ValueError, match="control samples"):
         integrate_forward(method, sys, samples, 16, 1.0)
@@ -335,7 +335,7 @@ def test_sweeps_hold_o_of_m_memory(name, control):
     sys = build_system(RobinBC.dirichlet(), 250, ones_profile)
     method = get_method(name)
     N = 1024
-    u = None if control == "none" else np.ones((N, method.forward.s))
+    u = None if control == "none" else np.ones((N, method.s))
     tracemalloc.start()
     try:
         y_T = integrate_forward(method, sys, u, N, 1.0)
@@ -369,20 +369,20 @@ def test_sweeps_equal_a_loop_of_public_steps_bitwise(name, m, rng):
     method = get_method(name)
     N, T = 6, 1.0
     expsum = ExpSumFunction(np.array([0.7, -0.2]), np.array([-3.0, 0.5]), T)
-    nodes = rng.standard_normal((N, method.forward.s))
+    nodes = rng.standard_normal((N, method.s))
     p_T = rng.standard_normal(m)
     for n in range(2 if name == "peer_toy2" else 1, N + 1):
         T_n = n * (T / N)
-        for label, control in (("expsum", node_samples(expsum, method.forward, n, T_n)),
+        for label, control in (("expsum", node_samples(expsum, method, n, T_n)),
                                ("nodes", nodes[:n]), ("none", None)):
             sys = build_system(RobinBC(2.0, 0.5), m, ones_profile)
             y_n = integrate_forward(method, sys, control, n, T_n)
             fresh = build_system(RobinBC(2.0, 0.5), m, ones_profile)    # no kept factors
-            ref = stepped_endpoint(method.forward, fresh, control, n, T_n / n)
+            ref = stepped_endpoint(method, fresh, control, n, T_n / n)
             assert np.array_equal(y_n, ref), (label, n)
         p_0 = integrate_adjoint(method, build_system(RobinBC(2.0, 0.5), m, ones_profile),
                                 p_T, n, T_n)
-        ref = stepped_endpoint(method.adjoint, build_system(RobinBC(2.0, 0.5), m, p_T),
+        ref = stepped_endpoint(method, build_system(RobinBC(2.0, 0.5), m, p_T),
                                None, n, T_n / n)
         assert np.array_equal(p_0, ref), n
 
@@ -671,8 +671,8 @@ def test_peer_dir_lookup(tmp_path):
            "R": [["1/4", "0"], ["7/12", "1/3"]], "formulation": "BAR", "order": 2}
     (tmp_path / "dir_scheme.json").write_text(json.dumps(doc))
     method = get_method("dir_scheme", str(tmp_path))
-    assert isinstance(method.forward, PeerScheme)
-    assert np.array_equal(method.forward.B, scheme.B)
+    assert isinstance(method, PeerScheme)
+    assert np.array_equal(method.B, scheme.B)
     with pytest.raises(MissingPeerCoefficientsError):
         get_method("dir_scheme")          # only the explicit directory holds it
 
@@ -713,12 +713,12 @@ def test_adjoint_converges_to_exact_flow(name, rng):
     method = get_method(name)
     errs = []
     for N in (16, 32, 64):
-        start = _exact_start(method.adjoint, lambda t: adjoint_exact(dec, p_T, 0.0, t),
-                             1.0 / N)
+        start = _exact_start(method, lambda t: adjoint_exact(dec, p_T, 0.0, t), 1.0 / N)
         p_0 = integrate_adjoint(method, sys, p_T, N, 1.0, start)
         errs.append(np.abs(p_0 - exact0).max())
     order = np.log2(errs[-2] / errs[-1])
-    assert order >= (3.5 if method.order == 4 else 1.6)
+    design_order = method.order if isinstance(method, PeerScheme) else 4
+    assert order >= (3.5 if design_order == 4 else 1.6)
 
 
 @pytest.mark.parametrize("N", [2, 3, 16])
@@ -736,21 +736,49 @@ def test_adjoint_is_reversed_homogeneous_forward_sweep(name, start, N, rng):
     # every state p_{N-k} of an N-step grid on [0, 1], as the endpoint of k steps
     for k in range(2 if name == "peer_toy2" else 1, N + 1):
         T_k = k * (1.0 / N)
-        block = (_exact_start(method.adjoint, lambda t: adjoint_exact(dec, p_T, 0.0, t),
-                              T_k / k)
+        block = (_exact_start(method, lambda t: adjoint_exact(dec, p_T, 0.0, t), T_k / k)
                  if start == "exact" else None)
         p = integrate_adjoint(method, sys, p_T, k, T_k, block)
         assert p_T.flags.writeable and p.shape == (8,)
-        fwd = integrate_forward(method.adjoint, start_sys, None, k, T_k, block)
+        fwd = integrate_forward(method, start_sys, None, k, T_k, block)
         assert np.array_equal(p, fwd), k
 
 
-def test_lobatto_pair_uses_iiib_for_adjoint():
+@pytest.mark.parametrize("m", [250, 500])
+def test_lobatto3_backward_sweep_ends_where_iiib_and_gauss2_end(m):
+    # Lobatto IIIA, IIIB and Gauss-2 share the (2,2) Pade stability
+    # function, so their homogeneous backward sweeps from one p_T end at one
+    # p_0 up to roundoff; the IIIB tableau would change no p0_err_inf.  The
+    # bound is the cancellation scale eps m^2 max|p_T| of the F form
+    # (measured at most 1.14 of it)
+    sys = build_system(RobinBC(1.0, 0.0), m, ones_profile)
+    p_T = np.random.default_rng(0).standard_normal(m)
+    bound = 4 * np.finfo(float).eps * m**2 * np.abs(p_T).max()
+    for N in (16, 256, 2048):
+        p_0 = integrate_adjoint(get_method("lobatto3"), sys, p_T, N, 1.0)
+        for other in (lobatto_iiib(), gauss2()):
+            gap = np.abs(p_0 - integrate_adjoint(other, sys, p_T, N, 1.0)).max()
+            assert gap <= bound, (other.name, N, gap / bound)
+
+
+def test_get_method_returns_the_scheme_under_its_lookup_name(tmp_path):
+    # a method is its scheme: lobatto3 is Lobatto IIIA itself, and both of
+    # its sweeps run it
+    assert [get_method(name).name for name in ("gauss2", "lobatto3", "peer_toy2")] == [
+        "gauss2", "lobatto3", "peer_toy2"]
     method = get_method("lobatto3")
-    assert method.forward.name == "lobatto_iiia"
-    assert method.adjoint.name == "lobatto_iiib"
-    g = get_method("gauss2")
-    assert g.forward is g.adjoint
+    assert isinstance(method, IrkTableau) and method.name == "lobatto3"
+    for attr in ("A", "b", "c"):
+        assert np.array_equal(getattr(method, attr), getattr(lobatto_iiia(), attr))
+    # the report's method column is the lookup name, not a Peer file's "name"
+    doc = json.loads((integrators._packaged_peer_dir() / "peer_toy2.json").read_text())
+    (tmp_path / "stem.json").write_text(json.dumps(dict(doc, name="not_the_stem")))
+    assert get_method("stem", str(tmp_path)).name == "stem"
+    cfg = ExperimentConfig(m_values=(8,), N_values=(4, 8), methods=("stem",),
+                           peer_dir=str(tmp_path))
+    rows = [ln for ln in render_csv(run_scenario1(cfg)).splitlines()
+            if not ln.startswith("#")][1:]
+    assert len(rows) == 4 and all(ln.startswith("stem,8,") for ln in rows)
 
 
 def test_integrators_import_only_heat_mol_from_the_package():

@@ -39,3 +39,10 @@ def test_readme_cli_section_names_every_subcommand_and_flag_and_no_other():
     named = set(re.findall(r"(?<![\w-])--[A-Za-z][A-Za-z0-9-]*", cli))
     assert sorted(flags - named) == []
     assert sorted(named - flags) == []
+
+
+def test_readme_is_at_most_300_lines_and_carries_no_measurement():
+    # timings, memory figures and before/after numbers go to CHANGES.md
+    assert len(README.splitlines()) <= 300
+    measurements = re.compile(r"[0-9] ?(ms|µs|MB|GB)\b|down from|fell from|tracemalloc")
+    assert [match.group(0) for match in measurements.finditer(README)] == []
